@@ -16,15 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .evaluate import (
-    EvaluationError,
-    eval_d,
-    eval_d2,
-    eval_nd,
-    d2_gradient,
-    d2_hessian,
-    d_gradient,
-)
+from .evaluate import EvaluationError, d2_gradient, d2_hessian, d_gradient, evaluate
 from .generator import FUNCTIONS_PER_CLASS
 from .harness import make_multistart, make_random_search, oracle_solver, run_solver, write_report
 from .notebook import NotebookError, export_class, load_class, summary_path_for, write_grid
@@ -37,9 +29,6 @@ from .params import (
 )
 
 SENTINEL_VALUE = 1e100
-
-_VALUE_EVALUATORS = {"nd": eval_nd, "d": eval_d, "d2": eval_d2}
-_GRADIENTS = {"d": d_gradient, "d2": d2_gradient}
 
 
 def _fmt(value) -> str:
@@ -190,14 +179,14 @@ def cmd_eval(args) -> int:
         return _usage("Hessians are only available for the d2 family")
     try:
         if args.grad:
-            vec = _GRADIENTS[family](func, point)
+            vec = (d_gradient if family == "d" else d2_gradient)(func, point)
             print(", ".join(_fmt(v) for v in vec))
         elif args.hess:
             matrix = d2_hessian(func, point)
             for row in matrix:
                 print(", ".join(_fmt(v) for v in row))
         else:
-            print(_fmt(_VALUE_EVALUATORS[family](func, point)))
+            print(_fmt(evaluate(func, point, family)))
         return 0
     except EvaluationError as exc:
         print(_fmt(SENTINEL_VALUE))

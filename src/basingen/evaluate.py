@@ -9,10 +9,21 @@ One ground-truth record serves three families, selected at call time:
   polynomials with curvature ``delta`` at each minimizer).
 
 Outside every attraction ball all families coincide with the paraboloid
-``||x - T||^2 + t``.  Inside ball ``i`` the basin polynomial is a
-function of ``r = ||x - M_i||`` and the normalized scalar product
-``s = <x - M_i, T - M_i> / r``.  Both branches take the same value on
-the ball boundary (continuity for every family); for "d" the first
+``||x - T||^2 + t``.  Inside ball ``i`` every basin polynomial has the
+radial-axial form
+
+    f = A(r) + c * C(r),   r = ||x - M_i||,   c = <x - M_i, T - M_i>,
+
+where ``A`` and ``C`` are polynomials in ``r`` whose coefficients
+depend on the family and the ball (``_coefficients``).  One rule gives
+every derivative: with ``u = (x - M_i) / r`` and ``a = T - M_i``,
+
+    grad f = (A' + c C') u + C a,
+    hess f = (A'' + c C'') u u^T + C' (u a^T + a u^T)
+             + (A' + c C') / r * (I - u u^T),
+
+which is symmetric by construction.  Both branches take the same value
+on the ball boundary (continuity for every family); for "d" the first
 derivatives also agree there, and for "d2" the second derivatives too.
 
 Failures are reported as typed exceptions rather than a sentinel value;
@@ -63,7 +74,32 @@ def _require_function(func) -> None:
         raise NoFunctionError("no generated function to evaluate")
 
 
+def _require_family(family: str) -> str:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    return family
+
+
+def _require_feasible(func: GeneratedFunction, points: np.ndarray) -> None:
+    """Box test shared by the scalar and batch paths; NaN fails it."""
+    if not ((func.lower <= points) & (points <= func.upper)).all():
+        raise OutOfDomainError("a query point lies outside the admissible box or is NaN")
+
+
+def _indexed(func: GeneratedFunction, *indices) -> GeneratedFunction:
+    """`func`, after checking that it exists and that every 1-based
+    variable index lies in 1..dim."""
+    _require_function(func)
+    for j in indices:
+        if not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= func.dim:
+            raise BadVariableIndexError(
+                f"variable index must be in [1, {func.dim}], got {j!r}"
+            )
+    return func
+
+
 def _as_point(func: GeneratedFunction, x) -> np.ndarray:
+    _require_function(func)
     point = np.asarray(x, dtype=float)
     if point.shape != (func.dim,):
         raise ValueError(
@@ -72,167 +108,165 @@ def _as_point(func: GeneratedFunction, x) -> np.ndarray:
     return point
 
 
-def _require_feasible(func: GeneratedFunction, point: np.ndarray) -> None:
-    if np.any(point < func.lower) or np.any(point > func.upper):
-        raise OutOfDomainError(
-            f"point {point.tolist()} lies outside the admissible box"
-        )
-
-
-def _require_index(func: GeneratedFunction, j: int) -> None:
-    if not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= func.dim:
-        raise BadVariableIndexError(
-            f"variable index must be in [1, {func.dim}], got {j!r}"
-        )
-
-
-def _prepare(func: GeneratedFunction, x) -> np.ndarray:
-    _require_function(func)
-    point = _as_point(func, x)
-    _require_feasible(func, point)
-    return point
-
-
 def _locate_row(func: GeneratedFunction, point: np.ndarray):
-    """0-based minimizer row whose ball contains `point`, with the
-    distance to its center, or None.  Balls are disjoint; on exact
-    tangency the lowest row wins."""
-    centers = func.minima.local_min[1:]
-    diffs = centers - point
+    """0-based minimizer row whose ball contains `point` (0, the vertex
+    row, when no ball does) and the squared distance to that row's
+    center.  Balls are disjoint; on exact tangency the lowest row wins."""
+    diffs = func.minima.local_min - point
     dist_sq = np.einsum("ij,ij->i", diffs, diffs)
-    hits = np.nonzero(dist_sq <= func.minima.rho[1:] ** 2)[0]
-    if hits.size == 0:
-        return None
-    offset = int(hits[0])
-    return offset + 1, math.sqrt(float(dist_sq[offset]))
+    hits = np.nonzero(dist_sq[1:] <= func.minima.rho[1:] ** 2)[0]
+    row = int(hits[0]) + 1 if hits.size else 0
+    return row, float(dist_sq[row])
 
 
 def locate_ball(func: GeneratedFunction, x):
     """Public ball lookup: (1-based minimizer index >= 2, distance to its
     center) when `x` lies in an attraction ball, else None."""
-    _require_function(func)
-    point = _as_point(func, x)
-    hit = _locate_row(func, point)
-    if hit is None:
+    row, dist_sq = _locate_row(func, _as_point(func, x))
+    if row == 0:
         return None
-    row, dist = hit
-    return row + 1, dist
+    return row + 1, math.sqrt(dist_sq)
 
 
 # ---------------------------------------------------------------------------
-# branch kernels: value of each basin polynomial from (r, s); written for
-# scalars but numpy-polymorphic so the batch evaluator reuses them
+# the basin kernel: f = A(r) + c * C(r)
 
 
-def _quadratic_kernel(r, s, rho, bridge, f_min):
-    return (1.0 - (2.0 / rho) * s + bridge / rho**2) * r * r + f_min
-
-
-def _cubic_kernel(r, s, rho, bridge, f_min):
-    term3 = (2.0 / rho**2) * s - (2.0 / rho**3) * bridge
-    term2 = 1.0 - (4.0 / rho) * s + (3.0 / rho**2) * bridge
-    return term3 * r**3 + term2 * r * r + f_min
-
-
-def _quintic_kernel(r, s, rho, bridge, f_min, delta):
+def _coefficients(func: GeneratedFunction, row: int, family: str):
+    """Coefficients of A and C, lowest power first, for basin `row` of
+    `family`.  B is the bridge constant ||T - M||^2 + t - f_min that makes
+    the polynomial meet the paraboloid on the ball boundary."""
+    f_min = float(func.minima.f[row])
+    rho = float(func.minima.rho[row])
+    b = float(func.bridge[row])
+    if family == "nd":
+        return (f_min, 0.0, 1.0 + b / rho**2), (0.0, -2.0 / rho)
+    if family == "d":
+        return (
+            (f_min, 0.0, 1.0 + (3.0 / rho**2) * b, -(2.0 / rho**3) * b),
+            (0.0, -4.0 / rho, 2.0 / rho**2),
+        )
+    delta = func.delta
     curv = 1.0 - 0.5 * delta
-    b5 = -(6.0 / rho**4) * s + (6.0 / rho**5) * bridge + curv / rho**3
-    b4 = (16.0 / rho**3) * s - (15.0 / rho**4) * bridge - (3.0 / rho**2) * curv
-    b3 = -(12.0 / rho**2) * s + (10.0 / rho**3) * bridge + (3.0 / rho) * curv
-    return ((b5 * r + b4) * r + b3) * r**3 + 0.5 * delta * r * r + f_min
+    return (
+        (
+            f_min,
+            0.0,
+            0.5 * delta,
+            (10.0 / rho**3) * b + (3.0 / rho) * curv,
+            -(15.0 / rho**4) * b - (3.0 / rho**2) * curv,
+            (6.0 / rho**5) * b + curv / rho**3,
+        ),
+        (0.0, 0.0, -12.0 / rho**2, 16.0 / rho**3, -6.0 / rho**4),
+    )
 
 
-def _basin_quantities(func: GeneratedFunction, row: int, point: np.ndarray):
+def _horner(coef, r, order: int = 0):
+    """(p, p', p'') at `r` for coefficients listed lowest power first.
+
+    Uses only + and *, so Python floats and numpy arrays round alike;
+    with ``order == 0`` only p is computed and p', p'' stay 0."""
+    p = dp = half_ddp = 0.0
+    for a in reversed(coef):
+        if order:
+            half_ddp = half_ddp * r + dp
+            dp = dp * r + p
+        p = p * r + a
+    return p, dp, 2.0 * half_ddp
+
+
+def _basin(
+    func: GeneratedFunction, row: int, point: np.ndarray, r: float, family: str, order: int = 0
+):
+    """Value (order 0), gradient (1) or Hessian (2) of the basin
+    polynomial of `row` at `point`, at distance `r` from its center,
+    whether or not `point` is in its ball.  Within `precision` of the
+    minimizer: f_min, a zero gradient and delta * I."""
+    if r < func.params.precision:
+        if order == 0:
+            return float(func.minima.f[row])
+        return np.zeros(func.dim) if order == 1 else func.delta * np.eye(func.dim)
     center = func.minima.local_min[row]
     d = point - center
-    r = float(np.linalg.norm(d))
-    axis = func.vertex - center
-    c = float(d @ axis)
-    return d, r, c, axis
+    a = func.vertex - center
+    c = float(np.einsum("i,i->", d, a))
+    coef_a, coef_c = _coefficients(func, row, family)
+    a0, a1, a2 = _horner(coef_a, r, order)
+    c0, c1, c2 = _horner(coef_c, r, order)
+    if order == 0:
+        return a0 + c * c0
+    u = d / r
+    radial = a1 + c * c1
+    if order == 1:
+        return radial * u + c0 * a
+    uu = np.outer(u, u)
+    ua = np.outer(u, a)
+    return (a2 + c * c2) * uu + c1 * (ua + ua.T) + (radial / r) * (np.eye(func.dim) - uu)
 
 
-def _paraboloid_value(func: GeneratedFunction, point: np.ndarray) -> float:
-    d = point - func.vertex
-    return float(d @ d) + func.params.paraboloid_min
+def _at(func: GeneratedFunction, x, family: str, order: int):
+    """Value (order 0), gradient (1) or Hessian (2) of `family` at `x`."""
+    point = _as_point(func, x)
+    _require_feasible(func, point)
+    row, dist_sq = _locate_row(func, point)
+    if row:
+        return _basin(func, row, point, math.sqrt(dist_sq), family, order)
+    if order == 0:
+        return dist_sq + func.params.paraboloid_min
+    return 2.0 * (point - func.vertex) if order == 1 else 2.0 * np.eye(func.dim)
 
 
-def _basin_value(func: GeneratedFunction, row: int, point: np.ndarray, family: str) -> float:
-    d, r, c, _ = _basin_quantities(func, row, point)
-    f_min = float(func.minima.f[row])
-    if r < func.params.precision:
-        return f_min
-    s = c / r
-    rho = float(func.minima.rho[row])
-    bridge = float(func.bridge[row])
-    if family == "nd":
-        return float(_quadratic_kernel(r, s, rho, bridge, f_min))
-    if family == "d":
-        return float(_cubic_kernel(r, s, rho, bridge, f_min))
-    return float(_quintic_kernel(r, s, rho, bridge, f_min, func.delta))
-
-
-def _evaluate(func: GeneratedFunction, x, family: str) -> float:
-    point = _prepare(func, x)
-    hit = _locate_row(func, point)
-    if hit is None:
-        return _paraboloid_value(func, point)
-    return _basin_value(func, hit[0], point, family)
+def _derivative(func: GeneratedFunction, x, family: str, order: int) -> np.ndarray:
+    try:
+        return _at(func, x, family, order)
+    except OutOfDomainError as exc:
+        what = "gradient" if order == 1 else "Hessian"
+        raise DerivEvalError(f"{what} component evaluation failed: {exc}") from exc
 
 
 def eval_nd(func: GeneratedFunction, x) -> float:
     """Value of the non-differentiable family at `x`."""
-    return _evaluate(func, x, "nd")
+    return _at(func, x, "nd", 0)
 
 
 def eval_d(func: GeneratedFunction, x) -> float:
     """Value of the continuously differentiable family at `x`."""
-    return _evaluate(func, x, "d")
+    return _at(func, x, "d", 0)
 
 
 def eval_d2(func: GeneratedFunction, x) -> float:
     """Value of the twice continuously differentiable family at `x`."""
-    return _evaluate(func, x, "d2")
-
-
-_EVALUATORS = {"nd": eval_nd, "d": eval_d, "d2": eval_d2}
+    return _at(func, x, "d2", 0)
 
 
 def evaluate(func: GeneratedFunction, x, family: str) -> float:
     """Family-dispatching convenience wrapper."""
-    try:
-        evaluator = _EVALUATORS[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    return evaluator(func, x)
+    return _at(func, x, _require_family(family), 0)
 
 
-def eval_many(
-    func: GeneratedFunction, family: str, points, chunk_size: int = _BATCH_CHUNK
-) -> np.ndarray:
+def eval_many(func: GeneratedFunction, family: str, points) -> np.ndarray:
     """Vectorized evaluation at an (n, dim) array of feasible points.
 
-    Linear scan over the balls per chunk; equivalent to the scalar
+    Linear scan over the balls per chunk; bit-for-bit equal to the scalar
     evaluators but orders of magnitude faster for surface grids and
     budgeted benchmark sweeps.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    _require_family(family)
     _require_function(func)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != func.dim:
         raise ValueError(f"expected an (n, {func.dim}) array, got shape {pts.shape}")
-    if np.any(pts < func.lower) or np.any(pts > func.upper):
-        raise OutOfDomainError("some points lie outside the admissible box")
+    _require_feasible(func, pts)
 
     table = func.minima
-    eps = func.params.precision
-    t = func.params.paraboloid_min
     values = np.empty(len(pts))
-    for start in range(0, len(pts), chunk_size):
-        block = pts[start : start + chunk_size]
+    for start in range(0, len(pts), _BATCH_CHUNK):
+        block = pts[start : start + _BATCH_CHUNK]
         diffs = block - func.vertex
-        out = np.einsum("ij,ij->i", diffs, diffs) + t
-        for row in range(1, func.num_minima):
+        out = np.einsum("ij,ij->i", diffs, diffs) + func.params.paraboloid_min
+        # highest row first, so that on exact tangency the lowest row is
+        # written last and wins, as in the scalar lookup
+        for row in range(func.num_minima - 1, 0, -1):
             center = table.local_min[row]
             rho = float(table.rho[row])
             d = block - center
@@ -241,212 +275,42 @@ def eval_many(
             if not mask.any():
                 continue
             r = np.sqrt(dist_sq[mask])
-            c = d[mask] @ (func.vertex - center)
-            tiny = r < eps
-            s = c / np.where(tiny, 1.0, r)
-            f_min = float(table.f[row])
-            bridge = float(func.bridge[row])
-            if family == "nd":
-                branch = _quadratic_kernel(r, s, rho, bridge, f_min)
-            elif family == "d":
-                branch = _cubic_kernel(r, s, rho, bridge, f_min)
-            else:
-                branch = _quintic_kernel(r, s, rho, bridge, f_min, func.delta)
-            out[mask] = np.where(tiny, f_min, branch)
-        values[start : start + chunk_size] = out
+            c = np.einsum("ij,j->i", d[mask], func.vertex - center)
+            coef_a, coef_c = _coefficients(func, row, family)
+            branch = _horner(coef_a, r)[0] + c * _horner(coef_c, r)[0]
+            out[mask] = np.where(r < func.params.precision, float(table.f[row]), branch)
+        values[start : start + _BATCH_CHUNK] = out
     return values
-
-
-# ---------------------------------------------------------------------------
-# exact first derivatives
-
-
-def _radial_mix(d: np.ndarray, r: float, c: float, axis: np.ndarray) -> np.ndarray:
-    """The helper vector h with components
-    h_j = axis_j * r - c * d_j / r, the derivative workhorse shared by the
-    cubic and quintic formulas."""
-    return axis * r - (c / r) * d
-
-
-def _cubic_gradient(func: GeneratedFunction, row: int, point: np.ndarray) -> np.ndarray:
-    d, r, c, axis = _basin_quantities(func, row, point)
-    if r < func.params.precision:
-        return np.zeros(func.dim)
-    s = c / r
-    rho = float(func.minima.rho[row])
-    bridge = float(func.bridge[row])
-    h = _radial_mix(d, r, c, axis)
-    coef3 = (2.0 / rho**2) * s - (2.0 / rho**3) * bridge
-    coef2 = 1.0 - (4.0 / rho) * s + (3.0 / rho**2) * bridge
-    return (2.0 / rho**2) * h * r + 3.0 * coef3 * d * r - (4.0 / rho) * h + 2.0 * coef2 * d
-
-
-def _quintic_gradient(func: GeneratedFunction, row: int, point: np.ndarray) -> np.ndarray:
-    d, r, c, axis = _basin_quantities(func, row, point)
-    if r < func.params.precision:
-        return np.zeros(func.dim)
-    s = c / r
-    rho = float(func.minima.rho[row])
-    bridge = float(func.bridge[row])
-    delta = func.delta
-    curv = 1.0 - 0.5 * delta
-    h = _radial_mix(d, r, c, axis)
-    b5 = -(6.0 / rho**4) * s + (6.0 / rho**5) * bridge + curv / rho**3
-    b4 = (16.0 / rho**3) * s - (15.0 / rho**4) * bridge - (3.0 / rho**2) * curv
-    b3 = -(12.0 / rho**2) * s + (10.0 / rho**3) * bridge + (3.0 / rho) * curv
-    return (
-        -(6.0 / rho**4) * h * r**3
-        + 5.0 * b5 * d * r**3
-        + (16.0 / rho**3) * h * r * r
-        + 4.0 * b4 * d * r * r
-        - (12.0 / rho**2) * h * r
-        + 3.0 * b3 * d * r
-        + delta * d
-    )
-
-
-def _paraboloid_gradient(func: GeneratedFunction, point: np.ndarray) -> np.ndarray:
-    return 2.0 * (point - func.vertex)
 
 
 def d_deriv(func: GeneratedFunction, j: int, x) -> float:
     """Partial derivative of the "d" family with respect to variable `j`
     (1-based)."""
-    _require_function(func)
-    _require_index(func, j)
-    point = _as_point(func, x)
-    _require_feasible(func, point)
-    hit = _locate_row(func, point)
-    if hit is None:
-        return 2.0 * float(point[j - 1] - func.vertex[j - 1])
-    return float(_cubic_gradient(func, hit[0], point)[j - 1])
+    return float(_at(_indexed(func, j), x, "d", 1)[j - 1])
 
 
 def d2_deriv1(func: GeneratedFunction, j: int, x) -> float:
     """First partial derivative of the "d2" family with respect to
     variable `j` (1-based)."""
-    _require_function(func)
-    _require_index(func, j)
-    point = _as_point(func, x)
-    _require_feasible(func, point)
-    hit = _locate_row(func, point)
-    if hit is None:
-        return 2.0 * float(point[j - 1] - func.vertex[j - 1])
-    return float(_quintic_gradient(func, hit[0], point)[j - 1])
-
-
-# ---------------------------------------------------------------------------
-# exact second derivatives ("d2" family only)
-
-
-def _quintic_hessian(func: GeneratedFunction, row: int, point: np.ndarray) -> np.ndarray:
-    d, r, c, axis = _basin_quantities(func, row, point)
-    dim = func.dim
-    delta = func.delta
-    if r < func.params.precision:
-        return delta * np.eye(dim)
-    s = c / r
-    rho = float(func.minima.rho[row])
-    bridge = float(func.bridge[row])
-    curv = 1.0 - 0.5 * delta
-    h = _radial_mix(d, r, c, axis)
-    b5 = -(6.0 / rho**4) * s + (6.0 / rho**5) * bridge + curv / rho**3
-    b4 = (16.0 / rho**3) * s - (15.0 / rho**4) * bridge - (3.0 / rho**2) * curv
-    b3 = -(12.0 / rho**2) * s + (10.0 / rho**3) * bridge + (3.0 / rho) * curv
-
-    # mixed-derivative matrix; jac[j, k] approximates d h_j / d x_k up to
-    # the diagonal correction handled below
-    jac = np.outer(axis, d) / r - np.outer(d, h) / r**2
-    h_dk = np.outer(h, d)  # h_j * d_k
-    hk_d = h_dk.T  # h_k * d_j
-    dd = np.outer(d, d)
-    mixed = (
-        -(6.0 / rho**4) * (jac * r**3 + 3.0 * r * h_dk)
-        - (30.0 / rho**4) * r * hk_d
-        + 15.0 * r * b5 * dd
-        + (16.0 / rho**3) * (jac * r * r + 2.0 * h_dk)
-        + (64.0 / rho**3) * hk_d
-        + 8.0 * b4 * dd
-        - (12.0 / rho**2) * (jac * r + h_dk / r)
-        - (36.0 / rho**2) * hk_d / r
-        + (3.0 * b3 / r) * dd
-    )
-    upper = np.triu(mixed, 1)
-    hess = upper + upper.T  # exact symmetry by construction
-
-    d_sq = d * d
-    jac_diag = axis * d / r - h * d / r**2 - c / r
-    diag = (
-        -(6.0 / rho**4) * (jac_diag * r**3 + 3.0 * h * d * r)
-        + (5.0 * r**3 + 15.0 * d_sq * r) * b5
-        - (30.0 / rho**4) * h * d * r
-        + (16.0 / rho**3) * (jac_diag * r * r + 2.0 * h * d)
-        + (64.0 / rho**3) * h * d
-        + (4.0 * r * r + 8.0 * d_sq) * b4
-        - (12.0 / rho**2) * (jac_diag * r + h * d / r)
-        - (36.0 / rho**2) * h * d / r
-        + (3.0 * r + 3.0 * d_sq / r) * b3
-        + delta
-    )
-    np.fill_diagonal(hess, diag)
-    return hess
+    return float(_at(_indexed(func, j), x, "d2", 1)[j - 1])
 
 
 def d2_deriv2(func: GeneratedFunction, j: int, k: int, x) -> float:
     """Second partial derivative of the "d2" family with respect to
     variables `j` and `k` (1-based)."""
-    _require_function(func)
-    _require_index(func, j)
-    _require_index(func, k)
-    point = _as_point(func, x)
-    _require_feasible(func, point)
-    hit = _locate_row(func, point)
-    if hit is None:
-        return 2.0 if j == k else 0.0
-    return float(_quintic_hessian(func, hit[0], point)[j - 1, k - 1])
-
-
-# ---------------------------------------------------------------------------
-# assembled gradients and Hessians
+    return float(_at(_indexed(func, j, k), x, "d2", 2)[j - 1, k - 1])
 
 
 def d_gradient(func: GeneratedFunction, x) -> np.ndarray:
     """Exact gradient of the "d" family at `x`."""
-    _require_function(func)
-    try:
-        point = _as_point(func, x)
-        _require_feasible(func, point)
-        hit = _locate_row(func, point)
-        if hit is None:
-            return _paraboloid_gradient(func, point)
-        return _cubic_gradient(func, hit[0], point)
-    except EvaluationError as exc:
-        raise DerivEvalError(f"gradient component evaluation failed: {exc}") from exc
+    return _derivative(func, x, "d", 1)
 
 
 def d2_gradient(func: GeneratedFunction, x) -> np.ndarray:
     """Exact gradient of the "d2" family at `x`."""
-    _require_function(func)
-    try:
-        point = _as_point(func, x)
-        _require_feasible(func, point)
-        hit = _locate_row(func, point)
-        if hit is None:
-            return _paraboloid_gradient(func, point)
-        return _quintic_gradient(func, hit[0], point)
-    except EvaluationError as exc:
-        raise DerivEvalError(f"gradient component evaluation failed: {exc}") from exc
+    return _derivative(func, x, "d2", 1)
 
 
 def d2_hessian(func: GeneratedFunction, x) -> np.ndarray:
     """Exact Hessian of the "d2" family at `x` (symmetric by construction)."""
-    _require_function(func)
-    try:
-        point = _as_point(func, x)
-        _require_feasible(func, point)
-        hit = _locate_row(func, point)
-        if hit is None:
-            return 2.0 * np.eye(func.dim)
-        return _quintic_hessian(func, hit[0], point)
-    except EvaluationError as exc:
-        raise DerivEvalError(f"Hessian component evaluation failed: {exc}") from exc
+    return _derivative(func, x, "d2", 2)

@@ -122,3 +122,52 @@ def points_inside_ball(func, row, count, seed, margin_fraction=0.2):
             points[kept] = x
             kept += 1
     return points
+
+
+# --------------------------------------------------------------------------
+# reference basin values: the basin polynomials in their original
+# (r, s) form, s = <x - M, T - M> / r, written independently of the
+# library's radial-axial kernel
+
+
+def _quadratic_kernel(r, s, rho, bridge, f_min):
+    return (1.0 - (2.0 / rho) * s + bridge / rho**2) * r * r + f_min
+
+
+def _cubic_kernel(r, s, rho, bridge, f_min):
+    term3 = (2.0 / rho**2) * s - (2.0 / rho**3) * bridge
+    term2 = 1.0 - (4.0 / rho) * s + (3.0 / rho**2) * bridge
+    return term3 * r**3 + term2 * r * r + f_min
+
+
+def _quintic_kernel(r, s, rho, bridge, f_min, delta):
+    curv = 1.0 - 0.5 * delta
+    b5 = -(6.0 / rho**4) * s + (6.0 / rho**5) * bridge + curv / rho**3
+    b4 = (16.0 / rho**3) * s - (15.0 / rho**4) * bridge - (3.0 / rho**2) * curv
+    b3 = -(12.0 / rho**2) * s + (10.0 / rho**3) * bridge + (3.0 / rho) * curv
+    return ((b5 * r + b4) * r + b3) * r**3 + 0.5 * delta * r * r + f_min
+
+
+def reference_basin_value(func, row, x, family):
+    """Value of the basin polynomial of `row` (0-based, >= 1) at `x`."""
+    center = func.minima.local_min[row]
+    d = np.asarray(x, dtype=float) - center
+    r = float(np.linalg.norm(d))
+    f_min = float(func.minima.f[row])
+    if r < func.params.precision:
+        return f_min
+    rho = float(func.minima.rho[row])
+    vertex = func.minima.local_min[0]
+    bridge = float(np.sum((vertex - center) ** 2)) + func.params.paraboloid_min - f_min
+    s = float(d @ (vertex - center)) / r
+    if family == "nd":
+        return _quadratic_kernel(r, s, rho, bridge, f_min)
+    if family == "d":
+        return _cubic_kernel(r, s, rho, bridge, f_min)
+    return _quintic_kernel(r, s, rho, bridge, f_min, func.delta)
+
+
+def reference_paraboloid(func, x):
+    """Value of the outer paraboloid ||x - T||^2 + t."""
+    vertex = func.minima.local_min[0]
+    return float(np.sum((np.asarray(x, dtype=float) - vertex) ** 2)) + func.params.paraboloid_min

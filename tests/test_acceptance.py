@@ -34,17 +34,10 @@ from basingen import (
     load_class,
 )
 from basingen.cli import main
-from basingen.evaluate import (
-    _basin_value,
-    _cubic_gradient,
-    _paraboloid_gradient,
-    _paraboloid_value,
-    _quintic_gradient,
-    _quintic_hessian,
-)
+from basingen.evaluate import _basin
 
 from conftest import random_unit_vectors
-from fdtools import fd_gradient, fd_hessian, hessian_step, sample_pure_points
+from fdtools import fd_gradient, fd_hessian, hessian_step, reference_paraboloid, sample_pure_points
 from test_evaluate import nd_witness
 
 
@@ -150,10 +143,10 @@ def test_c04_boundary_continuity():
                 rho = func.minima.rho[row]
                 for u in directions:
                     xb = center + rho * u
-                    g = _paraboloid_value(func, xb)
+                    g = reference_paraboloid(func, xb)
                     bound = 1e-9 * max(1.0, abs(g))
                     for family in ("nd", "d", "d2"):
-                        assert abs(_basin_value(func, row, xb, family) - g) <= bound
+                        assert abs(_basin(func, row, xb, rho, family) - g) <= bound
 
     _run(4, "boundary continuity for all three families", body)
 
@@ -220,12 +213,12 @@ def test_c06_smoothness_across_boundaries(default_class):
                 rho = func.minima.rho[row]
                 for u in directions:
                     xb = center + rho * u
-                    outer = _paraboloid_gradient(func, xb)
-                    inner_d = _cubic_gradient(func, row, xb)
-                    inner_d2 = _quintic_gradient(func, row, xb)
+                    outer = 2.0 * (xb - func.vertex)
+                    inner_d = _basin(func, row, xb, rho, "d", 1)
+                    inner_d2 = _basin(func, row, xb, rho, "d2", 1)
                     assert np.max(np.abs(inner_d - outer)) <= 1e-8
                     assert np.max(np.abs(inner_d2 - outer)) <= 1e-8
-                    hess = _quintic_hessian(func, row, xb)
+                    hess = _basin(func, row, xb, rho, "d2", 2)
                     assert np.max(np.abs(hess - 2.0 * np.eye(func.dim))) <= 1e-6
         for func in default_class:
             assert nd_witness(func, h=1e-7), f"no kink witness for nf={func.nf}"

@@ -118,12 +118,13 @@ def test_eval_at_stored_global_minimizer(cli_notebook, capsys):
 
 
 def test_eval_out_of_domain_prints_sentinel(cli_notebook, capsys):
-    code, out, err = run(
-        capsys,
-        ["eval", "--notebook", str(cli_notebook), "--nf", "1", "--point", "2.0,0.0"],
-    )
-    assert code == 1
-    assert float(out.strip()) == 1e100
+    for point in ("2.0,0.0", "nan,0"):
+        code, out, err = run(
+            capsys,
+            ["eval", "--notebook", str(cli_notebook), "--nf", "1", "--point", point],
+        )
+        assert code == 1
+        assert float(out.strip()) == 1e100
 
 
 def test_eval_gradient_at_minimizer_is_zero(cli_notebook, capsys):

@@ -22,17 +22,18 @@ from basingen import (
     eval_nd,
     locate_ball,
 )
-from basingen.evaluate import (
-    _basin_value,
-    _cubic_gradient,
-    _paraboloid_gradient,
-    _paraboloid_value,
-    _quintic_gradient,
-    _quintic_hessian,
-)
+from basingen.evaluate import _basin
 
 from conftest import random_unit_vectors
-from fdtools import fd_gradient, fd_hessian, hessian_step, points_inside_ball, sample_pure_points
+from fdtools import (
+    fd_gradient,
+    fd_hessian,
+    hessian_step,
+    points_inside_ball,
+    reference_basin_value,
+    reference_paraboloid,
+    sample_pure_points,
+)
 
 EVALUATORS = {"nd": eval_nd, "d": eval_d, "d2": eval_d2}
 
@@ -128,6 +129,8 @@ def test_out_of_domain(func9):
             evaluator(func9, [1.5, 0.0])
         with pytest.raises(OutOfDomainError):
             evaluator(func9, [0.0, -1.0000001])
+        with pytest.raises(OutOfDomainError):
+            evaluator(func9, [np.nan, 0.0])
 
 
 def test_no_function():
@@ -146,10 +149,21 @@ def test_boundary_identity_all_families(func9):
         rho = func9.minima.rho[row]
         for u in directions:
             xb = center + rho * u
-            g = _paraboloid_value(func9, xb)
+            g = reference_paraboloid(func9, xb)
             for family in EVALUATORS:
-                branch = _basin_value(func9, row, xb, family)
+                branch = _basin(func9, row, xb, rho, family)
                 assert abs(branch - g) <= 1e-9 * max(1.0, abs(g))
+
+
+def test_basin_kernel_matches_reference(func9, func5):
+    for func in (func9, func5):
+        for row in range(1, func.num_minima):
+            for x in points_inside_ball(func, row, 20, seed=300 + row, margin_fraction=0.0):
+                r = float(np.linalg.norm(x - func.minima.local_min[row]))
+                for family in EVALUATORS:
+                    expected = reference_basin_value(func, row, x, family)
+                    value = _basin(func, row, x, r, family)
+                    assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected)), family
 
 
 # --------------------------------------------------------------------------
@@ -206,14 +220,14 @@ def test_bad_variable_index(func9):
 
 
 def test_deriv_eval_error_wraps_component_failure(func9):
-    outside = [2.0, 0.0]
-    with pytest.raises(DerivEvalError) as exc:
-        d_gradient(func9, outside)
-    assert isinstance(exc.value.__cause__, OutOfDomainError)
-    with pytest.raises(DerivEvalError):
-        d2_gradient(func9, outside)
-    with pytest.raises(DerivEvalError):
-        d2_hessian(func9, outside)
+    for outside in ([2.0, 0.0], [np.nan, 0.0]):
+        with pytest.raises(DerivEvalError) as exc:
+            d_gradient(func9, outside)
+        assert isinstance(exc.value.__cause__, OutOfDomainError)
+        with pytest.raises(DerivEvalError):
+            d2_gradient(func9, outside)
+        with pytest.raises(DerivEvalError):
+            d2_hessian(func9, outside)
 
 
 def test_deriv_out_of_domain(func9):
@@ -297,10 +311,10 @@ def test_smooth_branch_agreement_on_boundaries(func9):
         rho = func9.minima.rho[row]
         for u in directions:
             xb = center + rho * u
-            outer_grad = _paraboloid_gradient(func9, xb)
-            assert np.max(np.abs(_cubic_gradient(func9, row, xb) - outer_grad)) <= 1e-8
-            assert np.max(np.abs(_quintic_gradient(func9, row, xb) - outer_grad)) <= 1e-8
-            assert np.max(np.abs(_quintic_hessian(func9, row, xb) - 2.0 * np.eye(2))) <= 1e-6
+            outer_grad = 2.0 * (xb - func9.vertex)
+            assert np.max(np.abs(_basin(func9, row, xb, rho, "d", 1) - outer_grad)) <= 1e-8
+            assert np.max(np.abs(_basin(func9, row, xb, rho, "d2", 1) - outer_grad)) <= 1e-8
+            assert np.max(np.abs(_basin(func9, row, xb, rho, "d2", 2) - 2.0 * np.eye(2))) <= 1e-6
 
 
 def test_nd_kinks_on_boundaries(default_class):
@@ -342,18 +356,27 @@ def nd_witness(func, h, threshold=1e-3):
 # batch evaluation
 
 
-def test_batch_matches_scalar(func9):
+def test_batch_matches_scalar(func9, func5):
     rng = np.random.default_rng(29)
-    points = rng.uniform(-1.0, 1.0, size=(2000, 2))
-    for family, evaluator in EVALUATORS.items():
-        batch = eval_many(func9, family, points)
-        scalar = np.array([evaluator(func9, x) for x in points])
-        assert np.max(np.abs(batch - scalar)) <= 1e-12
+    inside = np.concatenate(
+        [points_inside_ball(func5, row, 35, seed=row, margin_fraction=0.0) for row in range(1, 30)]
+    )
+    cases = [
+        (func9, rng.uniform(-1.0, 1.0, size=(2000, 2))),
+        (func5, np.concatenate([inside, rng.uniform(-1.0, 1.0, size=(len(inside), 5))])),
+    ]
+    for func, points in cases:
+        for family, evaluator in EVALUATORS.items():
+            batch = eval_many(func, family, points)
+            scalar = np.array([evaluator(func, x) for x in points])
+            assert np.array_equal(batch, scalar), (func.dim, family)
 
 
 def test_batch_rejects_infeasible(func9):
     with pytest.raises(OutOfDomainError):
         eval_many(func9, "d", np.array([[0.0, 0.0], [2.0, 0.0]]))
+    with pytest.raises(OutOfDomainError):
+        eval_many(func9, "d", np.array([[0.0, 0.0], [0.0, np.nan]]))
 
 
 def test_batch_rejects_unknown_family(func9):
