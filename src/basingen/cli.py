@@ -16,15 +16,19 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .evaluate import EvaluationError, d2_gradient, d2_hessian, d_gradient, evaluate
+from .evaluate import FAMILIES, EvaluationError, d2_gradient, d2_hessian, d_gradient, evaluate
 from .generator import FUNCTIONS_PER_CLASS
 from .harness import make_multistart, make_random_search, oracle_solver, run_solver, write_report
 from .notebook import NotebookError, export_class, load_class, summary_path_for, write_grid
 from .params import (
     ClassParams,
+    DEFAULT_DELTA_MAX,
     DEFAULT_GLOBAL_VALUE,
+    DEFAULT_NUM_MINIMA,
+    DEFAULT_PARABOLOID_MIN,
     ErrorCode,
     ParameterError,
+    ValidationError,
     check,
 )
 
@@ -47,7 +51,7 @@ def _parse_vector(text: str, flag: str) -> tuple[float, ...]:
 def _add_class_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dim", type=int, default=2, help="problem dimension (default 2)")
     parser.add_argument(
-        "--minima", type=int, default=10,
+        "--minima", type=int, default=DEFAULT_NUM_MINIMA,
         help="number of local minima, vertex included (default 10)",
     )
     parser.add_argument(
@@ -73,11 +77,11 @@ def _add_class_flags(parser: argparse.ArgumentParser) -> None:
         help="right domain bounds (default 1 everywhere)",
     )
     parser.add_argument(
-        "--paraboloid-min", type=float, default=0.0,
+        "--paraboloid-min", type=float, default=DEFAULT_PARABOLOID_MIN,
         help="paraboloid minimum value (default 0)",
     )
     parser.add_argument(
-        "--delta-max", type=float, default=10.0,
+        "--delta-max", type=float, default=DEFAULT_DELTA_MAX,
         help="upper bound of the curvature draw for the d2 family (default 10)",
     )
     parser.add_argument(
@@ -115,7 +119,7 @@ def _params_from_args(args) -> ClassParams:
         domain_right=right,
         paraboloid_min=args.paraboloid_min,
         delta_max=args.delta_max,
-        gap=args.gap if args.gap is not None else (radius if radius > 0 else 0.0),
+        gap=args.gap,
     )
 
 
@@ -140,12 +144,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    params = _params_from_args(args)
-    errors = check(params)
-    if errors:
-        _print_violations(errors)
-        return 1
-    document = export_class(params, args.type, args.out)
+    document = export_class(_params_from_args(args), args.type, args.out)
     print(f"wrote {args.out} ({len(document['functions'])} functions) "
           f"and {summary_path_for(args.out)}")
     for entry in document["functions"]:
@@ -159,17 +158,22 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _notebook_function(args):
+    """Function `--nf` of notebook `--notebook`, and the family to use:
+    `--type`, else the notebook's."""
     loaded = load_class(args.notebook)
     if not 1 <= args.nf <= FUNCTIONS_PER_CLASS:
-        print(
-            f"{ErrorCode.FUNC_NUMBER.value}: function number must be in "
-            f"[1, {FUNCTIONS_PER_CLASS}], got {args.nf}",
-            file=sys.stderr,
+        raise ParameterError(
+            ValidationError(
+                ErrorCode.FUNC_NUMBER,
+                f"function number must be in [1, {FUNCTIONS_PER_CLASS}], got {args.nf}",
+            )
         )
-        return 1
-    func = loaded.functions[args.nf - 1]
-    family = args.type or loaded.function_type
+    return loaded.functions[args.nf - 1], args.type or loaded.function_type
+
+
+def cmd_eval(args) -> int:
+    func, family = _notebook_function(args)
     point = _parse_vector(args.point, "--point")
     if len(point) != func.dim:
         return _usage(f"--point must have {func.dim} coordinates, got {len(point)}")
@@ -195,34 +199,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    loaded = load_class(args.notebook)
-    if not 1 <= args.nf <= FUNCTIONS_PER_CLASS:
-        print(
-            f"{ErrorCode.FUNC_NUMBER.value}: function number must be in "
-            f"[1, {FUNCTIONS_PER_CLASS}], got {args.nf}",
-            file=sys.stderr,
-        )
-        return 1
-    func = loaded.functions[args.nf - 1]
-    family = args.type or loaded.function_type
+    func, family = _notebook_function(args)
     rows = write_grid(args.out, func, family, args.res)
     print(f"wrote {args.out} ({rows} rows)")
     return 0
 
 
 def cmd_bench(args) -> int:
-    params = _params_from_args(args)
-    errors = check(params)
-    if errors:
-        _print_violations(errors)
-        return 1
     if args.solver == "random":
         solver = make_random_search(seed=args.seed)
     elif args.solver == "multistart":
         solver = make_multistart(seed=args.seed)
     else:
         solver = oracle_solver
-    report = run_solver(params, args.type, solver, budget=args.budget)
+    report = run_solver(_params_from_args(args), args.type, solver, budget=args.budget)
     write_report(report, args.out)
     print(
         f"{args.solver} on the {args.type} class: "
@@ -247,14 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a class and write its notebook")
     _add_class_flags(p_gen)
-    p_gen.add_argument("--type", choices=("nd", "d", "d2"), required=True)
+    p_gen.add_argument("--type", choices=FAMILIES, required=True)
     p_gen.add_argument("--out", required=True, help="notebook path (JSON)")
     p_gen.set_defaults(handler=cmd_gen)
 
     p_eval = sub.add_parser("eval", help="evaluate a notebook function at a point")
     p_eval.add_argument("--notebook", required=True)
     p_eval.add_argument("--nf", type=int, required=True)
-    p_eval.add_argument("--type", choices=("nd", "d", "d2"), default=None,
+    p_eval.add_argument("--type", choices=FAMILIES, default=None,
                         help="family (default: the notebook's)")
     p_eval.add_argument(
         "--point", required=True, metavar="X1,X2,...",
@@ -269,14 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid = sub.add_parser("grid", help="export a 2-D surface grid as CSV")
     p_grid.add_argument("--notebook", required=True)
     p_grid.add_argument("--nf", type=int, required=True)
-    p_grid.add_argument("--type", choices=("nd", "d", "d2"), default=None)
+    p_grid.add_argument("--type", choices=FAMILIES, default=None)
     p_grid.add_argument("--res", type=int, default=101, help="points per axis")
     p_grid.add_argument("--out", required=True, help="CSV path")
     p_grid.set_defaults(handler=cmd_grid)
 
     p_bench = sub.add_parser("bench", help="benchmark a built-in solver on a class")
     _add_class_flags(p_bench)
-    p_bench.add_argument("--type", choices=("nd", "d", "d2"), required=True)
+    p_bench.add_argument("--type", choices=FAMILIES, required=True)
     p_bench.add_argument(
         "--solver", choices=("multistart", "random", "oracle"), default="multistart"
     )

@@ -9,9 +9,9 @@ Two success criteria are tracked separately and combined with "or":
   minimum value.
 
 The harness owns the evaluation counter: every value or gradient query
-charges one unit against the budget, infeasible queries are filtered
-before they reach the objective (and still charged), and exhausting the
-budget stops the solver.
+charges one unit against the budget, infeasible queries (the evaluator's
+box test decides) answer +inf or None and are still charged, and
+exhausting the budget stops the solver.
 """
 
 from __future__ import annotations
@@ -19,14 +19,14 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .evaluate import FAMILIES, d2_gradient, d_gradient, evaluate
+from .evaluate import FAMILIES, DerivEvalError, OutOfDomainError, d2_gradient, d_gradient, evaluate
 from .generator import FUNCTIONS_PER_CLASS, GeneratedFunction, generate
-from .params import ClassParams, ParameterError, check
+from .params import ClassParams
 
 VALUE_TOL_SCALE = 1e-4  # of the paraboloid-minimum-to-global-value drop
 
@@ -71,9 +71,6 @@ class BudgetedObjective:
             raise BudgetExhausted
         self.evaluations += 1
 
-    def _feasible(self, point: np.ndarray) -> bool:
-        return bool(np.all(point >= self.lower) and np.all(point <= self.upper))
-
     def _note_best(self, point: np.ndarray, value: float) -> None:
         if self.best_value is None or value < self.best_value:
             self.best_value = value
@@ -92,9 +89,12 @@ class BudgetedObjective:
         """Objective value; +inf for infeasible queries (still charged)."""
         self._charge()
         point = np.asarray(x, dtype=float)
-        if point.shape != (self.dim,) or not self._feasible(point):
+        if point.shape != (self.dim,):
             return float("inf")
-        val = evaluate(self._func, point, self.family)
+        try:
+            val = evaluate(self._func, point, self.family)
+        except OutOfDomainError:
+            return float("inf")
         self._note_best(point, val)
         return val
 
@@ -104,11 +104,12 @@ class BudgetedObjective:
             raise ValueError("gradient queries are unavailable for the nd family")
         self._charge()
         point = np.asarray(x, dtype=float)
-        if point.shape != (self.dim,) or not self._feasible(point):
+        if point.shape != (self.dim,):
             return None
-        if self.family == "d":
-            return d_gradient(self._func, point)
-        return d2_gradient(self._func, point)
+        try:
+            return (d_gradient if self.family == "d" else d2_gradient)(self._func, point)
+        except DerivEvalError:
+            return None
 
     def success_flags(self) -> tuple[bool, bool]:
         """(by_radius, by_value) for the final best feasible query."""
@@ -139,12 +140,12 @@ class SolverReport:
     function_type: str
     budget: int
     value_tol: float
-    outcomes: list[FunctionOutcome]
     success_count: int
     radius_success_count: int
     value_success_count: int
     mean_evals_to_success: float | None
     median_evals_to_success: float | None
+    outcomes: list[FunctionOutcome]
 
 
 def run_solver(
@@ -161,9 +162,6 @@ def run_solver(
     baselines only; honest solvers must not read it).  A solver exception
     is recorded as a per-function failure; the sweep continues.
     """
-    errors = check(params)
-    if errors:
-        raise ParameterError(errors)
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
@@ -210,12 +208,12 @@ def run_solver(
         function_type=family,
         budget=budget,
         value_tol=value_tol,
-        outcomes=outcomes,
         success_count=sum(o.success for o in outcomes),
         radius_success_count=sum(o.success_by_radius for o in outcomes),
         value_success_count=sum(o.success_by_value for o in outcomes),
         mean_evals_to_success=statistics.fmean(hits) if hits else None,
         median_evals_to_success=float(statistics.median(hits)) if hits else None,
+        outcomes=outcomes,
     )
 
 
@@ -318,65 +316,20 @@ def make_multistart(starts: int = 10, local_steps: int = 100, seed: int = 0):
 # report serialization
 
 
-def report_to_dict(report: SolverReport) -> dict:
-    return {
-        "function_type": report.function_type,
-        "budget": report.budget,
-        "value_tol": report.value_tol,
-        "success_count": report.success_count,
-        "radius_success_count": report.radius_success_count,
-        "value_success_count": report.value_success_count,
-        "mean_evals_to_success": report.mean_evals_to_success,
-        "median_evals_to_success": report.median_evals_to_success,
-        "outcomes": [
-            {
-                "nf": o.nf,
-                "evaluations": o.evaluations,
-                "best_value": o.best_value,
-                "best_point": o.best_point,
-                "success": o.success,
-                "success_by_radius": o.success_by_radius,
-                "success_by_value": o.success_by_value,
-                "evals_to_success": o.evals_to_success,
-                "solver_error": o.solver_error,
-            }
-            for o in report.outcomes
-        ],
-    }
+_CSV_FIELDS = [f.name for f in fields(FunctionOutcome) if f.name != "best_point"]
 
 
 def write_report(report: SolverReport, json_path, csv_path=None) -> None:
     """Write the full report as JSON and a per-function CSV summary."""
     json_path = Path(json_path)
     with open(json_path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
+        json.dump(asdict(report), fh, indent=2)
         fh.write("\n")
     if csv_path is None:
         csv_path = json_path.with_suffix(".csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "nf",
-                "evaluations",
-                "best_value",
-                "success",
-                "success_by_radius",
-                "success_by_value",
-                "evals_to_success",
-                "solver_error",
-            ]
-        )
+        writer.writerow(_CSV_FIELDS)
         for o in report.outcomes:
-            writer.writerow(
-                [
-                    o.nf,
-                    o.evaluations,
-                    "" if o.best_value is None else repr(o.best_value),
-                    int(o.success),
-                    int(o.success_by_radius),
-                    int(o.success_by_value),
-                    "" if o.evals_to_success is None else o.evals_to_success,
-                    o.solver_error or "",
-                ]
-            )
+            values = (getattr(o, name) for name in _CSV_FIELDS)
+            writer.writerow([int(v) if isinstance(v, bool) else v for v in values])

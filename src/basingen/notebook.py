@@ -72,9 +72,6 @@ def _function_entry(func: GeneratedFunction) -> dict:
 
 def build_class_document(params: ClassParams, function_type: str) -> dict:
     """Generate all 100 functions and assemble the notebook document."""
-    errors = check(params)
-    if errors:
-        raise ParameterError(errors)
     if function_type not in FAMILIES:
         raise ValueError(
             f"unknown function type {function_type!r}, expected one of {FAMILIES}"

@@ -10,6 +10,7 @@ and a handful of defaulted tuning constants.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 DEFAULT_NUM_MINIMA = 10
@@ -34,6 +35,7 @@ class ErrorCode(enum.Enum):
     GLOBAL_RADIUS = "GlobalRadiusError"
     FUNC_NUMBER = "FuncNumberError"
     DERIV_EVAL = "DerivEvalError"
+    TUNING = "TuningError"
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,6 @@ class ClassParams:
     gap: float | None = None
     weights: tuple[float, ...] | None = None
     precision: float = DEFAULT_PRECISION
-    max_dim: int = DEFAULT_MAX_DIM
 
     def __post_init__(self):
         object.__setattr__(self, "domain_left", tuple(float(v) for v in self.domain_left))
@@ -144,11 +145,11 @@ def check(params: ClassParams) -> list[ValidationError]:
     Pure: inspects `params` only, never raises for invalid values.
     """
     errors: list[ValidationError] = []
-    if not 2 <= params.dim <= params.max_dim:
+    if not 2 <= params.dim <= DEFAULT_MAX_DIM:
         errors.append(
             ValidationError(
                 ErrorCode.DIM,
-                f"dimension must satisfy 2 <= dim <= {params.max_dim}, got {params.dim}",
+                f"dimension must satisfy 2 <= dim <= {DEFAULT_MAX_DIM}, got {params.dim}",
             )
         )
     if params.num_minima < 2:
@@ -173,12 +174,12 @@ def check(params: ClassParams) -> list[ValidationError]:
             )
         )
 
-    if not params.global_value < params.paraboloid_min:
+    if not -math.inf < params.global_value < params.paraboloid_min < math.inf:
         errors.append(
             ValidationError(
                 ErrorCode.GLOBAL_MIN_VALUE,
-                f"global minimum value ({params.global_value}) must be strictly "
-                f"below the paraboloid minimum ({params.paraboloid_min})",
+                f"global minimum value ({params.global_value}) must be finite and "
+                f"strictly below the finite paraboloid minimum ({params.paraboloid_min})",
             )
         )
     if domain_ok:
@@ -200,6 +201,14 @@ def check(params: ClassParams) -> list[ValidationError]:
                 f"got {params.global_radius}",
             )
         )
+    for name, value, rule, ok in (  # each test fails on NaN
+        ("delta_max", params.delta_max, "finite and > 0", 0.0 < params.delta_max < math.inf),
+        ("gap", params.gap, "finite and >= 0", 0.0 <= params.gap < math.inf),
+        ("precision", params.precision, "finite and > 0", 0.0 < params.precision < math.inf),
+        ("weights", list(params.weights), "in (0, 1]", all(0 < w <= 1 for w in params.weights)),
+    ):
+        if not ok:
+            errors.append(ValidationError(ErrorCode.TUNING, f"{name} must be {rule}, got {value}"))
     return errors
 
 

@@ -87,11 +87,15 @@ def test_gen_is_byte_identical(tmp_path, cli_notebook, capsys):
 
 def test_gen_rejects_bad_params(tmp_path, capsys):
     path = tmp_path / "never.json"
-    code, out, err = run(
-        capsys, ["gen", "--type", "d", "--global-radius", "0.4", "--out", str(path)]
-    )
-    assert code == 1
-    assert not path.exists()
+    for flags, code_name in (
+        (["--global-radius", "0.4"], "GlobalRadiusError"),
+        (["--delta-max", "-1"], "TuningError"),
+    ):
+        code, out, err = run(capsys, ["gen", "--type", "d", *flags, "--out", str(path)])
+        assert code == 1
+        assert code_name in err
+        assert not path.exists()
+        assert not path.with_suffix(".txt").exists()
 
 
 def test_gen_d2_deltas_in_range(tmp_path, capsys):
@@ -178,13 +182,15 @@ def test_eval_hessian_output(cli_notebook, capsys):
     assert len(rows) == 2 and all(len(r) == 2 for r in rows)
 
 
-def test_eval_bad_nf(cli_notebook, capsys):
-    code, out, err = run(
-        capsys,
+def test_eval_bad_nf(cli_notebook, tmp_path, capsys):
+    for argv in (
         ["eval", "--notebook", str(cli_notebook), "--nf", "0", "--point", "0,0"],
-    )
-    assert code == 1
-    assert "FuncNumberError" in err
+        ["grid", "--notebook", str(cli_notebook), "--nf", "101", "--out", str(tmp_path / "g.csv")],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert "FuncNumberError" in err
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_eval_wrong_point_length(cli_notebook, capsys):

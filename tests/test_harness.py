@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from basingen import (
     run_solver,
     write_report,
 )
-from basingen.harness import BudgetedObjective, _descend, report_to_dict
+from basingen.harness import BudgetedObjective, _descend
 
 
 def test_oracle_succeeds_everywhere(params2):
@@ -38,7 +39,7 @@ def test_budget_zero_rejected(params2):
 def test_random_search_is_reproducible(params2):
     a = run_solver(params2, "d", make_random_search(seed=3), budget=300)
     b = run_solver(params2, "d", make_random_search(seed=3), budget=300)
-    assert json.dumps(report_to_dict(a)) == json.dumps(report_to_dict(b))
+    assert json.dumps(asdict(a)) == json.dumps(asdict(b))
 
 
 def test_value_criterion_is_selective(params2):
@@ -53,11 +54,13 @@ def test_value_criterion_is_selective(params2):
 
 def test_out_of_domain_queries_filtered_and_charged(func9):
     objective = BudgetedObjective(func9, "d", budget=10, value_tol=1e-4)
-    assert objective.value([5.0, 5.0]) == float("inf")
-    assert objective.evaluations == 1
+    # outside the box, NaN, and the wrong length
+    for k, point in enumerate(([5.0, 5.0], [float("nan"), 0.0], [0.0, 0.0, 0.0])):
+        assert objective.value(point) == float("inf")
+        assert objective.evaluations == 2 * k + 1
+        assert objective.gradient(point) is None
+        assert objective.evaluations == 2 * k + 2
     assert objective.best_value is None
-    assert objective.gradient([5.0, 5.0]) is None
-    assert objective.evaluations == 2
     value = objective.value(func9.vertex)
     assert value == 0.0
     assert objective.best_value == 0.0
@@ -114,7 +117,7 @@ def test_multistart_deterministic_and_reasonable(params2):
     solver = make_multistart(starts=5, local_steps=50, seed=0)
     a = run_solver(params2, "d", solver, budget=4000)
     b = run_solver(params2, "d", solver, budget=4000)
-    assert json.dumps(report_to_dict(a)) == json.dumps(report_to_dict(b))
+    assert json.dumps(asdict(a)) == json.dumps(asdict(b))
     assert a.success_count > 30
 
 

@@ -8,6 +8,7 @@ from basingen import (
     ParameterError,
     check,
     default_params,
+    generate,
     params_from_dict,
     params_to_dict,
 )
@@ -49,8 +50,42 @@ def test_defaults_are_valid_across_dims():
 
 
 def test_check_reports_global_min_value():
-    p = dataclasses.replace(default_params(2), global_value=0.0)
-    assert ErrorCode.GLOBAL_MIN_VALUE in codes(check(p))
+    nan, inf = float("nan"), float("inf")
+    for change in (
+        {"global_value": 0.0},
+        {"global_value": -inf},
+        {"global_value": nan},
+        {"paraboloid_min": inf},
+        {"paraboloid_min": nan},
+    ):
+        p = dataclasses.replace(default_params(2), **change)
+        assert ErrorCode.GLOBAL_MIN_VALUE in codes(check(p)), change
+
+
+def test_check_reports_tuning_constants():
+    # each must be a typed error before generation starts, never an internal error
+    nan, inf = float("nan"), float("inf")
+    for change in (
+        {"delta_max": -1.0},
+        {"delta_max": 0.0},
+        {"delta_max": nan},
+        {"delta_max": inf},
+        {"gap": -0.5},
+        {"gap": nan},
+        {"gap": inf},
+        {"precision": 0.0},
+        {"precision": nan},
+        {"weights": (1.5,) + (0.99,) * 9},
+        {"weights": (0.99, 0.0) + (0.99,) * 8},
+        {"weights": (nan,) * 10},
+    ):
+        p = dataclasses.replace(default_params(2), **change)
+        assert codes(check(p)) == {ErrorCode.TUNING}, change
+        with pytest.raises(ParameterError) as exc:
+            generate(p, 1)
+        assert exc.value.codes == [ErrorCode.TUNING], change
+    # gap 0 is allowed
+    assert check(dataclasses.replace(default_params(2), gap=0.0)) == []
 
 
 def test_check_reports_global_dist():
@@ -77,6 +112,11 @@ def test_check_reports_dim_and_minima():
     got = codes(check(p))
     assert ErrorCode.DIM in got
     assert ErrorCode.NUM_MINIMA in got
+    # one above the largest supported dimension
+    p = dataclasses.replace(
+        default_params(100), dim=101, domain_left=(-1.0,) * 101, domain_right=(1.0,) * 101
+    )
+    assert codes(check(p)) == {ErrorCode.DIM}
 
 
 def test_check_reports_boundary():

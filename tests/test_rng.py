@@ -7,6 +7,17 @@ from basingen.rng import MAX_SEED, MODULUS, LaggedFibonacci
 CHI2_9_P999 = 27.877164871626786
 
 
+def test_knuth_published_check_value():
+    # Knuth's ran_array test: ran_start(310952), then 2010 blocks of 1009
+    # words (or 1010 blocks of 2009) leave 995235265 in word 0 of the last
+    # block; the constructor is ran_start, warm-up included
+    for blocks, length in ((2010, 1009), (1010, 2009)):
+        gen = LaggedFibonacci(310952)
+        for _ in range(blocks):
+            block = gen._next_block(length)
+        assert block[0] == 995235265
+
+
 def test_same_seed_same_stream():
     a = LaggedFibonacci(42)
     b = LaggedFibonacci(42)
