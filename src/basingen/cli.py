@@ -48,6 +48,16 @@ def _parse_vector(text: str, flag: str) -> tuple[float, ...]:
         )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_class_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dim", type=int, default=2, help="problem dimension (default 2)")
     parser.add_argument(
@@ -270,7 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--solver", choices=("multistart", "random", "oracle"), default="multistart"
     )
-    p_bench.add_argument("--budget", type=int, default=1000)
+    p_bench.add_argument(
+        "--budget", type=_positive_int, default=1000,
+        help="evaluations per function (default 1000)",
+    )
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", required=True, help="report path (JSON)")
     p_bench.set_defaults(handler=cmd_bench)

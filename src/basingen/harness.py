@@ -12,23 +12,45 @@ The harness owns the evaluation counter: every value or gradient query
 charges one unit against the budget, infeasible queries (the evaluator's
 box test decides) answer +inf or None and are still charged, and
 exhausting the budget stops the solver.
+
+``BudgetedObjective.values(X)`` answers a whole ``(k, dim)`` block of
+value queries with one ``eval_many`` call.  It charges one unit per row,
+evaluates only the rows the budget still covers and then raises
+``BudgetExhausted`` if any row was cut off; infeasible rows answer +inf.
+The best point, the best value and the evaluation at which success was
+first reached come out exactly as if the rows had been sent through
+``value()`` one at a time.  Random search draws its points in such
+blocks.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import statistics
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .evaluate import FAMILIES, DerivEvalError, OutOfDomainError, d2_gradient, d_gradient, evaluate
+from .evaluate import (
+    FAMILIES,
+    DerivEvalError,
+    OutOfDomainError,
+    d2_gradient,
+    d_gradient,
+    eval_many,
+    evaluate,
+)
 from .generator import FUNCTIONS_PER_CLASS, GeneratedFunction, generate
 from .params import ClassParams
 
 VALUE_TOL_SCALE = 1e-4  # of the paraboloid-minimum-to-global-value drop
+
+# rows per random-search block: one block covers the usual budgets, and
+# the cap keeps memory bounded whatever the budget
+_RANDOM_BLOCK = 1 << 16
 
 
 class BudgetExhausted(Exception):
@@ -85,18 +107,57 @@ class BudgetedObjective:
         dist = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
         return bool(np.any(dist <= self._radius))
 
+    def _evaluate(self, point: np.ndarray) -> float:
+        try:
+            return evaluate(self._func, point, self.family)
+        except OutOfDomainError:
+            return math.inf
+
     def value(self, x) -> float:
         """Objective value; +inf for infeasible queries (still charged)."""
         self._charge()
         point = np.asarray(x, dtype=float)
         if point.shape != (self.dim,):
-            return float("inf")
-        try:
-            val = evaluate(self._func, point, self.family)
-        except OutOfDomainError:
-            return float("inf")
-        self._note_best(point, val)
+            return math.inf
+        val = self._evaluate(point)
+        if val < math.inf:
+            self._note_best(point, val)
         return val
+
+    def values(self, X) -> np.ndarray:
+        """Objective values at the rows of a ``(k, dim)`` block, one
+        budget unit per row; +inf for infeasible rows (still charged).
+
+        Only the rows the budget still covers are evaluated and charged;
+        if any row is cut off, or the budget is already spent,
+        :class:`BudgetExhausted` is raised after the covered rows have
+        been recorded.  A block of another shape raises ``ValueError``
+        and is not charged.
+        """
+        points = np.asarray(X, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            raise ValueError(
+                f"expected a (k, {self.dim}) array, got shape {points.shape}"
+            )
+        start = self.evaluations
+        if start >= self.budget:
+            raise BudgetExhausted
+        block = points[: self.budget - start]
+        try:
+            vals = eval_many(self._func, self.family, block)
+        except OutOfDomainError:
+            vals = np.array([self._evaluate(row) for row in block], dtype=float)
+        # rows that strictly lower the running minimum, in query order;
+        # value() would have recorded exactly these
+        best = math.inf if self.best_value is None else self.best_value
+        before = np.minimum.accumulate(np.concatenate(([best], vals[:-1])))
+        for i in np.flatnonzero(vals < before):
+            self.evaluations = start + int(i) + 1
+            self._note_best(block[i], float(vals[i]))
+        self.evaluations = start + len(block)
+        if len(block) < len(points):
+            raise BudgetExhausted
+        return vals
 
     def gradient(self, x) -> np.ndarray | None:
         """Exact gradient; None for infeasible queries (still charged)."""
@@ -233,7 +294,8 @@ def make_random_search(seed: int = 0):
         rng = np.random.default_rng([seed, func.nf])
         span = objective.upper - objective.lower
         while True:  # stopped by the budget
-            objective.value(objective.lower + span * rng.random(objective.dim))
+            rows = min(objective.budget - objective.evaluations, _RANDOM_BLOCK)
+            objective.values(objective.lower + span * rng.random((rows, objective.dim)))
 
     return solver
 

@@ -162,15 +162,16 @@ def check(params: ClassParams) -> list[ValidationError]:
         )
 
     left, right = params.domain_left, params.domain_right
+    # a finite span implies finite bounds and keeps box arithmetic finite
     domain_ok = len(left) == params.dim == len(right) and all(
-        lo < hi for lo, hi in zip(left, right)
+        lo < hi and math.isfinite(hi - lo) for lo, hi in zip(left, right)
     )
     if not domain_ok:
         errors.append(
             ValidationError(
                 ErrorCode.BOUNDARY,
                 f"domain bounds must be length-{params.dim} vectors with "
-                f"left < right componentwise",
+                f"left < right componentwise and a finite span right - left",
             )
         )
 

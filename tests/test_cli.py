@@ -278,3 +278,20 @@ def test_bench_unknown_solver_is_usage_error(tmp_path):
         )
         == 2
     )
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_bench_rejects_non_positive_budget(tmp_path, capsys, budget):
+    out_path = tmp_path / "r.json"
+    code, out, err = run(
+        capsys,
+        [
+            "bench", "--type", "nd", "--solver", "random",
+            "--budget", budget, "--out", str(out_path),
+        ],
+    )
+    assert code == 2
+    assert "--budget" in err
+    assert "Traceback" not in err
+    assert not out_path.exists()
+    assert not out_path.with_suffix(".csv").exists()

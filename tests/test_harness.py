@@ -12,7 +12,7 @@ from basingen import (
     run_solver,
     write_report,
 )
-from basingen.harness import BudgetedObjective, _descend
+from basingen.harness import BudgetExhausted, BudgetedObjective, _descend
 
 
 def test_oracle_succeeds_everywhere(params2):
@@ -146,3 +146,117 @@ def test_report_files(tmp_path, params2):
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("nf,evaluations,best_value")
     assert len(lines) == 101
+
+
+# --------------------------------------------------------------------------
+# batched value queries
+
+
+def _state(objective):
+    best_point = None if objective.best_point is None else objective.best_point.tolist()
+    return (
+        objective.evaluations,
+        objective.best_value,
+        best_point,
+        objective.evals_to_success,
+    )
+
+
+def _mixed_block(func, rng):
+    """Rows that improve, fail to improve, hit the global ball and leave
+    the box; the first row is infeasible."""
+    span = func.upper - func.lower
+    return np.vstack(
+        [
+            [func.upper + 1.0],  # out of the box
+            func.lower + span * rng.random((3, func.dim)),
+            [[np.nan] * func.dim],
+            [func.vertex],
+            [func.global_minimizer],
+            [func.lower - 0.5],
+            func.lower + span * rng.random((3, func.dim)),
+            [func.global_minimizer],  # equal to the best: not an improvement
+        ]
+    )
+
+
+@pytest.mark.parametrize("family", ["nd", "d", "d2"])
+def test_values_match_scalar_queries(func9, family):
+    rng = np.random.default_rng(11)
+    span = func9.upper - func9.lower
+    feasible = func9.lower + span * rng.random((50, func9.dim))
+    mixed = _mixed_block(func9, rng)
+    for block in (mixed, feasible):
+        for warm_up in ([], [func9.upper], [func9.vertex]):
+            batched = BudgetedObjective(func9, family, budget=100, value_tol=1e-4)
+            scalar = BudgetedObjective(func9, family, budget=100, value_tol=1e-4)
+            for point in warm_up:
+                batched.value(point)
+                scalar.value(point)
+            got = batched.values(block)
+            want = [scalar.value(row) for row in block]
+            assert got.tolist() == want
+            assert _state(batched) == _state(scalar)
+            if block is mixed:
+                assert scalar.evals_to_success is not None
+
+
+def test_values_truncate_at_budget(func9):
+    rng = np.random.default_rng(12)
+    span = func9.upper - func9.lower
+    block = func9.lower + span * rng.random((8, func9.dim))
+    block[6] = func9.global_minimizer  # beyond the budget: never evaluated
+    batched = BudgetedObjective(func9, "d", budget=5, value_tol=1e-4)
+    scalar = BudgetedObjective(func9, "d", budget=5, value_tol=1e-4)
+    batched.value(block[0])
+    scalar.value(block[0])
+    with pytest.raises(BudgetExhausted):
+        batched.values(block[1:])
+    for row in block[1:5]:
+        scalar.value(row)
+    assert batched.evaluations == 5
+    assert _state(batched) == _state(scalar)
+    assert batched.best_value > func9.params.global_value
+    # a call once the budget is spent is refused and charges nothing
+    with pytest.raises(BudgetExhausted):
+        batched.values(block[:1])
+    assert _state(batched) == _state(scalar)
+
+
+def test_values_reject_bad_shape_uncharged(func9):
+    objective = BudgetedObjective(func9, "d", budget=10, value_tol=1e-4)
+    for block in (
+        func9.vertex,
+        np.zeros((3, func9.dim + 1)),
+        np.zeros((3, func9.dim, 1)),
+    ):
+        with pytest.raises(ValueError):
+            objective.values(block)
+        assert objective.evaluations == 0
+
+
+def _scalar_random_search(seed):
+    """The one-point-per-query random search that batching replaced."""
+
+    def solver(objective, func):
+        rng = np.random.default_rng([seed, func.nf])
+        span = objective.upper - objective.lower
+        while True:
+            objective.value(objective.lower + span * rng.random(objective.dim))
+
+    return solver
+
+
+@pytest.mark.parametrize(
+    "family, budget", [("nd", 1), ("nd", 7), ("d", 1), ("d", 7), ("d2", 1), ("d2", 7), ("nd", 1000)]
+)
+def test_random_search_matches_scalar_reference(tmp_path, params2, family, budget):
+    batched = run_solver(params2, family, make_random_search(seed=4), budget)
+    scalar = run_solver(params2, family, _scalar_random_search(4), budget)
+    assert asdict(batched) == asdict(scalar)
+    write_report(batched, tmp_path / "batched.json")
+    write_report(scalar, tmp_path / "scalar.json")
+    for suffix in (".json", ".csv"):
+        assert (tmp_path / f"batched{suffix}").read_bytes() == (
+            tmp_path / f"scalar{suffix}"
+        ).read_bytes()

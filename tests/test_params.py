@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -125,6 +126,23 @@ def test_check_reports_boundary():
     # length mismatch is also a boundary defect
     p = dataclasses.replace(default_params(2), domain_left=(-1.0, -1.0, -1.0))
     assert ErrorCode.BOUNDARY in codes(check(p))
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ((-math.inf, -1.0), (1.0, 1.0)),
+        ((-1.0, -1.0), (1.0, math.inf)),
+        ((-math.inf, -math.inf), (math.inf, math.inf)),
+        ((-1e308, -1e308), (1e308, 1e308)),  # finite bounds, span overflows
+    ],
+)
+def test_check_rejects_non_finite_domain(left, right):
+    p = dataclasses.replace(default_params(2), domain_left=left, domain_right=right)
+    assert codes(check(p)) == {ErrorCode.BOUNDARY}
+    with pytest.raises(ParameterError) as info:
+        generate(p, 1)
+    assert info.value.codes == [ErrorCode.BOUNDARY]
 
 
 def test_check_collects_multiple_violations():
