@@ -248,10 +248,15 @@ def place_local_minimizers(
     return points[2:]
 
 
-def _distances_from(points: np.ndarray, row: int) -> np.ndarray:
-    diffs = points - points[row]
-    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    dists[row] = np.inf
+def _distance_matrix(points: np.ndarray) -> np.ndarray:
+    """Pairwise distances with inf on the diagonal.  Filled row by row:
+    an (m, m, dim) broadcast would take 40 MB at 20-D with 500 minima."""
+    count = points.shape[0]
+    dists = np.empty((count, count))
+    for i in range(count):
+        diffs = points - points[i]
+        dists[i] = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    np.fill_diagonal(dists, np.inf)
     return dists
 
 
@@ -260,16 +265,11 @@ def compute_radii(local_min: np.ndarray, params: ClassParams) -> np.ndarray:
     other ball starts at half the distance to its nearest neighbour, is
     then expanded (ascending row order) up to tangency with the current
     radii, and finally shrunk by the weight coefficients."""
-    count = local_min.shape[0]
-    rho = np.empty(count)
+    dists = _distance_matrix(local_min)
+    rho = 0.5 * dists.min(axis=1)
     rho[GLOBAL_ROW] = params.global_radius
-    for i in range(count):
-        if i == GLOBAL_ROW:
-            continue
-        rho[i] = 0.5 * _distances_from(local_min, i).min()
-    for i in (VERTEX_ROW, *range(2, count)):
-        slack = _distances_from(local_min, i) - rho
-        rho[i] = max(rho[i], slack.min())
+    for i in (VERTEX_ROW, *range(2, local_min.shape[0])):
+        rho[i] = max(rho[i], (dists[i] - rho).min())
     return rho * np.asarray(params.weights)
 
 

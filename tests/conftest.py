@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,21 @@ def func5():
 def default_class(params2):
     """All 100 functions of the default 2-D class."""
     return [generate(params2, nf) for nf in range(1, 101)]
+
+
+@pytest.fixture(scope="session")
+def pinned_classes(default_class):
+    """All 100 functions of the 2-D/10, 5-D/30 and 10-D/100 classes."""
+    classes = {(2, 10): default_class}
+    for dim, num_minima in ((5, 30), (10, 100)):
+        params = sized_class(dim, num_minima)
+        classes[dim, num_minima] = [generate(params, nf) for nf in range(1, 101)]
+    return classes
+
+
+def sized_class(dim, num_minima):
+    """The default class for `dim` with `num_minima` minima."""
+    return dataclasses.replace(default_params(dim), num_minima=num_minima, weights=None)
 
 
 def random_unit_vectors(dim, count, seed):

@@ -171,3 +171,30 @@ def reference_paraboloid(func, x):
     """Value of the outer paraboloid ||x - T||^2 + t."""
     vertex = func.minima.local_min[0]
     return float(np.sum((np.asarray(x, dtype=float) - vertex) ** 2)) + func.params.paraboloid_min
+
+
+# --------------------------------------------------------------------------
+# reference attraction radii: the per-row form of compute_radii, which
+# recomputes each row's distances in both passes
+
+
+def _distances_from(points, row):
+    diffs = points - points[row]
+    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    dists[row] = np.inf
+    return dists
+
+
+def reference_radii(local_min, params, global_row=1, vertex_row=0):
+    """Attraction radii computed row by row (rows as in the generator)."""
+    count = local_min.shape[0]
+    rho = np.empty(count)
+    rho[global_row] = params.global_radius
+    for i in range(count):
+        if i == global_row:
+            continue
+        rho[i] = 0.5 * _distances_from(local_min, i).min()
+    for i in (vertex_row, *range(2, count)):
+        slack = _distances_from(local_min, i) - rho
+        rho[i] = max(rho[i], slack.min())
+    return rho * np.asarray(params.weights)

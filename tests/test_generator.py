@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from basingen.generator import (
     place_vertex_and_global,
 )
 from basingen.rng import LaggedFibonacci
+from conftest import sized_class
+from fdtools import reference_radii
 
 
 def small_class(dim=2, num_minima=2, **kw):
@@ -61,6 +64,70 @@ def records_equal(a, b):
 
 def test_generate_is_deterministic(params2, func9):
     assert records_equal(func9, generate(params2, 9))
+
+
+# sha256 over one stored field of all 100 functions of a class, in
+# function order (little-endian float64 / int64), recorded before the
+# random stream and the radii moved to numpy arrays
+PINNED_FIELD_DIGESTS = {
+    (2, 10): {
+        "local_min": "bfa896860608b1948f3d72797f143211e9a50e4ac0532d6d1e9fda2894da6cea",
+        "f": "8eef709b90729cb6d16b9b2c992111711231b8509bcdf7ad371d0ad3cd259045",
+        "rho": "a501a68d0a3afece08356d3caff16988525d99117b4991b2066eab1c5c57c2f7",
+        "peak": "5593b3a399d75e1e82df6d6a16999cd56c31a870069a575618f0915a6c48c91d",
+        "w_rho": "aa792e024dacd36dc80fbce4a618c4c4b005702cba1611ec5214a553d7fa1114",
+        "gm_index": "11e828eb8925ad4584a75911be30e62e23ebfd2b5b0d5f60dc0dd7c95d3df7e5",
+        "num_global_minima": "88163244840eeecf6554c622bb0701919ca70a3ff3761c4204e33af20acbde61",
+        "delta": "047c032204845f5474c99c3a2e663be2b2ee821f6aa887d01d091fabe5567f5b",
+    },
+    (5, 30): {
+        "local_min": "c00b296297a3e78ae18b2db7bb6fc37db3a1e354de889c0c9294f82fb27c6697",
+        "f": "02d16c3bb733452f27b7876b5a77b3ece5d1924a0e4291fb98a2da45484c3696",
+        "rho": "d4e4e22457d4893722e08f2a4b23de73c890455f8a4c31ce8b91e21987a11fdc",
+        "peak": "0b938b9877b20c08a86db8cf5760b5a8443e266804dd8476b8deb73056571b90",
+        "w_rho": "e9eb88e0d82c529e988be01197c2183c52cf7f14aa89410340dff411f9a89dda",
+        "gm_index": "fd67bef259553d3d87d35786301cce47ad908c1b4f7a37e1c15107ca00f6201b",
+        "num_global_minima": "88163244840eeecf6554c622bb0701919ca70a3ff3761c4204e33af20acbde61",
+        "delta": "dc408a480f6d38b56e75e48fc720a2e70cdbaf2e4529498ee6dcd391776c08f2",
+    },
+    (10, 100): {
+        "local_min": "38ab062af311254073b396aad0c5a002a5e2dded213778540c8fbf5607820253",
+        "f": "34f7faa4677b91e8da07dc7d7022000d51eef81d023ea920417752e77be6da6b",
+        "rho": "6ddfe27e7b2fb7ca4db60631614c163de2af8eba5bcf4cb572c0cef2909f1242",
+        "peak": "c2d8c05dfdacb62af56d3b5b22886cf17592225ca8f9de2342c5a6e04cd86efd",
+        "w_rho": "b6c5339b48e9bd43318e5c5ca0a1963874061a72dbd746cd197d006e3d5e2229",
+        "gm_index": "26d2b916efc2bcf5bb2e4a86c75a426b176813cafe0351295e1eb02b437d5eda",
+        "num_global_minima": "88163244840eeecf6554c622bb0701919ca70a3ff3761c4204e33af20acbde61",
+        "delta": "357759c2749cd7cfcd01a1eb61a23f5843cdb812b694ca0bb20385775d389578",
+    },
+}
+
+
+def stored_fields(func):
+    """Every stored field of a record as little-endian bytes."""
+    table = func.minima
+    floats = dict(
+        local_min=table.local_min,
+        f=table.f,
+        rho=table.rho,
+        peak=table.peak,
+        w_rho=table.w_rho,
+        delta=[func.delta],
+    )
+    ints = dict(gm_index=func.glob.gm_index, num_global_minima=[func.glob.num_global_minima])
+    fields = {name: np.ascontiguousarray(v, dtype="<f8") for name, v in floats.items()}
+    fields.update({name: np.ascontiguousarray(v, dtype="<i8") for name, v in ints.items()})
+    return {name: arr.tobytes() for name, arr in fields.items()}
+
+
+def test_generation_pinned_bit_for_bit(pinned_classes):
+    for key, functions in pinned_classes.items():
+        hashes = {name: hashlib.sha256() for name in PINNED_FIELD_DIGESTS[key]}
+        for func in functions:
+            for name, data in stored_fields(func).items():
+                hashes[name].update(data)
+        digests = {name: h.hexdigest() for name, h in hashes.items()}
+        assert digests == PINNED_FIELD_DIGESTS[key], key
 
 
 def test_function_number_bounds(params2):
@@ -193,6 +260,17 @@ def test_radii_hand_trace_expanding():
     rho = compute_radii(points, p)
     assert rho[VERTEX_ROW] == pytest.approx(0.99 * 7.0 / 15.0)
     assert rho[GLOBAL_ROW] == pytest.approx(0.2)
+
+
+def test_radii_match_per_row_reference(pinned_classes):
+    large = sized_class(20, 500)
+    functions = [func for funcs in pinned_classes.values() for func in funcs]
+    functions += [generate(large, nf) for nf in (1, 2, 3)]
+    for func in functions:
+        local_min = func.minima.local_min
+        rho = compute_radii(local_min, func.params)
+        assert np.array_equal(rho, reference_radii(local_min, func.params))
+        assert np.array_equal(rho, func.minima.rho)
 
 
 def test_balls_disjoint_across_class(default_class):
