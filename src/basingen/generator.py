@@ -198,8 +198,13 @@ def place_vertex_and_global(
         global_min = _reflect_into_domain(vertex + offset, vertex, lower, upper)
         if _is_interior(global_min, lower, upper, margin):
             return vertex, global_min
-    raise RuntimeError(
-        "internal error: failed to place the vertex and global minimizer"
+    raise ParameterError(
+        ValidationError(
+            ErrorCode.GLOBAL_DIST,
+            f"cannot place the global minimizer at global_dist={params.global_dist!r} "
+            f"from the vertex and more than precision={params.precision!r} inside "
+            f"the box: exceeded {RETRY_BUDGET} draws",
+        )
     )
 
 
@@ -363,29 +368,30 @@ def ground_truth_problems(func: GeneratedFunction) -> list[str]:
     """Audit a ground-truth record against every structural invariant.
 
     Returns human-readable descriptions of all violations (empty when the
-    record is consistent).  Used both as a post-generation self-check and
-    to validate loaded notebooks.
+    record is consistent).  A field of the wrong shape or with a
+    non-finite entry is reported alone.  Used both as a post-generation
+    self-check and to validate loaded notebooks, so the distances are
+    computed afresh from the record.
     """
-    problems: list[str] = []
     params = func.params
     table = func.minima
     eps = params.precision
     count = params.num_minima
 
     if table.local_min.shape != (count, params.dim):
-        problems.append(
+        return [
             f"minimizer table has shape {table.local_min.shape}, "
             f"expected {(count, params.dim)}"
-        )
-        return problems
+        ]
     for name in ("f", "rho", "peak", "w_rho"):
         if getattr(table, name).shape != (count,):
-            problems.append(f"field {name} must have length {count}")
-            return problems
+            return [f"field {name} must have length {count}"]
+    for name in ("local_min", "f", "rho", "peak", "w_rho"):
+        if not np.all(np.isfinite(getattr(table, name))):
+            return [f"field {name} must be finite"]
 
-    lower = func.lower
-    upper = func.upper
-    if np.any(table.local_min <= lower + eps) or np.any(table.local_min >= upper - eps):
+    problems: list[str] = []
+    if not _is_interior(table.local_min, func.lower, func.upper, eps):
         problems.append("some minimizer is not interior to the domain")
 
     t = params.paraboloid_min
@@ -400,36 +406,33 @@ def ground_truth_problems(func: GeneratedFunction) -> list[str]:
         problems.append("some minimum lies below the class global value")
     if np.any(table.rho <= 0.0):
         problems.append("attraction radii must be positive")
-    if not np.allclose(table.w_rho, params.weights, rtol=0.0, atol=0.0):
+    if not np.array_equal(table.w_rho, params.weights):
         problems.append("stored weights differ from the class weights")
     if np.any(table.peak[2:] <= 0.0):
         problems.append("basin depths for minimizers 3..m must be positive")
     if table.peak[VERTEX_ROW] != 0.0 or table.peak[GLOBAL_ROW] != 0.0:
         problems.append("basin depths for minimizers 1 and 2 must be stored as 0")
 
-    for i in range(count):
-        diffs = table.local_min[i + 1 :] - table.local_min[i]
-        dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-        if np.any(dists <= eps):
+    # row i is reported when it breaks a rule with some later row j > i
+    dists = _distance_matrix(table.local_min)
+    reach = np.add.outer(table.rho, table.rho)
+    reach -= eps
+    coincide = np.triu(dists <= eps, 1).any(axis=1)
+    overlap = np.triu(dists < reach, 1).any(axis=1)
+    for i in np.flatnonzero(coincide | overlap):
+        if coincide[i]:
             problems.append(f"minimizers {i + 1} and a later one coincide")
-        if np.any(dists < table.rho[i] + table.rho[i + 1 :] - eps):
+        if overlap[i]:
             problems.append(f"attraction ball {i + 1} overlaps a later ball")
 
-    if count > 2:
-        gaps = np.linalg.norm(
-            table.local_min[2:] - table.local_min[GLOBAL_ROW], axis=1
+    if np.any(dists[GLOBAL_ROW, 2:] < params.global_radius + params.gap - eps):
+        problems.append("a local minimizer intrudes on the global-ball gap")
+    boundary_min = (dists[VERTEX_ROW, 2:] - table.rho[2:]) ** 2 + t
+    if np.any(table.f[2:] >= boundary_min):
+        problems.append(
+            "some minimum is not below the paraboloid minimum over its "
+            "ball boundary"
         )
-        if np.any(gaps < params.global_radius + params.gap - eps):
-            problems.append("a local minimizer intrudes on the global-ball gap")
-        vertex_dists = np.linalg.norm(
-            table.local_min[2:] - table.local_min[VERTEX_ROW], axis=1
-        )
-        boundary_min = (vertex_dists - table.rho[2:]) ** 2 + t
-        if np.any(table.f[2:] >= boundary_min):
-            problems.append(
-                "some minimum is not below the paraboloid minimum over its "
-                "ball boundary"
-            )
 
     if not 0.0 < func.delta < params.delta_max:
         problems.append(
@@ -437,21 +440,19 @@ def ground_truth_problems(func: GeneratedFunction) -> list[str]:
         )
 
     glob = func.glob
-    if sorted(glob.gm_index.tolist()) != list(range(1, count + 1)):
+    if not np.array_equal(np.sort(glob.gm_index), np.arange(1, count + 1)):
         problems.append("gm_index is not a permutation of 1..m")
     elif not 1 <= glob.num_global_minima <= count:
         problems.append("num_global_minima out of range")
     else:
-        threshold = params.global_value + eps
-        listed = set(glob.gm_index[: glob.num_global_minima].tolist())
-        if 2 not in listed:
+        head = glob.gm_index[: glob.num_global_minima]
+        tail = glob.gm_index[glob.num_global_minima :]
+        if 2 not in head:
             problems.append("minimizer 2 missing from the global list")
-        actual = {i + 1 for i in range(count) if table.f[i] <= threshold}
-        if listed != actual:
+        actual = np.flatnonzero(table.f <= params.global_value + eps) + 1
+        if not np.array_equal(np.sort(head), actual):
             problems.append("global list disagrees with the stored values")
-        head = glob.gm_index[: glob.num_global_minima].tolist()
-        tail = glob.gm_index[glob.num_global_minima :].tolist()
-        if head != sorted(head) or tail != sorted(tail):
+        if np.any(np.diff(head) <= 0) or np.any(np.diff(tail) <= 0):
             problems.append("gm_index groups are not in ascending order")
 
     return problems

@@ -25,6 +25,7 @@ from basingen.generator import (
     place_vertex_and_global,
 )
 from basingen.rng import LaggedFibonacci
+from audit_reference import ground_truth_problems as reference_problems
 from conftest import sized_class
 from fdtools import reference_radii
 
@@ -238,6 +239,17 @@ def test_infeasible_gap_fails_not_hangs():
     assert "cannot place minimizers" in exc.value.errors[0].detail
 
 
+def test_unplaceable_global_minimizer_is_a_parameter_error():
+    # a 0.9 margin leaves a 0.2-wide interior, too narrow for a vertex and
+    # a global minimizer 2/3 apart
+    p = dataclasses.replace(default_params(2), precision=0.9)
+    with pytest.raises(ParameterError) as exc:
+        generate(p, 1)
+    assert exc.value.codes == [ErrorCode.GLOBAL_DIST]
+    detail = exc.value.errors[0].detail
+    assert "global_dist" in detail and "precision" in detail and "10000 draws" in detail
+
+
 # --------------------------------------------------------------------------
 # radii
 
@@ -350,3 +362,209 @@ def test_single_global_in_practice(default_class):
 def test_ground_truth_audit_accepts_generated(default_class):
     for func in default_class:
         assert ground_truth_problems(func) == []
+
+
+TABLE_FIELDS = ("local_min", "f", "rho", "peak", "w_rho")
+GLOBAL_FIELDS = ("num_global_minima", "gm_index")
+
+
+def tamper(func, **changes):
+    """`func` with some table fields, global bookkeeping or `delta` replaced."""
+    table = {name: changes.pop(name) for name in TABLE_FIELDS if name in changes}
+    glob = {name: changes.pop(name) for name in GLOBAL_FIELDS if name in changes}
+    return dataclasses.replace(
+        func,
+        minima=dataclasses.replace(func.minima, **table),
+        glob=dataclasses.replace(func.glob, **glob),
+        **changes,
+    )
+
+
+def edited(arr, index, value):
+    out = np.array(arr)
+    out[index] = value
+    return out
+
+
+def _gap_intruder(t):
+    # minimizer 5 moved 0.45 above x*: inside the 2/3 clearance, and clear
+    # of every ball once its own radius is shrunk
+    return dict(
+        local_min=edited(t.local_min, 4, t.local_min[GLOBAL_ROW] + [0.0, 0.45]),
+        rho=edited(t.rho, 4, 0.01),
+    )
+
+
+def _coincident_copy(t, vertex_radius=None):
+    # minimizer 10 becomes a copy of minimizer 8, value and radius too,
+    # so that only the pair itself breaks a rule
+    rho = edited(t.rho, 9, t.rho[7])
+    if vertex_radius is not None:
+        rho[VERTEX_ROW] = vertex_radius
+    return dict(
+        local_min=edited(t.local_min, 9, t.local_min[7]),
+        f=edited(t.f, 9, t.f[7]),
+        rho=rho,
+    )
+
+
+def _boundary_minimum(t, i):
+    # in 2-D this sum rounds exactly as the audit's distance row does; the
+    # paraboloid minimum of the default class is 0
+    vertex_dist = np.sqrt(np.sum((t.local_min[i] - t.local_min[VERTEX_ROW]) ** 2))
+    return (vertex_dist - t.rho[i]) ** 2
+
+
+NAN = float("nan")
+INF = float("inf")
+GLOBAL_LIST_WRONG = "global list disagrees with the stored values"
+
+# (id, changes to the table of function 9 of the default 2-D class,
+#  exact list of problems the audit reports)
+AUDIT_CASES = [
+    ("table-shape", lambda t: dict(local_min=t.local_min[:9]),
+     ["minimizer table has shape (9, 2), expected (10, 2)"]),
+    ("f-length", lambda t: dict(f=t.f[:9]), ["field f must have length 10"]),
+    ("w-length", lambda t: dict(w_rho=np.append(t.w_rho, 0.99)),
+     ["field w_rho must have length 10"]),
+    ("coords-nan", lambda t: dict(local_min=edited(t.local_min, (3, 1), NAN)),
+     ["field local_min must be finite"]),
+    ("f-nan", lambda t: dict(f=edited(t.f, 4, NAN)), ["field f must be finite"]),
+    ("rho-inf", lambda t: dict(rho=edited(t.rho, 0, INF)), ["field rho must be finite"]),
+    ("peak-nan", lambda t: dict(peak=edited(t.peak, 6, NAN)), ["field peak must be finite"]),
+    ("w-nan", lambda t: dict(w_rho=edited(t.w_rho, 2, NAN)), ["field w_rho must be finite"]),
+    ("interior", lambda t: dict(local_min=edited(t.local_min, (2, 1), -1.0 + 0.5e-10)),
+     ["some minimizer is not interior to the domain"]),
+    ("vertex-value", lambda t: dict(f=edited(t.f, 0, 0.5)),
+     ["vertex value 0.5 != paraboloid minimum 0.0"]),
+    ("global-value", lambda t: dict(f=edited(t.f, 1, -0.5)),
+     ["global minimizer value -0.5 != class value -1.0", GLOBAL_LIST_WRONG]),
+    ("below-global", lambda t: dict(f=edited(t.f, 4, -2.0)),
+     ["some minimum lies below the class global value", GLOBAL_LIST_WRONG]),
+    ("radius-zero", lambda t: dict(rho=edited(t.rho, 3, 0.0)),
+     ["attraction radii must be positive"]),
+    ("weights", lambda t: dict(w_rho=edited(t.w_rho, 2, 0.5)),
+     ["stored weights differ from the class weights"]),
+    ("peak-zero", lambda t: dict(peak=edited(t.peak, 6, 0.0)),
+     ["basin depths for minimizers 3..m must be positive"]),
+    ("peak-global", lambda t: dict(peak=edited(t.peak, 1, 0.1)),
+     ["basin depths for minimizers 1 and 2 must be stored as 0"]),
+    ("overlap", lambda t: dict(rho=edited(t.rho, 2, 1.5 * t.rho[2])),
+     ["attraction ball 3 overlaps a later ball"]),
+    ("coincide", _coincident_copy,
+     ["minimizers 8 and a later one coincide", "attraction ball 8 overlaps a later ball"]),
+    ("row-order", lambda t: _coincident_copy(t, vertex_radius=5.0),
+     ["attraction ball 1 overlaps a later ball",
+      "minimizers 8 and a later one coincide",
+      "attraction ball 8 overlaps a later ball"]),
+    ("gap", _gap_intruder,
+     ["a local minimizer intrudes on the global-ball gap"]),
+    ("boundary-minimum", lambda t: dict(f=edited(t.f, 3, 5.0)),
+     ["some minimum is not below the paraboloid minimum over its ball boundary"]),
+    ("boundary-tie", lambda t: dict(f=edited(t.f, 3, _boundary_minimum(t, 3))),
+     ["some minimum is not below the paraboloid minimum over its ball boundary"]),
+    ("delta-zero", lambda t: dict(delta=0.0), ["delta 0.0 outside the open interval (0, 10.0)"]),
+    ("delta-nan", lambda t: dict(delta=NAN), ["delta nan outside the open interval (0, 10.0)"]),
+    ("not-permutation", lambda t: dict(gm_index=[2, 2, 3, 4, 5, 6, 7, 8, 9, 10]),
+     ["gm_index is not a permutation of 1..m"]),
+    ("count-zero", lambda t: dict(num_global_minima=0), ["num_global_minima out of range"]),
+    ("count-high", lambda t: dict(num_global_minima=11), ["num_global_minima out of range"]),
+    ("global-missing", lambda t: dict(gm_index=[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]),
+     ["minimizer 2 missing from the global list", GLOBAL_LIST_WRONG]),
+    ("global-extra", lambda t: dict(
+        num_global_minima=2, gm_index=[2, 3, 1, 4, 5, 6, 7, 8, 9, 10]),
+     [GLOBAL_LIST_WRONG]),
+    ("groups-unsorted", lambda t: dict(gm_index=[2, 1, 4, 3, 5, 6, 7, 8, 9, 10]),
+     ["gm_index groups are not in ascending order"]),
+]
+
+
+@pytest.mark.parametrize(
+    "changes, expected", [case[1:] for case in AUDIT_CASES], ids=[case[0] for case in AUDIT_CASES]
+)
+def test_audit_rule_by_rule(func9, changes, expected):
+    assert ground_truth_problems(tamper(func9, **changes(func9.minima))) == expected
+
+
+def _coinciding_pair(func, rng):
+    # a later minimizer put onto an earlier one, or within two precisions
+    # of it on each axis
+    table = func.minima
+    i, j = np.sort(rng.choice(func.num_minima, 2, replace=False))
+    offset = rng.uniform(-2.0, 2.0, func.dim) * func.params.precision * rng.integers(2)
+    return dict(local_min=edited(table.local_min, j, table.local_min[i] + offset))
+
+
+def _enlarged_radius(func, rng):
+    i = rng.integers(func.num_minima)
+    return dict(rho=edited(func.minima.rho, i, func.minima.rho[i] * rng.uniform(1.0, 3.0)))
+
+
+def _into_global_gap(func, rng):
+    params = func.params
+    i = rng.integers(2, func.num_minima)
+    direction = rng.normal(size=func.dim)
+    reach = (params.global_radius + params.gap) * rng.uniform(0.5, 1.1)
+    moved = func.global_minimizer + reach * direction / np.linalg.norm(direction)
+    return dict(local_min=edited(func.minima.local_min, i, moved))
+
+
+def _raised_value(func, rng):
+    # the value moved to within its depth of its ball's boundary minimum,
+    # above or below it.  Not onto it: the reference sums the vertex
+    # distance with np.linalg.norm and the library with einsum, which
+    # differ in the last bit, so a value equal to the boundary minimum to
+    # the last bit can get either verdict (the rule-by-rule test pins the
+    # library's on a tie).
+    table = func.minima
+    i = rng.integers(2, func.num_minima)
+    vertex_dist = np.linalg.norm(table.local_min[i] - func.vertex)
+    boundary_min = (vertex_dist - table.rho[i]) ** 2 + func.params.paraboloid_min
+    return dict(f=edited(table.f, i, boundary_min + table.peak[i] * rng.uniform(-1.0, 1.0)))
+
+
+def _nudged(func, rng):
+    rows = rng.random(func.num_minima) < 0.3
+    scale = 10.0 ** rng.integers(-6, 0)
+    noise = rng.normal(scale=scale, size=func.minima.local_min.shape) * rows[:, None]
+    return dict(local_min=func.minima.local_min + noise)
+
+
+def _rescaled_radii(func, rng):
+    return dict(rho=func.minima.rho * rng.uniform(0.5, 2.0, func.num_minima))
+
+
+CORRUPTIONS = (
+    _coinciding_pair,
+    _enlarged_radius,
+    _into_global_gap,
+    _raised_value,
+    _nudged,
+    _rescaled_radii,
+)
+# minimizers 3..m do not exist when m = 2
+CORRUPTIONS_M2 = (_coinciding_pair, _enlarged_radius, _nudged, _rescaled_radii)
+
+
+def test_audit_matches_row_by_row_reference(pinned_classes):
+    functions = [func for funcs in pinned_classes.values() for func in funcs]
+    for func in functions:
+        assert ground_truth_problems(func) == reference_problems(func) == []
+
+    pair_class = sized_class(3, 2)
+    functions += [generate(pair_class, nf) for nf in range(1, 101)]
+    rng = np.random.default_rng(20111103)
+    seen = set()
+    checked = 0
+    for func in functions:
+        kinds = CORRUPTIONS if func.num_minima > 2 else CORRUPTIONS_M2
+        for kind in rng.choice(len(kinds), 3, replace=False):
+            corrupted = tamper(func, **kinds[kind](func, rng))
+            problems = ground_truth_problems(corrupted)
+            assert problems == reference_problems(corrupted), (func.params, func.nf)
+            seen.update(problems)
+            checked += 1
+    assert checked >= 1000
+    # every geometric rule fired somewhere, so the comparison is not vacuous
+    for rule in ("coincide", "overlaps", "intrudes", "boundary", "interior"):
+        assert any(rule in problem for problem in seen), rule

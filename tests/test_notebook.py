@@ -111,6 +111,27 @@ def test_tampered_radius_is_rejected(tmp_path, notebook_path):
         load_class(bad)
 
 
+def test_non_finite_ground_truth_is_rejected(tmp_path, notebook_path):
+    cases = [
+        ("coords", float("nan")),
+        ("f", float("nan")),
+        ("rho", float("nan")),
+        ("peak", float("nan")),
+        ("peak", float("inf")),
+    ]
+    for key, value in cases:
+        document = json.loads(notebook_path.read_text())
+        row = document["functions"][4]["minimizers"][6]
+        if key == "coords":
+            row["coords"][1] = value
+        else:
+            row[key] = value
+        bad = tmp_path / "non_finite.json"
+        bad.write_text(json.dumps(document))
+        with pytest.raises(NotebookError, match="must be finite"):
+            load_class(bad)
+
+
 def test_wrong_function_count_is_rejected(tmp_path, notebook_path):
     document = json.loads(notebook_path.read_text())
     document["functions"] = document["functions"][:50]
