@@ -48,14 +48,16 @@ def _parse_vector(text: str, flag: str) -> tuple[float, ...]:
         )
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type for an integer no smaller than `minimum`."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def _add_class_flags(parser: argparse.ArgumentParser) -> None:
@@ -270,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--notebook", required=True)
     p_grid.add_argument("--nf", type=int, required=True)
     p_grid.add_argument("--type", choices=FAMILIES, default=None)
-    p_grid.add_argument("--res", type=int, default=101, help="points per axis")
+    p_grid.add_argument("--res", type=_int_at_least(2), default=101, help="points per axis")
     p_grid.add_argument("--out", required=True, help="CSV path")
     p_grid.set_defaults(handler=cmd_grid)
 
@@ -281,10 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--solver", choices=("multistart", "random", "oracle"), default="multistart"
     )
     p_bench.add_argument(
-        "--budget", type=_positive_int, default=1000,
+        "--budget", type=_int_at_least(1), default=1000,
         help="evaluations per function (default 1000)",
     )
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=_int_at_least(0), default=0)
     p_bench.add_argument("--out", required=True, help="report path (JSON)")
     p_bench.set_defaults(handler=cmd_bench)
 

@@ -29,10 +29,12 @@ from .params import (
     ClassParams,
     ErrorCode,
     ParameterError,
+    SchemaError,
     ValidationError,
     check,
     params_from_dict,
     params_to_dict,
+    read_numbers,
 )
 
 
@@ -46,26 +48,23 @@ class LoadedClass(NamedTuple):
     function_type: str
 
 
+# JSON key of each minimizer column -> its MinimaTable field, in export order
+_MINIMA_KEYS = {"coords": "local_min", "f": "f", "rho": "rho", "peak": "peak", "w": "w_rho"}
+
+
 def _function_entry(func: GeneratedFunction) -> dict:
-    table = func.minima
+    columns = {key: getattr(func.minima, field).tolist() for key, field in _MINIMA_KEYS.items()}
     return {
         "nf": func.nf,
         "delta": float(func.delta),
         "minimizers": [
-            {
-                "index": i + 1,
-                "coords": [float(v) for v in table.local_min[i]],
-                "f": float(table.f[i]),
-                "rho": float(table.rho[i]),
-                "peak": float(table.peak[i]),
-                "w": float(table.w_rho[i]),
-            }
+            {"index": i + 1, **{key: column[i] for key, column in columns.items()}}
             for i in range(func.num_minima)
         ],
         "global": {
             "value": float(func.params.global_value),
             "num_global_minima": func.glob.num_global_minima,
-            "gm_index": [int(v) for v in func.glob.gm_index],
+            "gm_index": func.glob.gm_index.tolist(),
         },
     }
 
@@ -134,62 +133,42 @@ def export_class(params: ClassParams, function_type: str, path) -> dict:
     return document
 
 
-def _expect(mapping, key, kind, where):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise NotebookError(f"missing key {key!r} in {where}")
-    value = mapping[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise NotebookError(f"key {key!r} in {where} must be a number")
-        return float(value)
-    if not isinstance(value, kind):
-        raise NotebookError(f"key {key!r} in {where} must be {kind.__name__}")
-    return value
-
-
-def _function_from_entry(entry: dict, params: ClassParams, position: int) -> GeneratedFunction:
+def _function_from_entry(entry, params: ClassParams, position: int) -> GeneratedFunction:
     where = f"functions[{position}]"
-    nf = _expect(entry, "nf", int, where)
+    m = params.num_minima
+    nf = read_numbers(entry, "nf", where, kind=int).item()
     if nf != position + 1:
         raise NotebookError(f"{where} has nf={nf}, expected {position + 1}")
-    delta = _expect(entry, "delta", float, where)
-    minimizers = _expect(entry, "minimizers", list, where)
-    if len(minimizers) != params.num_minima:
-        raise NotebookError(
-            f"{where} lists {len(minimizers)} minimizers, expected {params.num_minima}"
-        )
-    local_min = np.empty((params.num_minima, params.dim))
-    values = np.empty(params.num_minima)
-    rho = np.empty(params.num_minima)
-    peak = np.empty(params.num_minima)
-    w_rho = np.empty(params.num_minima)
-    for i, row in enumerate(minimizers):
-        row_where = f"{where}.minimizers[{i}]"
-        if _expect(row, "index", int, row_where) != i + 1:
-            raise NotebookError(f"{row_where} is out of order")
-        coords = _expect(row, "coords", list, row_where)
-        if len(coords) != params.dim:
-            raise NotebookError(f"{row_where} has {len(coords)} coordinates")
-        local_min[i] = coords
-        values[i] = _expect(row, "f", float, row_where)
-        rho[i] = _expect(row, "rho", float, row_where)
-        peak[i] = _expect(row, "peak", float, row_where)
-        w_rho[i] = _expect(row, "w", float, row_where)
-    glob_entry = _expect(entry, "global", dict, where)
-    num_global = _expect(glob_entry, "num_global_minima", int, f"{where}.global")
-    gm_index = _expect(glob_entry, "gm_index", list, f"{where}.global")
-    stored_value = _expect(glob_entry, "value", float, f"{where}.global")
+    rows = entry.get("minimizers")
+    if type(rows) is not list or len(rows) != m or not all(type(row) is dict for row in rows):
+        raise NotebookError(f"{where}.minimizers must be an array of {m} objects")
+    # a missing key reads as null, which read_numbers rejects
+    columns = {key: [row.get(key) for row in rows] for key in ("index", *_MINIMA_KEYS)}
+    rows_where = f"{where}.minimizers[*]"
+    index = read_numbers(columns, "index", rows_where, (m,), int)
+    if not np.array_equal(index, np.arange(1, m + 1)):
+        raise NotebookError(f"{where}.minimizers are out of order")
+    table = {
+        field: read_numbers(columns, key, rows_where, (m, params.dim) if key == "coords" else (m,))
+        for key, field in _MINIMA_KEYS.items()
+    }
+    glob = entry.get("global")
+    glob_where = f"{where}.global"
+    stored_value = read_numbers(glob, "value", glob_where).item()
     if stored_value != params.global_value:
         raise NotebookError(
-            f"{where}.global.value {stored_value!r} disagrees with the class "
+            f"{glob_where}.value {stored_value!r} disagrees with the class "
             f"value {params.global_value!r}"
         )
     func = GeneratedFunction(
         params=params,
         nf=nf,
-        minima=MinimaTable(local_min=local_min, f=values, rho=rho, peak=peak, w_rho=w_rho),
-        glob=GlobalInfo(num_global_minima=num_global, gm_index=np.array(gm_index)),
-        delta=delta,
+        minima=MinimaTable(**table),
+        glob=GlobalInfo(
+            num_global_minima=read_numbers(glob, "num_global_minima", glob_where, kind=int).item(),
+            gm_index=read_numbers(glob, "gm_index", glob_where, (m,), int),
+        ),
+        delta=read_numbers(entry, "delta", where).item(),
     )
     problems = ground_truth_problems(func)
     if problems:
@@ -201,37 +180,29 @@ def load_class(path) -> LoadedClass:
     """Read and re-validate a notebook; the stored ground truth is
     authoritative (the random stream is not re-run)."""
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise NotebookError(f"cannot read notebook: {exc}") from exc
-    try:
-        document = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise NotebookError(f"not a valid notebook document: {exc}") from exc
-    if not isinstance(document, dict):
+    if type(document) is not dict:
         raise NotebookError("notebook root must be an object")
-
-    params_dict = _expect(document, "class_params", dict, "notebook")
-    try:
-        params = params_from_dict(params_dict)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise NotebookError(f"bad class_params: {exc}") from exc
-    errors = check(params)
-    if errors:
-        raise NotebookError(
-            "stored class parameters are invalid: " + "; ".join(map(str, errors))
-        )
-    function_type = _expect(document, "function_type", str, "notebook")
-    if function_type not in FAMILIES:
-        raise NotebookError(f"unknown function_type {function_type!r}")
-    entries = _expect(document, "functions", list, "notebook")
-    if len(entries) != FUNCTIONS_PER_CLASS:
-        raise NotebookError(
-            f"notebook lists {len(entries)} functions, expected {FUNCTIONS_PER_CLASS}"
-        )
-    functions = [
-        _function_from_entry(entry, params, i) for i, entry in enumerate(entries)
-    ]
+    try:  # every value is decoded by read_numbers, whose errors are reported here
+        params = params_from_dict(document.get("class_params"))
+        errors = check(params)
+        if errors:
+            raise NotebookError(
+                "stored class parameters are invalid: " + "; ".join(map(str, errors))
+            )
+        function_type = document.get("function_type")
+        if function_type not in FAMILIES:
+            raise NotebookError(f"unknown function_type {function_type!r}")
+        entries = document.get("functions")
+        if type(entries) is not list or len(entries) != FUNCTIONS_PER_CLASS:
+            raise NotebookError(f"notebook must list {FUNCTIONS_PER_CLASS} functions")
+        functions = [
+            _function_from_entry(entry, params, i) for i, entry in enumerate(entries)
+        ]
+    except SchemaError as exc:
+        raise NotebookError(str(exc)) from exc
     return LoadedClass(params=params, functions=functions, function_type=function_type)
 
 

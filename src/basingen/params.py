@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 DEFAULT_NUM_MINIMA = 10
 DEFAULT_GLOBAL_VALUE = -1.0
@@ -65,6 +67,11 @@ class ParameterError(Exception):
     @property
     def codes(self) -> list[ErrorCode]:
         return [e.code for e in self.errors]
+
+
+class SchemaError(ValueError):
+    """A stored value is missing or does not have the type and shape its
+    schema requires; the message names the path of the value."""
 
 
 def default_weights(num_minima: int) -> tuple[float, ...]:
@@ -214,36 +221,54 @@ def check(params: ClassParams) -> list[ValidationError]:
 
 
 def params_to_dict(params: ClassParams) -> dict:
-    """JSON-ready mapping with the fixed key set of the class schema."""
-    return {
-        "dim": params.dim,
-        "num_minima": params.num_minima,
-        "global_value": params.global_value,
-        "global_dist": params.global_dist,
-        "global_radius": params.global_radius,
-        "domain_left": list(params.domain_left),
-        "domain_right": list(params.domain_right),
-        "paraboloid_min": params.paraboloid_min,
-        "delta_max": params.delta_max,
-        "gap": params.gap,
-        "weights": list(params.weights),
-        "precision": params.precision,
-    }
+    """JSON-ready mapping with the fixed key set of the class schema: one
+    key per :class:`ClassParams` field, in field order."""
+    values = {f.name: getattr(params, f.name) for f in fields(params)}
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
+
+
+_JSON_NUMBERS = {int: ({int}, np.int64, "integers"), float: ({int, float}, np.float64, "numbers")}
+
+
+def read_numbers(
+    data, key: str, where: str, shape: tuple[int, ...] = (), kind: type = float
+) -> np.ndarray:
+    """Decode JSON value ``data[key]`` into an array of exactly `shape`:
+    float64, or int64 where `kind` is int.
+
+    `data` must be a JSON object holding `key`, and every leaf a JSON
+    number (int or float, never bool, str, null or a container) or, where
+    `kind` is int, a JSON integer.  Anything else, a number out of range
+    included, raises :class:`SchemaError` naming ``where.key``.
+    """
+    if type(data) is not dict or key not in data:
+        raise SchemaError(f"{where} must be an object with key {key!r}")
+    where = f"{where}.{key}"
+    leaves = [data[key]]
+    for n in shape:
+        if not all(type(v) is list and len(v) == n for v in leaves):
+            raise SchemaError(f"{where} must be an array of shape {shape}")
+        leaves = [x for v in leaves for x in v]
+    allowed, dtype, noun = _JSON_NUMBERS[kind]
+    if not set(map(type, leaves)) <= allowed:
+        bad = next(type(v).__name__ for v in leaves if type(v) not in allowed)
+        raise SchemaError(f"{where} must hold JSON {noun} only, got a {bad}")
+    try:
+        return np.array(leaves, dtype=dtype).reshape(shape)
+    except OverflowError:
+        raise SchemaError(f"{where} holds a number out of {dtype.__name__} range") from None
 
 
 def params_from_dict(data: dict) -> ClassParams:
-    """Inverse of :func:`params_to_dict`; raises KeyError on missing keys."""
-    return ClassParams(
-        dim=int(data["dim"]),
-        num_minima=int(data["num_minima"]),
-        global_value=float(data["global_value"]),
-        global_dist=float(data["global_dist"]),
-        global_radius=float(data["global_radius"]),
-        domain_left=tuple(data["domain_left"]),
-        domain_right=tuple(data["domain_right"]),
-        paraboloid_min=float(data["paraboloid_min"]),
-        delta_max=float(data["delta_max"]),
-        gap=float(data["gap"]),
-        weights=tuple(data["weights"]),
-        precision=float(data["precision"]),
-    )
+    """Inverse of :func:`params_to_dict`; every value goes through
+    :func:`read_numbers`, so a missing key, a wrong type or a wrong length
+    raises :class:`SchemaError`."""
+
+    def read(key, shape=(), kind=float):
+        return read_numbers(data, key, "class_params", shape, kind).tolist()
+
+    dim, num_minima = read("dim", kind=int), read("num_minima", kind=int)
+    shapes = {"domain_left": (dim,), "domain_right": (dim,), "weights": (num_minima,)}
+    rest = fields(ClassParams)[2:]  # every field after dim and num_minima
+    values = {f.name: read(f.name, shapes.get(f.name, ())) for f in rest}
+    return ClassParams(dim=dim, num_minima=num_minima, **values)

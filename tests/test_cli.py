@@ -210,6 +210,19 @@ def test_eval_missing_notebook(tmp_path, capsys):
     assert "notebook error" in err
 
 
+def test_eval_malformed_notebook_is_notebook_error(cli_notebook, tmp_path, capsys):
+    document = json.loads(cli_notebook.read_text())
+    document["functions"][4]["minimizers"][0]["coords"][0] = "a"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    code, out, err = run(
+        capsys, ["eval", "--notebook", str(bad), "--nf", "5", "--point=0,0"]
+    )
+    assert code == 1
+    assert "notebook error" in err
+    assert "Traceback" not in err
+
+
 # --------------------------------------------------------------------------
 # grid
 
@@ -292,6 +305,26 @@ def test_bench_rejects_non_positive_budget(tmp_path, capsys, budget):
     )
     assert code == 2
     assert "--budget" in err
+    assert "Traceback" not in err
+    assert not out_path.exists()
+    assert not out_path.with_suffix(".csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grid", "--notebook", "{notebook}", "--nf", "1", "--res", "1"],
+        ["grid", "--notebook", "{notebook}", "--nf", "1", "--res", "0"],
+        ["bench", "--type", "nd", "--solver", "random", "--seed", "-1"],
+    ],
+    ids=["res=1", "res=0", "seed=-1"],
+)
+def test_out_of_range_integer_flag_is_usage_error(cli_notebook, tmp_path, capsys, argv):
+    out_path = tmp_path / "out.json"
+    argv = [arg.format(notebook=cli_notebook) for arg in argv] + ["--out", str(out_path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert "must be at least" in err
     assert "Traceback" not in err
     assert not out_path.exists()
     assert not out_path.with_suffix(".csv").exists()

@@ -18,6 +18,8 @@ from basingen import (
 )
 from basingen.notebook import build_class_document, summary_path_for
 
+from conftest import sized_class
+
 
 @pytest.fixture(scope="module")
 def notebook_path(tmp_path_factory, params2):
@@ -54,18 +56,28 @@ def test_export_is_reproducible(tmp_path, params2):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_round_trip_reproduces_ground_truth(notebook_path, params2, default_class):
-    loaded = load_class(notebook_path)
-    assert loaded.function_type == "d"
-    assert loaded.params == params2
-    assert len(loaded.functions) == 100
-    for original, restored in zip(default_class, loaded.functions):
-        assert np.array_equal(original.minima.local_min, restored.minima.local_min)
-        assert np.array_equal(original.minima.f, restored.minima.f)
-        assert np.array_equal(original.minima.rho, restored.minima.rho)
-        assert np.array_equal(original.minima.peak, restored.minima.peak)
-        assert np.array_equal(original.glob.gm_index, restored.glob.gm_index)
-        assert original.delta == restored.delta
+def test_round_trip_reproduces_ground_truth(
+    notebook_path, params2, default_class, pinned_classes, tmp_path
+):
+    path5 = tmp_path / "class_5d30.json"
+    export_class(sized_class(5, 30), "d2", path5)
+    for path, params, family, generated in (
+        (notebook_path, params2, "d", default_class),
+        (path5, sized_class(5, 30), "d2", pinned_classes[5, 30]),
+    ):
+        loaded = load_class(path)
+        assert loaded.function_type == family
+        assert loaded.params == params
+        assert len(loaded.functions) == 100
+        for original, restored in zip(generated, loaded.functions):
+            for field in ("local_min", "f", "rho", "peak", "w_rho"):
+                stored = getattr(restored.minima, field)
+                assert stored.dtype == np.float64
+                assert np.array_equal(getattr(original.minima, field), stored)
+            assert restored.glob.gm_index.dtype == np.int64
+            assert np.array_equal(original.glob.gm_index, restored.glob.gm_index)
+            assert original.glob.num_global_minima == restored.glob.num_global_minima
+            assert original.delta == restored.delta
 
 
 def test_round_trip_evaluations_bitwise(notebook_path, default_class):
@@ -130,6 +142,60 @@ def test_non_finite_ground_truth_is_rejected(tmp_path, notebook_path):
         bad.write_text(json.dumps(document))
         with pytest.raises(NotebookError, match="must be finite"):
             load_class(bad)
+
+
+def _set(*path, value=None, literal=None, encoding="utf-8"):
+    """Edit giving the notebook bytes with the value at `path` replaced by
+    `value`, or by the raw JSON text `literal`, encoded with `encoding`."""
+
+    def edit(document):
+        target = document
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value if literal is None else "@literal@"
+        text = json.dumps(document, ensure_ascii=False)
+        if literal is not None:
+            text = text.replace('"@literal@"', literal)
+        return text.encode(encoding)
+
+    return edit
+
+
+_F4 = ("functions", 4)
+_ROW = (*_F4, "minimizers", 3)
+_BIG = "1" + "0" * 399  # fits json's digit limit, not a double or an int64
+
+MALFORMED = {
+    "gm_index_fraction": _set(*_F4, "global", "gm_index", 0, value=2.5),
+    "dim_fraction": _set("class_params", "dim", value=2.7),
+    "dim_string": _set("class_params", "dim", value="2"),
+    "num_minima_fraction": _set("class_params", "num_minima", value=10.9),
+    "domain_strings": _set("class_params", "domain_left", value=["-1.0", "-1.0"]),
+    "global_value_string": _set("class_params", "global_value", value="-1"),
+    "nf_bool": _set("functions", 0, "nf", value=True),
+    "coord_string": _set(*_ROW, "coords", 0, value="a"),
+    "coord_nested": _set(*_ROW, "coords", 0, value=[0.1]),
+    "gm_index_string": _set(*_F4, "global", "gm_index", 0, value="a"),
+    "coord_400_digits": _set(*_ROW, "coords", 0, literal=_BIG),
+    "f_400_digits": _set(*_ROW, "f", literal=_BIG),
+    "global_dist_400_digits": _set("class_params", "global_dist", literal=_BIG),
+    "gm_index_400_digits": _set(*_F4, "global", "gm_index", 0, literal=_BIG),
+    "coord_5000_digits": _set(*_ROW, "coords", 0, literal="1" + "0" * 4999),
+    "not_utf8": _set("function_type", value="d\xe9", encoding="latin-1"),
+    "nested_100000_deep": _set(*_ROW, "coords", literal="[" * 100_000 + "]" * 100_000),
+    "weights_short": _set("class_params", "weights", value=[0.99] * 9),
+    "index_bool": _set("functions", 0, "minimizers", 0, "index", value=True),
+    "num_global_minima_bool": _set(*_F4, "global", "num_global_minima", value=True),
+    "precision_null": _set("class_params", "precision", value=None),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_value_is_rejected(tmp_path, notebook_path, case):
+    bad = tmp_path / "malformed.json"
+    bad.write_bytes(MALFORMED[case](json.loads(notebook_path.read_text())))
+    with pytest.raises(NotebookError):
+        load_class(bad)
 
 
 def test_wrong_function_count_is_rejected(tmp_path, notebook_path):
