@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .generator import GeneratedFunction
-from .params import ErrorCode
+from .params import PRECISION, ErrorCode
 
 FAMILIES = ("nd", "d", "d2")
 
@@ -98,13 +98,14 @@ def _indexed(func: GeneratedFunction, *indices) -> GeneratedFunction:
     return func
 
 
-def _as_point(func: GeneratedFunction, x) -> np.ndarray:
+def _feasible_point(func: GeneratedFunction, x) -> np.ndarray:
     _require_function(func)
     point = np.asarray(x, dtype=float)
     if point.shape != (func.dim,):
         raise ValueError(
             f"expected a point of length {func.dim}, got shape {point.shape}"
         )
+    _require_feasible(func, point)
     return point
 
 
@@ -121,8 +122,9 @@ def _locate_row(func: GeneratedFunction, point: np.ndarray):
 
 def locate_ball(func: GeneratedFunction, x):
     """Public ball lookup: (1-based minimizer index >= 2, distance to its
-    center) when `x` lies in an attraction ball, else None."""
-    row, dist_sq = _locate_row(func, _as_point(func, x))
+    center) when `x` lies in an attraction ball, else None.  A point
+    outside the box, or with a NaN coordinate, raises OutOfDomainError."""
+    row, dist_sq = _locate_row(func, _feasible_point(func, x))
     if row == 0:
         return None
     return row + 1, math.sqrt(dist_sq)
@@ -180,9 +182,9 @@ def _basin(
 ):
     """Value (order 0), gradient (1) or Hessian (2) of the basin
     polynomial of `row` at `point`, at distance `r` from its center,
-    whether or not `point` is in its ball.  Within `precision` of the
+    whether or not `point` is in its ball.  Within ``PRECISION`` of the
     minimizer: f_min, a zero gradient and delta * I."""
-    if r < func.params.precision:
+    if r < PRECISION:
         if order == 0:
             return float(func.minima.f[row])
         return np.zeros(func.dim) if order == 1 else func.delta * np.eye(func.dim)
@@ -206,8 +208,7 @@ def _basin(
 
 def _at(func: GeneratedFunction, x, family: str, order: int):
     """Value (order 0), gradient (1) or Hessian (2) of `family` at `x`."""
-    point = _as_point(func, x)
-    _require_feasible(func, point)
+    point = _feasible_point(func, x)
     row, dist_sq = _locate_row(func, point)
     if row:
         return _basin(func, row, point, math.sqrt(dist_sq), family, order)
@@ -278,7 +279,7 @@ def eval_many(func: GeneratedFunction, family: str, points) -> np.ndarray:
             c = np.einsum("ij,j->i", d[mask], func.vertex - center)
             coef_a, coef_c = _coefficients(func, row, family)
             branch = _horner(coef_a, r)[0] + c * _horner(coef_c, r)[0]
-            out[mask] = np.where(r < func.params.precision, float(table.f[row]), branch)
+            out[mask] = np.where(r < PRECISION, float(table.f[row]), branch)
         values[start : start + _BATCH_CHUNK] = out
     return values
 

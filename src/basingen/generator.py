@@ -21,7 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .params import ClassParams, ErrorCode, ParameterError, ValidationError, check
+from .params import (
+    PRECISION, ClassParams, ErrorCode, ParameterError, ValidationError, check, radius_weights
+)
 from .rng import MODULUS, LaggedFibonacci
 
 FUNCTIONS_PER_CLASS = 100
@@ -189,20 +191,19 @@ def place_vertex_and_global(
     lower = np.array(params.domain_left)
     upper = np.array(params.domain_right)
     span = upper - lower
-    margin = params.precision
     for _ in range(RETRY_BUDGET):
         vertex = _draw_point(lower, span, rng)
-        if not _is_interior(vertex, lower, upper, margin):
+        if not _is_interior(vertex, lower, upper, PRECISION):
             continue
         offset = _spherical_offset(params.global_dist, _draw_angles(params.dim, rng))
         global_min = _reflect_into_domain(vertex + offset, vertex, lower, upper)
-        if _is_interior(global_min, lower, upper, margin):
+        if _is_interior(global_min, lower, upper, PRECISION):
             return vertex, global_min
     raise ParameterError(
         ValidationError(
             ErrorCode.GLOBAL_DIST,
             f"cannot place the global minimizer at global_dist={params.global_dist!r} "
-            f"from the vertex and more than precision={params.precision!r} inside "
+            f"from the vertex and more than the precision {PRECISION!r} inside "
             f"the box: exceeded {RETRY_BUDGET} draws",
         )
     )
@@ -220,8 +221,6 @@ def place_local_minimizers(
     lower = np.array(params.domain_left)
     upper = np.array(params.domain_right)
     span = upper - lower
-    margin = params.precision
-    eps_sq = params.precision**2
     min_gap = params.global_radius + params.gap
 
     count = params.num_minima
@@ -232,10 +231,10 @@ def place_local_minimizers(
     while placed < count:
         for _ in range(RETRY_BUDGET):
             candidate = _draw_point(lower, span, rng)
-            if not _is_interior(candidate, lower, upper, margin):
+            if not _is_interior(candidate, lower, upper, PRECISION):
                 continue
             diffs = points[:placed] - candidate
-            if np.min(np.einsum("ij,ij->i", diffs, diffs)) <= eps_sq:
+            if np.min(np.einsum("ij,ij->i", diffs, diffs)) <= PRECISION**2:
                 continue
             if np.linalg.norm(candidate - global_min) < min_gap:
                 continue
@@ -275,7 +274,7 @@ def compute_radii(local_min: np.ndarray, params: ClassParams) -> np.ndarray:
     rho[GLOBAL_ROW] = params.global_radius
     for i in (VERTEX_ROW, *range(2, local_min.shape[0])):
         rho[i] = max(rho[i], (dists[i] - rho).min())
-    return rho * np.asarray(params.weights)
+    return rho * radius_weights(len(rho))
 
 
 def compute_minima_values(
@@ -306,10 +305,10 @@ def compute_minima_values(
     return values, peaks
 
 
-def identify_globals(values: np.ndarray, precision: float) -> GlobalInfo:
-    """Classify minimizers by value: everything within `precision` of the
-    global value is a global minimizer."""
-    threshold = values[GLOBAL_ROW] + precision
+def identify_globals(values: np.ndarray) -> GlobalInfo:
+    """Classify minimizers by value: everything within the precision of
+    the global value is a global minimizer."""
+    threshold = values[GLOBAL_ROW] + PRECISION
     indices = np.arange(1, len(values) + 1)  # 1-based minimizer indices
     is_global = values <= threshold
     gm_index = np.concatenate([indices[is_global], indices[~is_global]])
@@ -341,7 +340,7 @@ def generate(params: ClassParams, nf: int) -> GeneratedFunction:
     rho = compute_radii(local_min, params)
     values, peaks = compute_minima_values(local_min, rho, params, rng)
     delta = params.delta_max * _positive_uniform(rng)
-    glob = identify_globals(values, params.precision)
+    glob = identify_globals(values)
     func = GeneratedFunction(
         params=params,
         nf=nf,
@@ -350,7 +349,7 @@ def generate(params: ClassParams, nf: int) -> GeneratedFunction:
             f=values,
             rho=rho,
             peak=peaks,
-            w_rho=np.asarray(params.weights),
+            w_rho=radius_weights(params.num_minima),
         ),
         glob=glob,
         delta=delta,
@@ -375,7 +374,7 @@ def ground_truth_problems(func: GeneratedFunction) -> list[str]:
     """
     params = func.params
     table = func.minima
-    eps = params.precision
+    eps = PRECISION
     count = params.num_minima
 
     if table.local_min.shape != (count, params.dim):
@@ -406,7 +405,7 @@ def ground_truth_problems(func: GeneratedFunction) -> list[str]:
         problems.append("some minimum lies below the class global value")
     if np.any(table.rho <= 0.0):
         problems.append("attraction radii must be positive")
-    if not np.array_equal(table.w_rho, params.weights):
+    if not np.array_equal(table.w_rho, radius_weights(count)):
         problems.append("stored weights differ from the class weights")
     if np.any(table.peak[2:] <= 0.0):
         problems.append("basin depths for minimizers 3..m must be positive")

@@ -21,6 +21,10 @@ The best point, the best value and the evaluation at which success was
 first reached come out exactly as if the rows had been sent through
 ``value()`` one at a time.  Random search draws its points in such
 blocks.
+
+``run_solver`` takes an integer ``budget`` >= 1 and a finite ``value_tol``
+>= 0, the solver factories integers ``seed``, ``local_steps`` >= 0 and
+``starts`` >= 1; a bool is not an integer here.
 """
 
 from __future__ import annotations
@@ -51,6 +55,11 @@ VALUE_TOL_SCALE = 1e-4  # of the paraboloid-minimum-to-global-value drop
 # rows per random-search block: one block covers the usual budgets, and
 # the cap keeps memory bounded whatever the budget
 _RANDOM_BLOCK = 1 << 16
+
+
+def _require_count(name: str, value, minimum: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class BudgetExhausted(Exception):
@@ -225,10 +234,11 @@ def run_solver(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
-        raise ValueError(f"budget must be a positive integer, got {budget!r}")
+    _require_count("budget", budget, 1)
     if value_tol is None:
         value_tol = VALUE_TOL_SCALE * (params.paraboloid_min - params.global_value)
+    elif not 0.0 <= value_tol < math.inf:  # NaN fails too
+        raise ValueError(f"value_tol must be finite and >= 0, got {value_tol!r}")
 
     outcomes = []
     for nf in range(1, FUNCTIONS_PER_CLASS + 1):
@@ -289,6 +299,7 @@ def oracle_solver(objective: BudgetedObjective, func: GeneratedFunction) -> None
 
 def make_random_search(seed: int = 0):
     """Pure random search; deterministic per (seed, function number)."""
+    _require_count("seed", seed, 0)
 
     def solver(objective: BudgetedObjective, func: GeneratedFunction) -> None:
         rng = np.random.default_rng([seed, func.nf])
@@ -360,6 +371,9 @@ def make_multistart(starts: int = 10, local_steps: int = 100, seed: int = 0):
     """Uniform random restarts with a gradient-descent local phase
     (coordinate search on the nd family); deterministic per
     (seed, function number)."""
+    _require_count("starts", starts, 1)
+    _require_count("local_steps", local_steps, 0)
+    _require_count("seed", seed, 0)
 
     def solver(objective: BudgetedObjective, func: GeneratedFunction) -> None:
         rng = np.random.default_rng([seed, func.nf])

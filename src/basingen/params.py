@@ -4,7 +4,8 @@ A :class:`ClassParams` value pins down one class of 100 test functions:
 the user-facing quintet (dimension, number of minima, global minimum
 value, distance from the paraboloid vertex to the global minimizer, and
 the attraction radius of the global minimizer) plus the admissible box
-and a handful of defaulted tuning constants.
+and three defaulted tuning values.  The precision and the radius weights
+are fixed for every class (:data:`PRECISION`, :func:`radius_weights`).
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ DEFAULT_NUM_MINIMA = 10
 DEFAULT_GLOBAL_VALUE = -1.0
 DEFAULT_PARABOLOID_MIN = 0.0
 DEFAULT_DELTA_MAX = 10.0
-DEFAULT_PRECISION = 1e-10
 DEFAULT_MAX_DIM = 100
 
-GLOBAL_WEIGHT = 1.0
-LOCAL_WEIGHT = 0.99
+# margin from the box, distinctness and global-value tolerance, and the
+# radius of the disc around each minimizer where its basin is flat
+PRECISION = 1e-10
 
 
 class ErrorCode(enum.Enum):
@@ -74,23 +75,21 @@ class SchemaError(ValueError):
     schema requires; the message names the path of the value."""
 
 
-def default_weights(num_minima: int) -> tuple[float, ...]:
-    """Radius weights: 1.0 for the global minimizer, 0.99 elsewhere."""
-    if num_minima < 1:
-        return ()
-    weights = [LOCAL_WEIGHT] * num_minima
-    if num_minima >= 2:
-        weights[1] = GLOBAL_WEIGHT
-    return tuple(weights)
+def radius_weights(num_minima: int) -> np.ndarray:
+    """Radius weights: 1.0 for the global minimizer (row 1), 0.99 elsewhere."""
+    return np.where(np.arange(num_minima) == 1, 1.0, 0.99)
+
+
+def _is_size(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class ClassParams:
     """Immutable definition of one class of 100 test functions.
 
-    ``gap`` and ``weights`` may be passed as ``None`` to request their
-    defaults (the attraction radius of the global minimizer, and the
-    0.99/1.0 weight vector, respectively).
+    ``gap`` may be passed as ``None`` to request its default, the
+    attraction radius of the global minimizer.
     """
 
     dim: int
@@ -103,31 +102,22 @@ class ClassParams:
     paraboloid_min: float = DEFAULT_PARABOLOID_MIN
     delta_max: float = DEFAULT_DELTA_MAX
     gap: float | None = None
-    weights: tuple[float, ...] | None = None
-    precision: float = DEFAULT_PRECISION
 
     def __post_init__(self):
+        for name in ("dim", "num_minima"):
+            if isinstance(getattr(self, name), np.integer):
+                object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "domain_left", tuple(float(v) for v in self.domain_left))
         object.__setattr__(self, "domain_right", tuple(float(v) for v in self.domain_right))
         if self.gap is None:
             object.__setattr__(self, "gap", float(self.global_radius))
-        if self.weights is None:
-            object.__setattr__(self, "weights", default_weights(self.num_minima))
-        else:
-            weights = tuple(float(w) for w in self.weights)
-            if len(weights) != self.num_minima:
-                raise ValueError(
-                    f"weights must have one entry per minimizer "
-                    f"({self.num_minima}), got {len(weights)}"
-                )
-            object.__setattr__(self, "weights", weights)
 
 
 def default_params(dim: int) -> ClassParams:
     """Build the default class for `dim`: box [-1, 1]^dim, 10 minima,
     global value -1, vertex distance side/3, attraction radius side/6.
     """
-    if not isinstance(dim, int) or isinstance(dim, bool) or not 2 <= dim <= DEFAULT_MAX_DIM:
+    if not _is_size(dim) or not 2 <= dim <= DEFAULT_MAX_DIM:
         raise ParameterError(
             ValidationError(
                 ErrorCode.DIM,
@@ -152,21 +142,12 @@ def check(params: ClassParams) -> list[ValidationError]:
     Pure: inspects `params` only, never raises for invalid values.
     """
     errors: list[ValidationError] = []
-    if not 2 <= params.dim <= DEFAULT_MAX_DIM:
-        errors.append(
-            ValidationError(
-                ErrorCode.DIM,
-                f"dimension must satisfy 2 <= dim <= {DEFAULT_MAX_DIM}, got {params.dim}",
-            )
-        )
-    if params.num_minima < 2:
-        errors.append(
-            ValidationError(
-                ErrorCode.NUM_MINIMA,
-                f"number of minima (paraboloid vertex included) must be >= 2, "
-                f"got {params.num_minima}",
-            )
-        )
+    for code, name, value, top, rule in (  # a float or a bool is not a size
+        (ErrorCode.DIM, "dimension", params.dim, DEFAULT_MAX_DIM, f"in [2, {DEFAULT_MAX_DIM}]"),
+        (ErrorCode.NUM_MINIMA, "minima (vertex included)", params.num_minima, math.inf, ">= 2"),
+    ):
+        if not (_is_size(value) and 2 <= value <= top):
+            errors.append(ValidationError(code, f"{name} must be an integer {rule}, got {value!r}"))
 
     left, right = params.domain_left, params.domain_right
     # a finite span implies finite bounds and keeps box arithmetic finite
@@ -212,8 +193,6 @@ def check(params: ClassParams) -> list[ValidationError]:
     for name, value, rule, ok in (  # each test fails on NaN
         ("delta_max", params.delta_max, "finite and > 0", 0.0 < params.delta_max < math.inf),
         ("gap", params.gap, "finite and >= 0", 0.0 <= params.gap < math.inf),
-        ("precision", params.precision, "finite and > 0", 0.0 < params.precision < math.inf),
-        ("weights", list(params.weights), "in (0, 1]", all(0 < w <= 1 for w in params.weights)),
     ):
         if not ok:
             errors.append(ValidationError(ErrorCode.TUNING, f"{name} must be {rule}, got {value}"))
@@ -268,7 +247,12 @@ def params_from_dict(data: dict) -> ClassParams:
         return read_numbers(data, key, "class_params", shape, kind).tolist()
 
     dim, num_minima = read("dim", kind=int), read("num_minima", kind=int)
-    shapes = {"domain_left": (dim,), "domain_right": (dim,), "weights": (num_minima,)}
+    # keys from when these were settable load at the fixed values only
+    if "precision" in data and read("precision") != PRECISION:
+        raise SchemaError(f"class_params.precision must be {PRECISION}, got {data['precision']}")
+    if "weights" in data and read("weights", (num_minima,)) != radius_weights(num_minima).tolist():
+        raise SchemaError("class_params.weights must be 0.99, and 1.0 for minimizer 2")
+    shapes = {"domain_left": (dim,), "domain_right": (dim,)}
     rest = fields(ClassParams)[2:]  # every field after dim and num_minima
     values = {f.name: read(f.name, shapes.get(f.name, ())) for f in rest}
     return ClassParams(dim=dim, num_minima=num_minima, **values)

@@ -10,6 +10,8 @@ library's verdicts can be compared with it list for list.
 
 import numpy as np
 
+from basingen.params import PRECISION, radius_weights
+
 VERTEX_ROW = 0
 GLOBAL_ROW = 1
 
@@ -23,7 +25,7 @@ def ground_truth_problems(func) -> list[str]:
     problems: list[str] = []
     params = func.params
     table = func.minima
-    eps = params.precision
+    eps = PRECISION
     count = params.num_minima
 
     if table.local_min.shape != (count, params.dim):
@@ -54,7 +56,7 @@ def ground_truth_problems(func) -> list[str]:
         problems.append("some minimum lies below the class global value")
     if np.any(table.rho <= 0.0):
         problems.append("attraction radii must be positive")
-    if not np.allclose(table.w_rho, params.weights, rtol=0.0, atol=0.0):
+    if not np.allclose(table.w_rho, radius_weights(count), rtol=0.0, atol=0.0):
         problems.append("stored weights differ from the class weights")
     if np.any(table.peak[2:] <= 0.0):
         problems.append("basin depths for minimizers 3..m must be positive")

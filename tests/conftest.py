@@ -50,7 +50,7 @@ def pinned_classes(default_class):
 
 def sized_class(dim, num_minima):
     """The default class for `dim` with `num_minima` minima."""
-    return dataclasses.replace(default_params(dim), num_minima=num_minima, weights=None)
+    return dataclasses.replace(default_params(dim), num_minima=num_minima)
 
 
 def random_unit_vectors(dim, count, seed):

@@ -11,6 +11,8 @@ separately by the branch-agreement tests).
 
 import numpy as np
 
+from basingen.params import PRECISION, radius_weights
+
 
 def fd_gradient(fun, x, h=1e-6):
     """Central first differences, one axis at a time."""
@@ -154,7 +156,7 @@ def reference_basin_value(func, row, x, family):
     d = np.asarray(x, dtype=float) - center
     r = float(np.linalg.norm(d))
     f_min = float(func.minima.f[row])
-    if r < func.params.precision:
+    if r < PRECISION:
         return f_min
     rho = float(func.minima.rho[row])
     vertex = func.minima.local_min[0]
@@ -197,4 +199,4 @@ def reference_radii(local_min, params, global_row=1, vertex_row=0):
     for i in (vertex_row, *range(2, count)):
         slack = _distances_from(local_min, i) - rho
         rho[i] = max(rho[i], slack.min())
-    return rho * np.asarray(params.weights)
+    return rho * radius_weights(count)

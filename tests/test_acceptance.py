@@ -258,7 +258,7 @@ def test_c08_error_contract(func9):
 
         assert ErrorCode.DIM in codes_of(dataclasses.replace(defaults, dim=1))
         assert ErrorCode.NUM_MINIMA in codes_of(
-            dataclasses.replace(defaults, num_minima=1, weights=None)
+            dataclasses.replace(defaults, num_minima=1)
         )
         assert ErrorCode.BOUNDARY in codes_of(
             dataclasses.replace(defaults, domain_left=(1.0, -1.0))

@@ -20,6 +20,7 @@ from basingen import (
     eval_d2,
     eval_many,
     eval_nd,
+    generate,
     locate_ball,
 )
 from basingen.evaluate import _basin
@@ -85,6 +86,16 @@ def test_exact_boundary_point_is_inside():
     index, dist = locate_ball(func, [0.75, 0.0])
     assert index == 2
     assert dist == 0.25
+
+
+def test_locate_ball_applies_the_box_test(params2):
+    func = generate(params2, 2)
+    # just outside the right edge, yet within ball 3, which crosses it
+    outside = [1.19167, 0.22905]
+    nan = float("nan")
+    for x in (outside, [nan, 0.0], [float("inf"), 0.0], [0.0, -float("inf")]):
+        with pytest.raises(OutOfDomainError):
+            locate_ball(func, x)
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from basingen import (
     generate,
     ground_truth_problems,
 )
+from basingen import generator
 from basingen.generator import (
     GLOBAL_ROW,
     VERTEX_ROW,
@@ -24,6 +25,7 @@ from basingen.generator import (
     place_local_minimizers,
     place_vertex_and_global,
 )
+from basingen.params import PRECISION
 from basingen.rng import LaggedFibonacci
 from audit_reference import ground_truth_problems as reference_problems
 from conftest import sized_class
@@ -239,12 +241,19 @@ def test_infeasible_gap_fails_not_hangs():
     assert "cannot place minimizers" in exc.value.errors[0].detail
 
 
-def test_unplaceable_global_minimizer_is_a_parameter_error():
-    # a 0.9 margin leaves a 0.2-wide interior, too narrow for a vertex and
-    # a global minimizer 2/3 apart
-    p = dataclasses.replace(default_params(2), precision=0.9)
+def test_unplaceable_global_minimizer_is_a_parameter_error(monkeypatch):
+    # a stream stuck at 0.0 puts every vertex draw on the box corner,
+    # never inside the precision margin
+    class StuckStream:
+        def __init__(self, seed):
+            pass
+
+        def uniform(self):
+            return 0.0
+
+    monkeypatch.setattr(generator, "LaggedFibonacci", StuckStream)
     with pytest.raises(ParameterError) as exc:
-        generate(p, 1)
+        generate(default_params(2), 1)
     assert exc.value.codes == [ErrorCode.GLOBAL_DIST]
     detail = exc.value.errors[0].detail
     assert "global_dist" in detail and "precision" in detail and "10000 draws" in detail
@@ -342,13 +351,13 @@ def test_delta_within_bounds(default_class):
 
 
 def test_identify_globals_unique():
-    info = identify_globals(np.array([0.0, -1.0, -0.4, -0.7]), 1e-10)
+    info = identify_globals(np.array([0.0, -1.0, -0.4, -0.7]))
     assert info.num_global_minima == 1
     assert info.gm_index.tolist() == [2, 1, 3, 4]
 
 
 def test_identify_globals_tie():
-    info = identify_globals(np.array([0.0, -1.0, -1.0, -0.5]), 1e-10)
+    info = identify_globals(np.array([0.0, -1.0, -1.0, -0.5]))
     assert info.num_global_minima == 2
     assert info.gm_index.tolist() == [2, 3, 1, 4]
 
@@ -491,7 +500,7 @@ def _coinciding_pair(func, rng):
     # of it on each axis
     table = func.minima
     i, j = np.sort(rng.choice(func.num_minima, 2, replace=False))
-    offset = rng.uniform(-2.0, 2.0, func.dim) * func.params.precision * rng.integers(2)
+    offset = rng.uniform(-2.0, 2.0, func.dim) * PRECISION * rng.integers(2)
     return dict(local_min=edited(table.local_min, j, table.local_min[i] + offset))
 
 

@@ -12,6 +12,7 @@ from basingen import (
     run_solver,
     write_report,
 )
+from basingen import harness
 from basingen.harness import BudgetExhausted, BudgetedObjective, _descend
 
 
@@ -34,6 +35,32 @@ def test_budget_is_enforced(params2):
 def test_budget_zero_rejected(params2):
     with pytest.raises(ValueError):
         run_solver(params2, "d", oracle_solver, budget=0)
+
+
+@pytest.mark.parametrize("value_tol", [float("nan"), float("inf"), -1e-3])
+def test_bad_value_tol_rejected_before_generation(params2, monkeypatch, value_tol):
+    monkeypatch.setattr(harness, "generate", None)  # a call would raise TypeError
+    with pytest.raises(ValueError, match="value_tol"):
+        run_solver(params2, "d", oracle_solver, budget=10, value_tol=value_tol)
+
+
+@pytest.mark.parametrize(
+    "factory, kwargs",
+    [
+        (make_random_search, {"seed": -1}),
+        (make_random_search, {"seed": 1.0}),
+        (make_random_search, {"seed": True}),
+        (make_multistart, {"starts": -3}),
+        (make_multistart, {"starts": 0}),
+        (make_multistart, {"starts": 2.5}),
+        (make_multistart, {"local_steps": -1}),
+        (make_multistart, {"local_steps": False}),
+        (make_multistart, {"seed": -1}),
+    ],
+)
+def test_solver_factories_reject_bad_arguments(factory, kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        factory(**kwargs)
 
 
 def test_random_search_is_reproducible(params2):

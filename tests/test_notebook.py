@@ -144,6 +144,37 @@ def test_non_finite_ground_truth_is_rejected(tmp_path, notebook_path):
             load_class(bad)
 
 
+# class_params keys of notebooks written while precision and the radius
+# weights were settable, at the values every such notebook held
+LEGACY_KEYS = {"precision": 1e-10, "weights": [0.99, 1.0] + [0.99] * 8}
+
+
+def test_legacy_keys_load_at_the_fixed_values_only(tmp_path, notebook_path, default_class):
+    document = json.loads(notebook_path.read_text())
+    assert not LEGACY_KEYS.keys() & document["class_params"].keys()
+    document["class_params"].update(LEGACY_KEYS)
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps(document))
+    loaded = load_class(legacy)
+    assert loaded.params == default_params(2)
+    for original, restored in zip(default_class, loaded.functions):
+        for field in ("local_min", "f", "rho", "peak", "w_rho"):
+            assert np.array_equal(getattr(original.minima, field), getattr(restored.minima, field))
+        assert original.delta == restored.delta
+    for key, value in (
+        ("precision", 1e-3),
+        ("precision", 0.5),
+        ("precision", None),
+        ("weights", [0.99, 1.0, 0.5] + [0.99] * 7),
+        ("weights", [0.99] * 10),
+        ("weights", [0.99, 1.0] + [0.99] * 7),
+    ):
+        document["class_params"].update(LEGACY_KEYS, **{key: value})
+        legacy.write_text(json.dumps(document))
+        with pytest.raises(NotebookError, match=f"class_params.{key}"):
+            load_class(legacy)
+
+
 def _set(*path, value=None, literal=None, encoding="utf-8"):
     """Edit giving the notebook bytes with the value at `path` replaced by
     `value`, or by the raw JSON text `literal`, encoded with `encoding`."""

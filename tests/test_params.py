@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+import numpy as np
+
 from basingen import (
     ClassParams,
     ErrorCode,
@@ -13,6 +15,7 @@ from basingen import (
     params_from_dict,
     params_to_dict,
 )
+from basingen.params import PRECISION, radius_weights
 
 
 def codes(errors):
@@ -30,8 +33,8 @@ def test_defaults_2d():
     assert p.paraboloid_min == 0.0
     assert p.delta_max == 10.0
     assert p.gap == p.global_radius
-    assert p.weights == (0.99, 1.0) + (0.99,) * 8
-    assert p.precision == 1e-10
+    assert radius_weights(p.num_minima).tolist() == [0.99, 1.0] + [0.99] * 8
+    assert PRECISION == 1e-10
 
 
 def test_defaults_independent_of_dim():
@@ -74,11 +77,6 @@ def test_check_reports_tuning_constants():
         {"gap": -0.5},
         {"gap": nan},
         {"gap": inf},
-        {"precision": 0.0},
-        {"precision": nan},
-        {"weights": (1.5,) + (0.99,) * 9},
-        {"weights": (0.99, 0.0) + (0.99,) * 8},
-        {"weights": (nan,) * 10},
     ):
         p = dataclasses.replace(default_params(2), **change)
         assert codes(check(p)) == {ErrorCode.TUNING}, change
@@ -170,18 +168,42 @@ def test_radius_boundary_case_is_allowed():
     assert check(p) == []
 
 
-def test_weights_length_mismatch():
-    with pytest.raises(ValueError):
-        ClassParams(
-            dim=2,
-            num_minima=3,
-            global_value=-1.0,
-            global_dist=0.5,
-            global_radius=0.25,
-            domain_left=(-1.0, -1.0),
-            domain_right=(1.0, 1.0),
-            weights=(1.0, 1.0),
-        )
+def test_numpy_integer_sizes_generate_the_same_records():
+    as_int = dataclasses.replace(default_params(3), num_minima=12)
+    as_numpy = dataclasses.replace(as_int, dim=np.int64(3), num_minima=np.int32(12))
+    assert as_numpy == as_int
+    assert default_params(np.int64(3)) == default_params(3)
+    assert type(as_numpy.dim) is int and type(as_numpy.num_minima) is int
+    for nf in (1, 57):
+        a, b = generate(as_int, nf), generate(as_numpy, nf)
+        assert np.array_equal(a.minima.local_min, b.minima.local_min)
+        assert np.array_equal(a.minima.f, b.minima.f)
+        assert np.array_equal(a.minima.rho, b.minima.rho)
+        assert a.delta == b.delta
+
+
+@pytest.mark.parametrize(
+    "change, code",
+    [
+        ({"dim": 2.0}, ErrorCode.DIM),
+        ({"dim": True}, ErrorCode.DIM),
+        ({"dim": np.float64(2.0)}, ErrorCode.DIM),
+        ({"num_minima": 10.0}, ErrorCode.NUM_MINIMA),
+        ({"num_minima": np.float32(10.0)}, ErrorCode.NUM_MINIMA),
+        ({"num_minima": "10"}, ErrorCode.NUM_MINIMA),
+    ],
+)
+def test_non_integer_sizes_are_parameter_errors(change, code):
+    p = dataclasses.replace(default_params(2), **change)
+    assert code in codes(check(p))  # dim=True also mismatches the box
+    with pytest.raises(ParameterError) as exc:
+        generate(p, 1)
+    assert code in exc.value.codes
+
+
+def test_any_minimizer_count_is_a_plain_replace():
+    p = dataclasses.replace(default_params(2), num_minima=30)
+    assert all(generate(p, nf).num_minima == 30 for nf in range(1, 101))
 
 
 def test_dict_round_trip(params2):
@@ -197,8 +219,6 @@ def test_dict_round_trip(params2):
         "paraboloid_min",
         "delta_max",
         "gap",
-        "weights",
-        "precision",
     }
     restored = params_from_dict(data)
     assert restored == params2
