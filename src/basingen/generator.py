@@ -28,6 +28,8 @@ from .rng import MODULUS, LaggedFibonacci
 
 FUNCTIONS_PER_CLASS = 100
 RETRY_BUDGET = 10_000
+_GAP_MARGIN = 1e-9  # relative; far wider than a summation-order difference at dim <= 100
+_DISTANCE_BLOCK = 1 << 15  # doubles per block of distance rows (256 KB)
 
 VERTEX_ROW = 0  # minimizer 1: paraboloid vertex T
 GLOBAL_ROW = 1  # minimizer 2: user-pinned global minimizer x*
@@ -217,10 +219,13 @@ def place_local_minimizers(
 ) -> np.ndarray:
     """Rejection-sample minimizers 3..m: uniform over the box interior,
     pairwise distinct, and clear of the global attraction ball by the
-    configured gap.  Returns an (m - 2, dim) array."""
+    configured gap.  Returns an (m - 2, dim) array.  Candidates come in
+    blocks of min(still needed, retries left) rows, all of which a
+    one-at-a-time loop would draw, so its points and stream position hold."""
     lower = np.array(params.domain_left)
     upper = np.array(params.domain_right)
     span = upper - lower
+    inner, outer = lower + PRECISION, upper - PRECISION
     min_gap = params.global_radius + params.gap
 
     count = params.num_minima
@@ -228,20 +233,25 @@ def place_local_minimizers(
     points[VERTEX_ROW] = vertex
     points[GLOBAL_ROW] = global_min
     placed = 2
+    misses = 0  # rejections since the last acceptance
     while placed < count:
-        for _ in range(RETRY_BUDGET):
-            candidate = _draw_point(lower, span, rng)
-            if not _is_interior(candidate, lower, upper, PRECISION):
-                continue
-            diffs = points[:placed] - candidate
-            if np.min(np.einsum("ij,ij->i", diffs, diffs)) <= PRECISION**2:
-                continue
-            if np.linalg.norm(candidate - global_min) < min_gap:
-                continue
-            points[placed] = candidate
-            placed += 1
-            break
-        else:
+        rows = min(count - placed, RETRY_BUDGET - misses)
+        block = lower + span * rng.uniforms(rows * params.dim).reshape(rows, params.dim)
+        offsets = block - global_min
+        norms = np.sqrt(np.einsum("ij,ij->i", offsets, offsets))
+        clear = norms >= min_gap
+        # rows near the gap: np.linalg.norm's dot may round apart from einsum
+        for row in (np.abs(norms - min_gap) <= _GAP_MARGIN * min_gap).nonzero()[0]:
+            clear[row] = not np.linalg.norm(offsets[row]) < min_gap
+        clear &= ((block > inner) & (block < outer)).all(axis=1)
+        misses += rows
+        for row in clear.nonzero()[0].tolist():
+            diffs = points[:placed] - block[row]
+            if np.einsum("ij,ij->i", diffs, diffs).min() > PRECISION**2:
+                points[placed] = block[row]
+                placed += 1
+                misses = rows - 1 - row
+        if misses == RETRY_BUDGET:
             raise ParameterError(
                 ValidationError(
                     ErrorCode.NUM_MINIMA,
@@ -253,13 +263,14 @@ def place_local_minimizers(
 
 
 def _distance_matrix(points: np.ndarray) -> np.ndarray:
-    """Pairwise distances with inf on the diagonal.  Filled row by row:
-    an (m, m, dim) broadcast would take 40 MB at 20-D with 500 minima."""
-    count = points.shape[0]
+    """Pairwise distances, inf on the diagonal, as einsum row sums in blocks
+    of about _DISTANCE_BLOCK doubles (the whole (m, m, dim) is 40 MB at 20-D/500)."""
+    count, dim = points.shape
     dists = np.empty((count, count))
-    for i in range(count):
-        diffs = points - points[i]
-        dists[i] = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    step = max(1, _DISTANCE_BLOCK // (count * dim))
+    for start in range(0, count, step):
+        diffs = points - points[start : start + step, None]
+        np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs), out=dists[start : start + step])
     np.fill_diagonal(dists, np.inf)
     return dists
 
@@ -286,23 +297,23 @@ def compute_minima_values(
     """Fix the minima values: vertex and global values are user-set; each
     remaining value sits `peak_i` below the paraboloid minimum over its
     ball boundary, with `peak_i` the smaller of a draw from
-    (rho_i, 2 rho_i) and a draw from (0, boundary_min - global_value)."""
-    count = local_min.shape[0]
-    values = np.empty(count)
-    peaks = np.zeros(count)
-    values[VERTEX_ROW] = params.paraboloid_min
-    values[GLOBAL_ROW] = params.global_value
+    (rho_i, 2 rho_i) and a draw from (0, boundary_min - global_value).
+    The draws are one block: a radius word, then a depth word, per row."""
     vertex = local_min[VERTEX_ROW]
-    for i in range(2, count):
-        vertex_dist = float(np.linalg.norm(local_min[i] - vertex))
-        # the vertex ball keeps the others away, so T is outside this
-        # ball and the boundary minimum has a closed form
-        boundary_min = (vertex_dist - rho[i]) ** 2 + params.paraboloid_min
-        radius_draw = rho[i] * (1.0 + rng.uniform())
-        depth_draw = _positive_uniform(rng) * (boundary_min - params.global_value)
-        peaks[i] = min(radius_draw, depth_draw)
-        values[i] = boundary_min - peaks[i]
-    return values, peaks
+    # T is outside every other ball, so the boundary minimum is closed-form;
+    # row by row for the bits of np.linalg.norm and of libm pow in scalar ** 2
+    dists = [math.sqrt(d.dot(d)) for d in (point - vertex for point in local_min[2:])]
+    boundary_min = np.array([(dist - r) ** 2 for dist, r in zip(dists, rho[2:].tolist())])
+    boundary_min += params.paraboloid_min
+    words = rng.uniforms(2 * len(dists))
+    while not words[1::2].all():  # drop the first zero depth word, as a redraw does
+        zero = 2 * int(np.argmin(words[1::2])) + 1
+        words = np.concatenate([words[:zero], words[zero + 1 :], rng.uniforms(1)])
+    radius_draw = rho[2:] * (1.0 + words[0::2])
+    depth_draw = words[1::2] * (boundary_min - params.global_value)
+    peaks = np.concatenate([[0.0, 0.0], np.minimum(radius_draw, depth_draw)])
+    fixed = [params.paraboloid_min, params.global_value]  # rows 0 and 1
+    return np.concatenate([fixed, boundary_min - peaks[2:]]), peaks
 
 
 def identify_globals(values: np.ndarray) -> GlobalInfo:

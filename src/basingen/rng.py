@@ -22,7 +22,8 @@ reordering and the 10 warm-up blocks are one fixed 100 x 100 map ``C``,
 built on the first construction (never at import) by pushing the unit
 vectors through the same step functions.  A constructor therefore costs
 at most 30 vectorised steps and one matrix-vector product.  Deviates are
-``word / 2**30`` and therefore lie in ``[0, 1)`` exactly.
+``word / 2**30`` and therefore lie in ``[0, 1)`` exactly; ``uniform()``
+and ``uniforms(count)`` read them one or an array at a time.
 """
 
 from __future__ import annotations
@@ -136,24 +137,35 @@ class LaggedFibonacci:
             raise ValueError(f"seed must be in [0, {MAX_SEED}], got {seed}")
         self.seed = seed
         self._state = _warm_state(seed)
-        self._block: list[float] = []
+        self._deviates = np.empty(0)  # the current block, or several after uniforms()
         self._cursor = 0
 
     def uniform(self) -> float:
         """Return the next deviate in [0, 1) and advance the state."""
-        if self._cursor >= len(self._block):
-            self._block = [word / MODULUS for word in self._next_block(_BLOCK_LENGTH)]
+        if self._cursor >= len(self._deviates):
+            self._deviates = self._next_words(_BLOCK_LENGTH) / MODULUS
             self._cursor = 0
-        value = self._block[self._cursor]
         self._cursor += 1
-        return value
+        return self._deviates.item(self._cursor - 1)
 
-    def uniforms(self, count: int) -> list[float]:
-        """Return the next `count` deviates."""
-        return [self.uniform() for _ in range(count)]
+    def uniforms(self, count: int) -> np.ndarray:
+        """Return the next `count` deviates as a float64 array: the values
+        `count` calls of :meth:`uniform` would return."""
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            raise ValueError(f"count must be an integer >= 0, got {count!r}")
+        blocks = -(-(self._cursor + count - len(self._deviates)) // _BLOCK_LENGTH)
+        if blocks > 0:
+            fresh = [self._next_words(_BLOCK_LENGTH) / MODULUS for _ in range(blocks)]
+            self._deviates = np.concatenate([self._deviates[self._cursor :], *fresh])
+            self._cursor = 0
+        self._cursor += count
+        return self._deviates[self._cursor - count : self._cursor].copy()
 
-    def _next_block(self, length: int) -> list[int]:
+    def _next_words(self, length: int) -> np.ndarray:
         """Emit `length` raw words and step the state past them."""
         words = _run(self._state, length) & _MASK
         self._state = words[length:]
-        return words[:length].tolist()
+        return words[:length]
+
+    def _next_block(self, length: int) -> list[int]:
+        return self._next_words(length).tolist()

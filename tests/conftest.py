@@ -53,6 +53,22 @@ def sized_class(dim, num_minima):
     return dataclasses.replace(default_params(dim), num_minima=num_minima)
 
 
+def small_class(dim=2, num_minima=2, **kw):
+    """A class on [-1, 1]^dim with global value -1, vertex distance 2/3
+    and global radius 1/3; `kw` overrides any field."""
+    base = dict(
+        dim=dim,
+        num_minima=num_minima,
+        global_value=-1.0,
+        global_dist=2.0 / 3.0,
+        global_radius=1.0 / 3.0,
+        domain_left=(-1.0,) * dim,
+        domain_right=(1.0,) * dim,
+    )
+    base.update(kw)
+    return ClassParams(**base)
+
+
 def random_unit_vectors(dim, count, seed):
     rng = np.random.default_rng(seed)
     vecs = rng.normal(size=(count, dim))

@@ -28,22 +28,8 @@ from basingen.generator import (
 from basingen.params import PRECISION
 from basingen.rng import LaggedFibonacci
 from audit_reference import ground_truth_problems as reference_problems
-from conftest import sized_class
+from conftest import sized_class, small_class
 from fdtools import reference_radii
-
-
-def small_class(dim=2, num_minima=2, **kw):
-    base = dict(
-        dim=dim,
-        num_minima=num_minima,
-        global_value=-1.0,
-        global_dist=2.0 / 3.0,
-        global_radius=1.0 / 3.0,
-        domain_left=(-1.0,) * dim,
-        domain_right=(1.0,) * dim,
-    )
-    base.update(kw)
-    return ClassParams(**base)
 
 
 def records_equal(a, b):

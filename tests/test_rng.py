@@ -1,6 +1,7 @@
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from basingen import function_seed, rng
@@ -52,16 +53,43 @@ def test_stream_matches_integer_oracle():
                 block = gen._next_block(1009)
                 same &= block == ref.next_block(1009)
                 same &= all(type(word) is int for word in block)
-            same &= gen.uniforms(2500) == [ref.uniform() for _ in range(2500)]
+            same &= gen.uniforms(2500).tolist() == [ref.uniform() for _ in range(2500)]
             if not same:
                 mismatched.append(seed)
     assert mismatched == []
 
 
+# block boundaries fall every 1009 words
+UNIFORMS_COUNTS = (0, 1, 1008, 1009, 1010, 3000)
+
+
+def test_uniforms_match_oracle_across_block_boundaries():
+    # array draws, alone and interleaved with single draws, walk the
+    # stream exactly as uniform() does
+    for interleaved in (False, True):
+        gen = LaggedFibonacci(310952)
+        ref = ReferenceStream(310952)
+        for count in UNIFORMS_COUNTS:
+            values = gen.uniforms(count)
+            assert values.dtype == np.float64 and values.shape == (count,)
+            assert values.tolist() == [ref.uniform() for _ in range(count)]
+            if interleaved:
+                assert gen.uniform() == ref.uniform()
+        assert gen.uniform() == ref.uniform()
+
+
+def test_uniforms_rejects_bad_counts():
+    gen = LaggedFibonacci(5)
+    for count in (-1, 1.5, 2.0, True, "3", None, np.int64(3)):
+        with pytest.raises(ValueError):
+            gen.uniforms(count)
+    assert gen.uniform() == LaggedFibonacci(5).uniform()  # nothing was drawn
+
+
 def test_same_seed_same_stream():
     a = LaggedFibonacci(42)
     b = LaggedFibonacci(42)
-    assert a.uniforms(5000) == b.uniforms(5000)
+    assert np.array_equal(a.uniforms(5000), b.uniforms(5000))
 
 
 def test_zero_seed_is_valid():
@@ -91,14 +119,14 @@ def test_advancing_k_steps_matches():
 def test_range_contract_large_sample():
     gen = LaggedFibonacci(3)
     values = gen.uniforms(1_000_000)
-    assert min(values) >= 0.0
-    assert max(values) < 1.0
+    assert values.min() >= 0.0
+    assert values.max() < 1.0
 
 
 def test_mean_of_large_sample():
     gen = LaggedFibonacci(11)
     values = gen.uniforms(1_000_000)
-    assert abs(sum(values) / len(values) - 0.5) < 0.01
+    assert abs(values.mean() - 0.5) < 0.01
 
 
 def test_chi_square_uniformity():
