@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .generator import GeneratedFunction
-from .params import PRECISION, ErrorCode
+from .params import PRECISION, ErrorCode, _is_size
 
 FAMILIES = ("nd", "d", "d2")
 
@@ -91,7 +91,7 @@ def _indexed(func: GeneratedFunction, *indices) -> GeneratedFunction:
     variable index lies in 1..dim."""
     _require_function(func)
     for j in indices:
-        if not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= func.dim:
+        if not _is_size(j) or not 1 <= j <= func.dim:
             raise BadVariableIndexError(
                 f"variable index must be in [1, {func.dim}], got {j!r}"
             )

@@ -22,7 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .params import (
-    PRECISION, ClassParams, ErrorCode, ParameterError, ValidationError, check, radius_weights
+    PRECISION, ClassParams, ErrorCode, ParameterError, ValidationError, _is_size, check,
+    radius_weights,
 )
 from .rng import MODULUS, LaggedFibonacci
 
@@ -35,6 +36,11 @@ VERTEX_ROW = 0  # minimizer 1: paraboloid vertex T
 GLOBAL_ROW = 1  # minimizer 2: user-pinned global minimizer x*
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class MinimaTable:
     """Per-minimizer ground truth; row 0 is the vertex, row 1 the global.
@@ -44,20 +50,21 @@ class MinimaTable:
     rho       : (m,) attraction-ball radii (weights already applied)
     peak      : (m,) basin depths below the ball-boundary paraboloid
                 minimum (0 for rows 0 and 1, whose values are user-fixed)
-    w_rho     : (m,) radius weight coefficients
+    w_rho     : (m,) radius weights, derived: radius_weights(m)
     """
 
     local_min: np.ndarray
     f: np.ndarray
     rho: np.ndarray
     peak: np.ndarray
-    w_rho: np.ndarray
 
     def __post_init__(self):
-        for name in ("local_min", "f", "rho", "peak", "w_rho"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name in ("local_min", "f", "rho", "peak"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
+
+    @cached_property
+    def w_rho(self) -> np.ndarray:
+        return _read_only(radius_weights(len(self.f)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,12 +88,12 @@ class GlobalInfo:
 
 @dataclass(frozen=True, eq=False)
 class GeneratedFunction:
-    """Immutable ground-truth record of one generated test function."""
+    """Immutable ground-truth record of one generated test function; the
+    global list ``glob`` is derived from the stored values."""
 
     params: ClassParams
     nf: int
     minima: MinimaTable
-    glob: GlobalInfo
     delta: float
 
     @property
@@ -98,6 +105,10 @@ class GeneratedFunction:
         return self.params.num_minima
 
     @cached_property
+    def glob(self) -> GlobalInfo:
+        return identify_globals(self.minima.f)
+
+    @cached_property
     def vertex(self) -> np.ndarray:
         return self.minima.local_min[VERTEX_ROW]
 
@@ -107,28 +118,19 @@ class GeneratedFunction:
 
     @cached_property
     def lower(self) -> np.ndarray:
-        arr = np.array(self.params.domain_left)
-        arr.setflags(write=False)
-        return arr
+        return _read_only(np.array(self.params.domain_left))
 
     @cached_property
     def upper(self) -> np.ndarray:
-        arr = np.array(self.params.domain_right)
-        arr.setflags(write=False)
-        return arr
+        return _read_only(np.array(self.params.domain_right))
 
     @cached_property
     def bridge(self) -> np.ndarray:
         """Per-minimizer constant ||T - M_i||^2 + t - f_i coupling each
         basin polynomial to the paraboloid."""
         diffs = self.minima.local_min - self.vertex
-        arr = (
-            np.einsum("ij,ij->i", diffs, diffs)
-            + self.params.paraboloid_min
-            - self.minima.f
-        )
-        arr.setflags(write=False)
-        return arr
+        lifted = np.einsum("ij,ij->i", diffs, diffs) + self.params.paraboloid_min
+        return _read_only(lifted - self.minima.f)
 
 
 def function_seed(params: ClassParams, nf: int) -> int:
@@ -336,7 +338,7 @@ def generate(params: ClassParams, nf: int) -> GeneratedFunction:
     errors = check(params)
     if errors:
         raise ParameterError(errors)
-    if not isinstance(nf, int) or isinstance(nf, bool) or not 1 <= nf <= FUNCTIONS_PER_CLASS:
+    if not _is_size(nf) or not 1 <= nf <= FUNCTIONS_PER_CLASS:
         raise ParameterError(
             ValidationError(
                 ErrorCode.FUNC_NUMBER,
@@ -344,6 +346,7 @@ def generate(params: ClassParams, nf: int) -> GeneratedFunction:
                 f"got {nf!r}",
             )
         )
+    nf = int(nf)  # a numpy integer is stored and exported as a plain int
     rng = LaggedFibonacci(function_seed(params, nf))
     vertex, global_min = place_vertex_and_global(params, rng)
     others = place_local_minimizers(params, vertex, global_min, rng)
@@ -351,18 +354,10 @@ def generate(params: ClassParams, nf: int) -> GeneratedFunction:
     rho = compute_radii(local_min, params)
     values, peaks = compute_minima_values(local_min, rho, params, rng)
     delta = params.delta_max * _positive_uniform(rng)
-    glob = identify_globals(values)
     func = GeneratedFunction(
         params=params,
         nf=nf,
-        minima=MinimaTable(
-            local_min=local_min,
-            f=values,
-            rho=rho,
-            peak=peaks,
-            w_rho=radius_weights(params.num_minima),
-        ),
-        glob=glob,
+        minima=MinimaTable(local_min=local_min, f=values, rho=rho, peak=peaks),
         delta=delta,
     )
     problems = ground_truth_problems(func)
@@ -381,7 +376,9 @@ def ground_truth_problems(func: GeneratedFunction) -> list[str]:
     record is consistent).  A field of the wrong shape or with a
     non-finite entry is reported alone.  Used both as a post-generation
     self-check and to validate loaded notebooks, so the distances are
-    computed afresh from the record.
+    computed afresh from the record.  The stored fields are audited; the
+    global list and the radius weights are derived from them and need no
+    audit (the notebook loader compares a notebook's copies with them).
     """
     params = func.params
     table = func.minima
@@ -393,10 +390,10 @@ def ground_truth_problems(func: GeneratedFunction) -> list[str]:
             f"minimizer table has shape {table.local_min.shape}, "
             f"expected {(count, params.dim)}"
         ]
-    for name in ("f", "rho", "peak", "w_rho"):
+    for name in ("f", "rho", "peak"):
         if getattr(table, name).shape != (count,):
             return [f"field {name} must have length {count}"]
-    for name in ("local_min", "f", "rho", "peak", "w_rho"):
+    for name in ("local_min", "f", "rho", "peak"):
         if not np.all(np.isfinite(getattr(table, name))):
             return [f"field {name} must be finite"]
 
@@ -416,8 +413,6 @@ def ground_truth_problems(func: GeneratedFunction) -> list[str]:
         problems.append("some minimum lies below the class global value")
     if np.any(table.rho <= 0.0):
         problems.append("attraction radii must be positive")
-    if not np.array_equal(table.w_rho, radius_weights(count)):
-        problems.append("stored weights differ from the class weights")
     if np.any(table.peak[2:] <= 0.0):
         problems.append("basin depths for minimizers 3..m must be positive")
     if table.peak[VERTEX_ROW] != 0.0 or table.peak[GLOBAL_ROW] != 0.0:
@@ -448,21 +443,5 @@ def ground_truth_problems(func: GeneratedFunction) -> list[str]:
         problems.append(
             f"delta {func.delta} outside the open interval (0, {params.delta_max})"
         )
-
-    glob = func.glob
-    if not np.array_equal(np.sort(glob.gm_index), np.arange(1, count + 1)):
-        problems.append("gm_index is not a permutation of 1..m")
-    elif not 1 <= glob.num_global_minima <= count:
-        problems.append("num_global_minima out of range")
-    else:
-        head = glob.gm_index[: glob.num_global_minima]
-        tail = glob.gm_index[glob.num_global_minima :]
-        if 2 not in head:
-            problems.append("minimizer 2 missing from the global list")
-        actual = np.flatnonzero(table.f <= params.global_value + eps) + 1
-        if not np.array_equal(np.sort(head), actual):
-            problems.append("global list disagrees with the stored values")
-        if np.any(np.diff(head) <= 0) or np.any(np.diff(tail) <= 0):
-            problems.append("gm_index groups are not in ascending order")
 
     return problems

@@ -24,7 +24,7 @@ blocks.
 
 ``run_solver`` takes an integer ``budget`` >= 1 and a finite ``value_tol``
 >= 0, the solver factories integers ``seed``, ``local_steps`` >= 0 and
-``starts`` >= 1; a bool is not an integer here.
+``starts`` >= 1; a numpy integer is one, a bool is not.
 """
 
 from __future__ import annotations
@@ -39,16 +39,16 @@ from pathlib import Path
 import numpy as np
 
 from .evaluate import (
-    FAMILIES,
     DerivEvalError,
     OutOfDomainError,
+    _require_family,
     d2_gradient,
     d_gradient,
     eval_many,
     evaluate,
 )
 from .generator import FUNCTIONS_PER_CLASS, GeneratedFunction, generate
-from .params import ClassParams
+from .params import ClassParams, _is_size
 
 VALUE_TOL_SCALE = 1e-4  # of the paraboloid-minimum-to-global-value drop
 
@@ -57,9 +57,11 @@ VALUE_TOL_SCALE = 1e-4  # of the paraboloid-minimum-to-global-value drop
 _RANDOM_BLOCK = 1 << 16
 
 
-def _require_count(name: str, value, minimum: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+def _require_count(name: str, value, minimum: int) -> int:
+    """`value` as a plain int, after checking it is an integer >= `minimum`."""
+    if not _is_size(value) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 class BudgetExhausted(Exception):
@@ -232,9 +234,8 @@ def run_solver(
     baselines only; honest solvers must not read it).  A solver exception
     is recorded as a per-function failure; the sweep continues.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    _require_count("budget", budget, 1)
+    _require_family(family)
+    budget = _require_count("budget", budget, 1)
     if value_tol is None:
         value_tol = VALUE_TOL_SCALE * (params.paraboloid_min - params.global_value)
     elif not 0.0 <= value_tol < math.inf:  # NaN fails too
@@ -299,7 +300,7 @@ def oracle_solver(objective: BudgetedObjective, func: GeneratedFunction) -> None
 
 def make_random_search(seed: int = 0):
     """Pure random search; deterministic per (seed, function number)."""
-    _require_count("seed", seed, 0)
+    seed = _require_count("seed", seed, 0)
 
     def solver(objective: BudgetedObjective, func: GeneratedFunction) -> None:
         rng = np.random.default_rng([seed, func.nf])
@@ -371,9 +372,9 @@ def make_multistart(starts: int = 10, local_steps: int = 100, seed: int = 0):
     """Uniform random restarts with a gradient-descent local phase
     (coordinate search on the nd family); deterministic per
     (seed, function number)."""
-    _require_count("starts", starts, 1)
-    _require_count("local_steps", local_steps, 0)
-    _require_count("seed", seed, 0)
+    starts = _require_count("starts", starts, 1)
+    local_steps = _require_count("local_steps", local_steps, 0)
+    seed = _require_count("seed", seed, 0)
 
     def solver(objective: BudgetedObjective, func: GeneratedFunction) -> None:
         rng = np.random.default_rng([seed, func.nf])

@@ -5,7 +5,8 @@ class parameters, the family it was exported for, and per function the
 full minimizer table (coordinates, values, radii, basin depths, weights),
 the curvature parameter, and the global-minimizer bookkeeping.  Floats
 survive the round trip exactly, so a loaded class evaluates bit-for-bit
-like the generated one, without re-running the random stream.
+like the generated one, without re-running the random stream.  Stored
+weights and global bookkeeping must equal what the record derives.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .evaluate import FAMILIES, eval_many
+from .evaluate import FAMILIES, _require_family, eval_many
 from .generator import (
     FUNCTIONS_PER_CLASS,
     GeneratedFunction,
-    GlobalInfo,
     MinimaTable,
     generate,
     ground_truth_problems,
@@ -71,13 +71,9 @@ def _function_entry(func: GeneratedFunction) -> dict:
 
 def build_class_document(params: ClassParams, function_type: str) -> dict:
     """Generate all 100 functions and assemble the notebook document."""
-    if function_type not in FAMILIES:
-        raise ValueError(
-            f"unknown function type {function_type!r}, expected one of {FAMILIES}"
-        )
     return {
         "class_params": params_to_dict(params),
-        "function_type": function_type,
+        "function_type": _require_family(function_type),
         "functions": [
             _function_entry(generate(params, nf))
             for nf in range(1, FUNCTIONS_PER_CLASS + 1)
@@ -160,19 +156,26 @@ def _function_from_entry(entry, params: ClassParams, position: int) -> Generated
             f"{glob_where}.value {stored_value!r} disagrees with the class "
             f"value {params.global_value!r}"
         )
+    num_global = read_numbers(glob, "num_global_minima", glob_where, kind=int).item()
+    gm_index = read_numbers(glob, "gm_index", glob_where, (m,), int)
+    weights = table.pop("w_rho")
     func = GeneratedFunction(
         params=params,
         nf=nf,
         minima=MinimaTable(**table),
-        glob=GlobalInfo(
-            num_global_minima=read_numbers(glob, "num_global_minima", glob_where, kind=int).item(),
-            gm_index=read_numbers(glob, "gm_index", glob_where, (m,), int),
-        ),
         delta=read_numbers(entry, "delta", where).item(),
     )
     problems = ground_truth_problems(func)
     if problems:
         raise NotebookError(f"{where} violates ground-truth invariants: " + "; ".join(problems))
+    if not np.array_equal(weights, func.minima.w_rho):
+        raise NotebookError(f"{rows_where}.w must be 0.99, and 1.0 for minimizer 2")
+    derived = func.glob
+    if num_global != derived.num_global_minima or not np.array_equal(gm_index, derived.gm_index):
+        raise NotebookError(
+            f"{glob_where} must list the global minimizers by value: num_global_minima "
+            f"{derived.num_global_minima}, gm_index {derived.gm_index.tolist()}"
+        )
     return func
 
 

@@ -32,6 +32,8 @@ from functools import cache
 
 import numpy as np
 
+from .params import _is_size
+
 LONG_LAG = 100
 SHORT_LAG = 37
 MODULUS = 1 << 30
@@ -131,12 +133,12 @@ class LaggedFibonacci:
     """
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int) or isinstance(seed, bool):
+        if not _is_size(seed):
             raise ValueError(f"seed must be an integer, got {seed!r}")
         if not 0 <= seed <= MAX_SEED:
             raise ValueError(f"seed must be in [0, {MAX_SEED}], got {seed}")
-        self.seed = seed
-        self._state = _warm_state(seed)
+        self.seed = int(seed)
+        self._state = _warm_state(self.seed)
         self._deviates = np.empty(0)  # the current block, or several after uniforms()
         self._cursor = 0
 
@@ -151,14 +153,14 @@ class LaggedFibonacci:
     def uniforms(self, count: int) -> np.ndarray:
         """Return the next `count` deviates as a float64 array: the values
         `count` calls of :meth:`uniform` would return."""
-        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        if not _is_size(count) or count < 0:
             raise ValueError(f"count must be an integer >= 0, got {count!r}")
         blocks = -(-(self._cursor + count - len(self._deviates)) // _BLOCK_LENGTH)
         if blocks > 0:
             fresh = [self._next_words(_BLOCK_LENGTH) / MODULUS for _ in range(blocks)]
             self._deviates = np.concatenate([self._deviates[self._cursor :], *fresh])
             self._cursor = 0
-        self._cursor += count
+        self._cursor += int(count)
         return self._deviates[self._cursor - count : self._cursor].copy()
 
     def _next_words(self, length: int) -> np.ndarray:

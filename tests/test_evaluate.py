@@ -6,7 +6,6 @@ from basingen import (
     ClassParams,
     DerivEvalError,
     GeneratedFunction,
-    GlobalInfo,
     MinimaTable,
     NoFunctionError,
     OutOfDomainError,
@@ -58,9 +57,7 @@ def handmade_function():
             f=np.array([0.0, -1.0]),
             rho=np.array([0.125, 0.25]),
             peak=np.array([0.0, 0.0]),
-            w_rho=np.array([0.99, 1.0]),
         ),
-        glob=GlobalInfo(num_global_minima=1, gm_index=np.array([2, 1])),
         delta=1.5,
     )
 
@@ -228,6 +225,18 @@ def test_bad_variable_index(func9):
             d2_deriv1(func9, j, x)
     with pytest.raises(BadVariableIndexError):
         d2_deriv2(func9, 1, 5, x)
+
+
+def test_numpy_integer_variable_indices(func9):
+    x = [0.1, -0.2]
+    for kind in (np.int64, np.int32):
+        for j in (1, 2):
+            assert d_deriv(func9, kind(j), x) == d_deriv(func9, j, x)
+            assert d2_deriv1(func9, kind(j), x) == d2_deriv1(func9, j, x)
+            assert d2_deriv2(func9, kind(j), kind(3 - j), x) == d2_deriv2(func9, j, 3 - j, x)
+    for j in (True, 1.0):  # a bool or a float is not an index
+        with pytest.raises(BadVariableIndexError):
+            d_deriv(func9, j, x)
 
 
 def test_deriv_eval_error_wraps_component_failure(func9):

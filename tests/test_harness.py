@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from basingen import (
+    eval_many,
+    evaluate,
     generate,
     make_multistart,
     make_random_search,
@@ -14,6 +16,7 @@ from basingen import (
 )
 from basingen import harness
 from basingen.harness import BudgetExhausted, BudgetedObjective, _descend
+from basingen.notebook import build_class_document
 
 
 def test_oracle_succeeds_everywhere(params2):
@@ -61,6 +64,45 @@ def test_bad_value_tol_rejected_before_generation(params2, monkeypatch, value_to
 def test_solver_factories_reject_bad_arguments(factory, kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         factory(**kwargs)
+
+
+def _report_bytes(path, report):
+    write_report(report, path)
+    return path.read_bytes() + path.with_suffix(".csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+def test_numpy_integer_arguments_give_the_same_reports(tmp_path, params2, kind):
+    sweeps = {
+        "random": lambda n: run_solver(
+            params2, "d", make_random_search(seed=n(3)), budget=n(40)
+        ),
+        "multistart": lambda n: run_solver(
+            params2, "d2", make_multistart(starts=n(2), local_steps=n(5), seed=n(1)), budget=n(40)
+        ),
+    }
+    for name, sweep in sweeps.items():
+        report = sweep(kind)
+        assert type(report.budget) is int
+        expected = _report_bytes(tmp_path / f"{name}.json", sweep(int))
+        assert _report_bytes(tmp_path / f"{name}_{kind.__name__}.json", report) == expected
+    with pytest.raises(ValueError, match="budget"):
+        run_solver(params2, "d", oracle_solver, budget=True)
+
+
+def test_unknown_family_has_one_text(params2, func9):
+    calls = (
+        lambda: run_solver(params2, "smooth", oracle_solver, budget=1),
+        lambda: build_class_document(params2, "smooth"),
+        lambda: evaluate(func9, [0.0, 0.0], "smooth"),
+        lambda: eval_many(func9, "smooth", np.zeros((1, 2))),
+    )
+    texts = set()
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        texts.add(str(exc.value))
+    assert texts == {"unknown family 'smooth', expected one of ('nd', 'd', 'd2')"}
 
 
 def test_random_search_is_reproducible(params2):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -226,6 +227,43 @@ def test_malformed_value_is_rejected(tmp_path, notebook_path, case):
     bad = tmp_path / "malformed.json"
     bad.write_bytes(MALFORMED[case](json.loads(notebook_path.read_text())))
     with pytest.raises(NotebookError):
+        load_class(bad)
+
+
+# a notebook's copies of what the record derives (the weights from the
+# class, the global list from the values) must equal the derived ones;
+# function 5 of the class has one global minimizer, minimizer 2.  The ids
+# are those of the audit cases these checks moved from.
+_GLOBAL = (*_F4, "global")
+_W_PATH = "functions[4].minimizers[*].w"
+_GLOBAL_PATH = "functions[4].global"
+_LIST = [2, 1, 3, 4, 5, 6, 7, 8, 9, 10]
+
+DERIVED_COPIES = {
+    "w-length": (_set(*_ROW, "w", value=[0.99, 0.99]), _W_PATH),
+    "w-nan": (_set(*_ROW, "w", value=float("nan")), _W_PATH),
+    "weights": (_set(*_ROW, "w", value=0.5), _W_PATH),
+    "vertex-weight-one": (_set(*_F4, "minimizers", 0, "w", value=1.0), _W_PATH),
+    "not-permutation": (_set(*_GLOBAL, "gm_index", 1, value=2), _GLOBAL_PATH),
+    "count-zero": (_set(*_GLOBAL, "num_global_minima", value=0), _GLOBAL_PATH),
+    "count-high": (_set(*_GLOBAL, "num_global_minima", value=11), _GLOBAL_PATH),
+    "global-missing": (_set(*_GLOBAL, "gm_index", value=sorted(_LIST)), _GLOBAL_PATH),
+    "global-extra": (
+        _set(*_GLOBAL, value=dict(value=-1.0, num_global_minima=2, gm_index=[2, 3, 1, *_LIST[3:]])),
+        _GLOBAL_PATH,
+    ),
+    "groups-unsorted": (_set(*_GLOBAL, "gm_index", value=[2, 1, 4, 3, *_LIST[4:]]), _GLOBAL_PATH),
+}
+
+
+@pytest.mark.parametrize("case", DERIVED_COPIES)
+def test_stored_copies_must_equal_the_derived_data(tmp_path, notebook_path, case):
+    edit, where = DERIVED_COPIES[case]
+    document = json.loads(notebook_path.read_text())
+    assert document["functions"][4]["global"]["gm_index"] == _LIST
+    bad = tmp_path / "derived.json"
+    bad.write_bytes(edit(document))
+    with pytest.raises(NotebookError, match=re.escape(where)):
         load_class(bad)
 
 

@@ -80,10 +80,21 @@ def test_uniforms_match_oracle_across_block_boundaries():
 
 def test_uniforms_rejects_bad_counts():
     gen = LaggedFibonacci(5)
-    for count in (-1, 1.5, 2.0, True, "3", None, np.int64(3)):
+    for count in (-1, 1.5, 2.0, True, "3", None, np.float64(3.0)):
         with pytest.raises(ValueError):
             gen.uniforms(count)
     assert gen.uniform() == LaggedFibonacci(5).uniform()  # nothing was drawn
+
+
+def test_numpy_integer_seeds_and_counts():
+    for kind in (np.int64, np.int32):
+        gen, ref = LaggedFibonacci(kind(310952)), LaggedFibonacci(310952)
+        assert type(gen.seed) is int and gen.seed == 310952
+        for count in (0, 5, 1500):
+            assert gen.uniforms(kind(count)).tolist() == ref.uniforms(count).tolist()
+        assert gen.uniform() == ref.uniform()
+    with pytest.raises(ValueError):
+        LaggedFibonacci(True)
 
 
 def test_same_seed_same_stream():
