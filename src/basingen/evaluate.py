@@ -42,7 +42,9 @@ from .params import PRECISION, ErrorCode, _is_size
 
 FAMILIES = ("nd", "d", "d2")
 
-_BATCH_CHUNK = 1 << 16
+# entries per eval_many chunk: its (rows, m - 1) power-score matrix and
+# its (rows, dim) blocks stay near 2 MB whatever m and dim are
+_CHUNK_CELLS = 1 << 18
 
 
 class EvaluationError(Exception):
@@ -80,9 +82,15 @@ def _require_family(family: str) -> str:
     return family
 
 
+def _in_box(func: GeneratedFunction, points: np.ndarray) -> np.ndarray:
+    """The box test, per coordinate: a point is feasible when all of its
+    coordinates pass.  NaN fails it."""
+    return (func.lower <= points) & (points <= func.upper)
+
+
 def _require_feasible(func: GeneratedFunction, points: np.ndarray) -> None:
     """Box test shared by the scalar and batch paths; NaN fails it."""
-    if not ((func.lower <= points) & (points <= func.upper)).all():
+    if not _in_box(func, points).all():
         raise OutOfDomainError("a query point lies outside the admissible box or is NaN")
 
 
@@ -246,41 +254,87 @@ def evaluate(func: GeneratedFunction, x, family: str) -> float:
 
 
 def eval_many(func: GeneratedFunction, family: str, points) -> np.ndarray:
-    """Vectorized evaluation at an (n, dim) array of feasible points.
+    """Vectorized evaluation at an (n, dim) array of feasible points,
+    bit-for-bit equal to the scalar evaluators.
 
-    Linear scan over the balls per chunk; bit-for-bit equal to the scalar
-    evaluators but orders of magnitude faster for surface grids and
-    budgeted benchmark sweeps.
+    Per chunk of points, one matrix product gives each point's power
+    score against every ball (the power diagram of the balls),
+    ``|x - M_j|^2 - rho_j^2`` expanded about the vertex ``T`` as
+    ``|M_j - T|^2 - rho_j^2 - 2 (x - T).(M_j - T) + |x - T|^2``.  The
+    scores only pick candidates: every (point, ball) pair scoring within
+    a proven rounding bound of 0 is confirmed with the scalar lookup's
+    exact test, and the lowest confirmed row wins.  The basin kernel then
+    runs once over all points in balls, with coefficients gathered per
+    point and the scalar path's operations.
     """
     _require_family(family)
     _require_function(func)
-    pts = np.asarray(points, dtype=float)
+    # row-major, as the scalar path's arrays are: einsum sums a strided
+    # row in another order
+    pts = np.ascontiguousarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != func.dim:
         raise ValueError(f"expected an (n, {func.dim}) array, got shape {pts.shape}")
     _require_feasible(func, pts)
 
     table = func.minima
+    centers = table.local_min[1:]
+    rho_sq = table.rho[1:] ** 2
+    axes = func.vertex - centers
+    axes_sq = np.einsum("ij,ij->i", axes, axes)
+    keys = axes_sq - rho_sq
+    # The scores are taken about the vertex T, x' = fl(x - T) and
+    # M' = fl(M - T) = -axes, so that they do not grow with the box's
+    # offset.  Rounding bound (u = eps / 2, gamma_n = n u / (1 - n u),
+    # P = (|x'| + |M'|)^2 + rho^2, which bounds |M'|^2, 2|x'||M'|, |x'|^2,
+    # rho^2, |x - M|^2 and every partial result below, up to 1 + O(u)):
+    # - translating moves |x - M|^2 by at most 2u P;
+    # - the computed score fl(fl(key + 2 fl(x'.axes)) + fl(|x'|^2)), with
+    #   key = fl(fl(|M'|^2) - fl(rho^2)), is off from |x' - M'|^2 - rho^2
+    #   by at most gamma_dim P for the three sums of products (any
+    #   summation order, with or without FMA) and rho^2, and by
+    #   u (1 + gamma_dim) P for each of the three additions;
+    # - a pair passes the exact test when fl(sum fl(x_k - M_k)^2) <=
+    #   fl(rho^2); the left side is within gamma_(dim+2) |x - M|^2 of
+    #   the true value, so a pass means |x - M|^2 - rho^2 <=
+    #   (gamma_(dim+2) + u) P.
+    # So every passing pair scores at most (2 dim + 8) u P (1 + O(dim u))
+    # = (dim + 4) eps P (1 + O(dim u)).  tau is twice that, with P taken
+    # at the largest |M'| and rho; the factor 2 also covers the rounding
+    # of tau itself (relative error below (dim + 6) u).  So no hit is
+    # missed; a near miss only costs a confirmation.
+    reach = math.sqrt(float(axes_sq.max()))
+    spread = float(rho_sq.max())
+    scale = 2.0 * (func.dim + 4) * np.finfo(float).eps
+
+    coefs = [_coefficients(func, row, family) for row in range(1, func.num_minima)]
+    coef_a, coef_c = map(np.array, zip(*coefs))
+
     values = np.empty(len(pts))
-    for start in range(0, len(pts), _BATCH_CHUNK):
-        block = pts[start : start + _BATCH_CHUNK]
+    step = max(1, _CHUNK_CELLS // max(len(centers), func.dim))
+    for start in range(0, len(pts), step):
+        block = pts[start : start + step]
         diffs = block - func.vertex
-        out = np.einsum("ij,ij->i", diffs, diffs) + func.params.paraboloid_min
-        # highest row first, so that on exact tangency the lowest row is
-        # written last and wins, as in the scalar lookup
-        for row in range(func.num_minima - 1, 0, -1):
-            center = table.local_min[row]
-            rho = float(table.rho[row])
-            d = block - center
-            dist_sq = np.einsum("ij,ij->i", d, d)
-            mask = dist_sq <= rho * rho
-            if not mask.any():
-                continue
-            r = np.sqrt(dist_sq[mask])
-            c = np.einsum("ij,j->i", d[mask], func.vertex - center)
-            coef_a, coef_c = _coefficients(func, row, family)
-            branch = _horner(coef_a, r)[0] + c * _horner(coef_c, r)[0]
-            out[mask] = np.where(r < PRECISION, float(table.f[row]), branch)
-        values[start : start + _BATCH_CHUNK] = out
+        sq = np.einsum("ij,ij->i", diffs, diffs)
+        out = sq + func.params.paraboloid_min
+        tau = scale * ((np.sqrt(sq) + reach) ** 2 + spread)
+        score = diffs @ axes.T
+        score *= 2.0
+        score += keys
+        score += sq[:, None]
+        point, row = np.nonzero(score <= tau[:, None])
+        # the exact test of the scalar lookup; pairs come ordered by
+        # point, then row, so the first confirmed pair per point holds
+        # its lowest row, which wins on exact tangency
+        d = block[point] - centers[row]
+        dist_sq = np.einsum("ij,ij->i", d, d)
+        hit = np.flatnonzero(dist_sq <= rho_sq[row])
+        keep = hit[np.unique(point[hit], return_index=True)[1]]
+        point, row, d, dist_sq = point[keep], row[keep], d[keep], dist_sq[keep]
+        r = np.sqrt(dist_sq)
+        c = np.einsum("ij,ij->i", d, axes[row])
+        branch = _horner(coef_a[row].T, r)[0] + c * _horner(coef_c[row].T, r)[0]
+        out[point] = np.where(r < PRECISION, table.f[1:][row], branch)
+        values[start : start + step] = out
     return values
 
 

@@ -14,17 +14,19 @@ box test decides) answer +inf or None and are still charged, and
 exhausting the budget stops the solver.
 
 ``BudgetedObjective.values(X)`` answers a whole ``(k, dim)`` block of
-value queries with one ``eval_many`` call.  It charges one unit per row,
-evaluates only the rows the budget still covers and then raises
-``BudgetExhausted`` if any row was cut off; infeasible rows answer +inf.
-The best point, the best value and the evaluation at which success was
-first reached come out exactly as if the rows had been sent through
-``value()`` one at a time.  Random search draws its points in such
-blocks.
+value queries with one ``eval_many`` call on its feasible rows.  It
+charges one unit per row, evaluates only the rows the budget still
+covers and then raises ``BudgetExhausted`` if any row was cut off;
+infeasible rows answer +inf.  The best point, the best value and the
+evaluation at which success was first reached come out exactly as if
+the rows had been sent through ``value()`` one at a time.  Random search
+draws its points in such blocks.
 
-``run_solver`` takes an integer ``budget`` >= 1 and a finite ``value_tol``
->= 0, the solver factories integers ``seed``, ``local_steps`` >= 0 and
-``starts`` >= 1; a numpy integer is one, a bool is not.
+``BudgetedObjective`` (and so ``run_solver``, before it generates
+anything) takes a known family, an integer ``budget`` >= 1 and a finite
+``value_tol`` >= 0; the solver factories take integers ``seed``,
+``local_steps`` >= 0 and ``starts`` >= 1.  A numpy integer is an
+integer, a bool is not.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import statistics
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -41,6 +44,7 @@ import numpy as np
 from .evaluate import (
     DerivEvalError,
     OutOfDomainError,
+    _in_box,
     _require_family,
     d2_gradient,
     d_gradient,
@@ -64,6 +68,18 @@ def _require_count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def _objective_arguments(family: str, budget, value_tol) -> tuple[str, int, float]:
+    """The arguments of a :class:`BudgetedObjective`, checked: a known
+    family, an integer budget >= 1 and a real, finite value_tol >= 0
+    (a bool is not one)."""
+    _require_family(family)
+    budget = _require_count("budget", budget, 1)
+    real = isinstance(value_tol, numbers.Real) and not isinstance(value_tol, bool)
+    if not (real and 0.0 <= value_tol < math.inf):  # NaN fails too
+        raise ValueError(f"value_tol must be finite and >= 0, got {value_tol!r}")
+    return family, budget, value_tol
+
+
 class BudgetExhausted(Exception):
     """Control-flow signal: the per-function evaluation budget is spent."""
 
@@ -74,7 +90,9 @@ class BudgetedObjective:
     Solvers see only this object (plus, for oracle-style replay, the
     ground truth record passed alongside).  Tracks the best feasible
     query and the first evaluation at which the best-so-far satisfied
-    either success criterion.
+    either success criterion.  Raises ``ValueError`` for an unknown
+    family, a budget that is not an integer >= 1, or a ``value_tol``
+    that is not a finite real number >= 0.
     """
 
     def __init__(
@@ -84,6 +102,7 @@ class BudgetedObjective:
         budget: int,
         value_tol: float,
     ):
+        family, budget, value_tol = _objective_arguments(family, budget, value_tol)
         self._func = func
         self.family = family
         self.budget = budget
@@ -118,21 +137,17 @@ class BudgetedObjective:
         dist = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
         return bool(np.any(dist <= self._radius))
 
-    def _evaluate(self, point: np.ndarray) -> float:
-        try:
-            return evaluate(self._func, point, self.family)
-        except OutOfDomainError:
-            return math.inf
-
     def value(self, x) -> float:
         """Objective value; +inf for infeasible queries (still charged)."""
         self._charge()
         point = np.asarray(x, dtype=float)
         if point.shape != (self.dim,):
             return math.inf
-        val = self._evaluate(point)
-        if val < math.inf:
-            self._note_best(point, val)
+        try:
+            val = evaluate(self._func, point, self.family)
+        except OutOfDomainError:
+            return math.inf
+        self._note_best(point, val)
         return val
 
     def values(self, X) -> np.ndarray:
@@ -154,10 +169,9 @@ class BudgetedObjective:
         if start >= self.budget:
             raise BudgetExhausted
         block = points[: self.budget - start]
-        try:
-            vals = eval_many(self._func, self.family, block)
-        except OutOfDomainError:
-            vals = np.array([self._evaluate(row) for row in block], dtype=float)
+        feasible = _in_box(self._func, block).all(axis=1)
+        vals = np.full(len(block), math.inf)
+        vals[feasible] = eval_many(self._func, self.family, block[feasible])
         # rows that strictly lower the running minimum, in query order;
         # value() would have recorded exactly these
         best = math.inf if self.best_value is None else self.best_value
@@ -234,12 +248,10 @@ def run_solver(
     baselines only; honest solvers must not read it).  A solver exception
     is recorded as a per-function failure; the sweep continues.
     """
-    _require_family(family)
-    budget = _require_count("budget", budget, 1)
     if value_tol is None:
         value_tol = VALUE_TOL_SCALE * (params.paraboloid_min - params.global_value)
-    elif not 0.0 <= value_tol < math.inf:  # NaN fails too
-        raise ValueError(f"value_tol must be finite and >= 0, got {value_tol!r}")
+    # the objective's checks, once before anything is generated
+    family, budget, value_tol = _objective_arguments(family, budget, value_tol)
 
     outcomes = []
     for nf in range(1, FUNCTIONS_PER_CLASS + 1):

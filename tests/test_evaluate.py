@@ -22,9 +22,11 @@ from basingen import (
     generate,
     locate_ball,
 )
-from basingen.evaluate import _basin
+from basingen.evaluate import _CHUNK_CELLS, _basin
+from basingen.params import PRECISION
 
-from conftest import random_unit_vectors
+import eval_reference
+from conftest import random_unit_vectors, sized_class, small_class
 from fdtools import (
     fd_gradient,
     fd_hessian,
@@ -390,6 +392,130 @@ def test_batch_matches_scalar(func9, func5):
             batch = eval_many(func, family, points)
             scalar = np.array([evaluator(func, x) for x in points])
             assert np.array_equal(batch, scalar), (func.dim, family)
+
+
+def lookup_edge_points(func, seed):
+    """Points where the ball lookup is hardest, kept if in the box: every
+    ball center, points within PRECISION and 1e-12 rho of it, and points
+    on the boundary (along a random direction and along an axis) with
+    their neighbours one and two ulps inside and outside."""
+    points = []
+    for row in range(1, func.num_minima):
+        center = func.minima.local_min[row]
+        rho = float(func.minima.rho[row])
+        u, v, w = random_unit_vectors(func.dim, 3, seed=seed + row)
+        points += [center, center + 0.5 * PRECISION * u, center + 1e-12 * rho * v]
+        on_axis = center.copy()
+        on_axis[row % func.dim] += rho
+        for x in (center + rho * w, on_axis):
+            points.append(x)
+            inward, outward = x, x
+            for _ in range(2):
+                inward = np.nextafter(inward, center)
+                outward = np.nextafter(outward, 2.0 * x - center)
+                points += [inward, outward]
+    points = np.array(points)
+    return points[np.all((func.lower <= points) & (points <= func.upper), axis=1)]
+
+
+@pytest.fixture(scope="module")
+def func20():
+    """Function 1 of the default 20-D class with 500 minima."""
+    return generate(sized_class(20, 500), 1)
+
+
+@pytest.fixture(scope="module")
+def func_wide():
+    """Function 1 of a 3-D class on [-1e6, 1e6]^3, where the lookup's
+    rounding bound is largest in absolute terms."""
+    side = 2e6
+    params = small_class(
+        dim=3,
+        num_minima=20,
+        global_dist=side / 3.0,
+        global_radius=side / 6.0,
+        domain_left=(-1e6,) * 3,
+        domain_right=(1e6,) * 3,
+    )
+    return generate(params, 1)
+
+
+def assert_batch_exact(func, points, families=tuple(EVALUATORS)):
+    """eval_many equals the ball-at-a-time scan and the scalar evaluators
+    bit for bit at `points`, whatever the memory layout of `points`."""
+    for family in families:
+        batch = eval_many(func, family, points)
+        assert batch.shape == (len(points),)
+        assert np.array_equal(batch, eval_many(func, family, np.asfortranarray(points))), family
+        assert np.array_equal(batch, eval_reference.eval_many(func, family, points)), family
+        scalar = [EVALUATORS[family](func, x) for x in points]
+        assert np.array_equal(batch, scalar), family
+
+
+def test_batch_exact_at_ball_edges(func9, func5, func_wide):
+    rng = np.random.default_rng(31)
+    for seed, func in enumerate((func9, func5, func_wide)):
+        edges = lookup_edge_points(func, seed=100 * seed)
+        uniform = func.lower + (func.upper - func.lower) * rng.random((200, func.dim))
+        points = np.concatenate([edges, uniform])
+        assert_batch_exact(func, points)
+        # the edge points straddle the boundaries: some are in no ball
+        found = [locate_ball(func, x) for x in edges]
+        assert any(hit is None for hit in found) and any(hit is not None for hit in found)
+
+
+def test_batch_exact_on_20d_function(func20):
+    points = lookup_edge_points(func20, seed=7)[::4]
+    assert_batch_exact(func20, points, ("d2",))
+    assert_batch_exact(func20, points[:300], ("nd", "d"))
+
+
+def test_batch_exact_at_chunk_edges(func20):
+    chunk = _CHUNK_CELLS // (func20.num_minima - 1)
+    rng = np.random.default_rng(37)
+    inside = lookup_edge_points(func20, seed=11)
+    for rows in (chunk - 1, chunk, chunk + 1, 0):
+        points = inside[rng.permutation(len(inside))[:rows]]
+        assert len(points) == rows
+        assert_batch_exact(func20, points, ("d2",))
+
+
+def tangent_function():
+    """Record whose balls 2 and 3 touch at (0.5, 0), exactly in binary;
+    their basin values there differ in the last bits for every family."""
+    params = ClassParams(
+        dim=2,
+        num_minima=3,
+        global_value=-1.0,
+        global_dist=0.75,
+        global_radius=0.25,
+        domain_left=(-1.0, -1.0),
+        domain_right=(1.0, 1.0),
+    )
+    return GeneratedFunction(
+        params=params,
+        nf=1,
+        minima=MinimaTable(
+            local_min=np.array([[-0.5, 0.0], [0.25, 0.0], [0.75, 0.0]]),
+            f=np.array([0.0, -1.0, -0.7]),
+            rho=np.array([0.125, 0.25, 0.25]),
+            peak=np.array([0.0, 0.0, 0.0]),
+        ),
+        delta=1.5,
+    )
+
+
+def test_lowest_row_wins_on_tangency():
+    func = tangent_function()
+    point = np.array([0.5, 0.0])
+    assert locate_ball(func, point) == (2, 0.25)
+    for family, evaluator in EVALUATORS.items():
+        lowest = _basin(func, 1, point, 0.25, family)
+        assert lowest != _basin(func, 2, point, 0.25, family)
+        assert evaluator(func, point) == lowest
+        assert eval_many(func, family, point[None]).tolist() == [lowest]
+        assert eval_reference.eval_many(func, family, point[None]).tolist() == [lowest]
+    assert_batch_exact(func, lookup_edge_points(func, seed=3))
 
 
 def test_batch_rejects_infeasible(func9):

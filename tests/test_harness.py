@@ -90,6 +90,35 @@ def test_numpy_integer_arguments_give_the_same_reports(tmp_path, params2, kind):
         run_solver(params2, "d", oracle_solver, budget=True)
 
 
+def test_objective_checks_its_arguments(func9):
+    nan = float("nan")
+    with pytest.raises(ValueError, match="unknown family"):
+        BudgetedObjective(func9, "smooth", 2.5, nan)
+    bad = [
+        ("unknown family", ("smooth", 10, 1e-4)),
+        ("budget", ("d", 2.5, 1e-4)),
+        ("budget", ("d", 0, 1e-4)),
+        ("budget", ("d", True, 1e-4)),
+        ("budget", ("d", np.float64(3.0), 1e-4)),
+        ("value_tol", ("d", 10, nan)),
+        ("value_tol", ("d", 10, float("inf"))),
+        ("value_tol", ("d", 10, -1e-3)),
+        ("value_tol", ("d", 10, "0.1")),
+        ("value_tol", ("d", 10, None)),
+        ("value_tol", ("d", 10, True)),
+    ]
+    for text, args in bad:
+        with pytest.raises(ValueError, match=text):
+            BudgetedObjective(func9, *args)
+    for kind in (np.int64, np.int32):
+        objective = BudgetedObjective(func9, "d", kind(3), 0.0)
+        assert type(objective.budget) is int and objective.budget == 3
+        for _ in range(3):
+            objective.value(func9.vertex)
+        with pytest.raises(BudgetExhausted):
+            objective.value(func9.vertex)
+
+
 def test_unknown_family_has_one_text(params2, func9):
     calls = (
         lambda: run_solver(params2, "smooth", oracle_solver, budget=1),
