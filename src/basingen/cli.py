@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from .evaluate import FAMILIES, EvaluationError, d2_gradient, d2_hessian, d_gradient, evaluate
-from .generator import FUNCTIONS_PER_CLASS
+from .generator import FUNCTIONS_PER_CLASS, _require_function_number
 from .harness import make_multistart, make_random_search, oracle_solver, run_solver, write_report
 from .notebook import NotebookError, export_class, load_class, summary_path_for, write_grid
 from .params import (
@@ -26,9 +26,7 @@ from .params import (
     DEFAULT_GLOBAL_VALUE,
     DEFAULT_NUM_MINIMA,
     DEFAULT_PARABOLOID_MIN,
-    ErrorCode,
     ParameterError,
-    ValidationError,
     check,
 )
 
@@ -156,17 +154,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    document = export_class(_params_from_args(args), args.type, args.out)
-    print(f"wrote {args.out} ({len(document['functions'])} functions) "
+    loaded = export_class(_params_from_args(args), args.type, args.out)
+    print(f"wrote {args.out} ({len(loaded.functions)} functions) "
           f"and {summary_path_for(args.out)}")
-    for entry in document["functions"]:
-        glob = entry["global"]
-        head = glob["gm_index"][: glob["num_global_minima"]]
+    for func in loaded.functions:
         coords = "; ".join(
-            "(" + ", ".join(_fmt(v) for v in entry["minimizers"][idx - 1]["coords"]) + ")"
-            for idx in head
+            "(" + ", ".join(map(_fmt, point)) + ")" for point in func.global_minimizers
         )
-        print(f"nf {entry['nf']:3d}: global minimizer(s) {coords}")
+        print(f"nf {func.nf:3d}: global minimizer(s) {coords}")
     return 0
 
 
@@ -174,14 +169,8 @@ def _notebook_function(args):
     """Function `--nf` of notebook `--notebook`, and the family to use:
     `--type`, else the notebook's."""
     loaded = load_class(args.notebook)
-    if not 1 <= args.nf <= FUNCTIONS_PER_CLASS:
-        raise ParameterError(
-            ValidationError(
-                ErrorCode.FUNC_NUMBER,
-                f"function number must be in [1, {FUNCTIONS_PER_CLASS}], got {args.nf}",
-            )
-        )
-    return loaded.functions[args.nf - 1], args.type or loaded.function_type
+    func = loaded.functions[_require_function_number(args.nf) - 1]
+    return func, args.type or loaded.function_type
 
 
 def cmd_eval(args) -> int:

@@ -117,6 +117,11 @@ class GeneratedFunction:
         return self.minima.local_min[GLOBAL_ROW]
 
     @cached_property
+    def global_minimizers(self) -> np.ndarray:
+        """Coordinates of every global minimizer, in ``glob`` order."""
+        return _read_only(self.minima.local_min[self.glob.global_indices - 1])
+
+    @cached_property
     def lower(self) -> np.ndarray:
         return _read_only(np.array(self.params.domain_left))
 
@@ -139,10 +144,6 @@ def function_seed(params: ClassParams, nf: int) -> int:
     return raw % MODULUS
 
 
-def _draw_point(lower: np.ndarray, span: np.ndarray, rng: LaggedFibonacci) -> np.ndarray:
-    return lower + span * np.array([rng.uniform() for _ in range(len(lower))])
-
-
 def _positive_uniform(rng: LaggedFibonacci) -> float:
     # open-interval draw: 0.0 occurs with probability 2**-30 and is redrawn
     value = rng.uniform()
@@ -153,14 +154,6 @@ def _positive_uniform(rng: LaggedFibonacci) -> float:
 
 def _is_interior(point: np.ndarray, lower: np.ndarray, upper: np.ndarray, margin: float) -> bool:
     return bool(np.all(point > lower + margin) and np.all(point < upper - margin))
-
-
-def _draw_angles(dim: int, rng: LaggedFibonacci) -> list[float]:
-    """Spherical angles: first in [0, pi], the remaining dim-2 in [0, 2*pi]."""
-    angles = [math.pi * rng.uniform()]
-    for _ in range(dim - 2):
-        angles.append(2.0 * math.pi * rng.uniform())
-    return angles
 
 
 def _spherical_offset(radius: float, angles: list[float]) -> np.ndarray:
@@ -195,11 +188,15 @@ def place_vertex_and_global(
     lower = np.array(params.domain_left)
     upper = np.array(params.domain_right)
     span = upper - lower
+    # spherical angles: the first in [0, pi], the remaining dim - 2 in [0, 2 pi]
+    angle_span = np.full(params.dim - 1, 2.0 * math.pi)
+    angle_span[0] = math.pi
     for _ in range(RETRY_BUDGET):
-        vertex = _draw_point(lower, span, rng)
+        vertex = lower + span * rng.uniforms(params.dim)
         if not _is_interior(vertex, lower, upper, PRECISION):
             continue
-        offset = _spherical_offset(params.global_dist, _draw_angles(params.dim, rng))
+        angles = angle_span * rng.uniforms(params.dim - 1)
+        offset = _spherical_offset(params.global_dist, angles.tolist())
         global_min = _reflect_into_domain(vertex + offset, vertex, lower, upper)
         if _is_interior(global_min, lower, upper, PRECISION):
             return vertex, global_min
@@ -328,6 +325,20 @@ def identify_globals(values: np.ndarray) -> GlobalInfo:
     return GlobalInfo(num_global_minima=int(is_global.sum()), gm_index=gm_index)
 
 
+def _require_function_number(nf) -> int:
+    """`nf` as a plain int, after checking it numbers a function of a class;
+    a numpy integer is stored and exported as a plain int."""
+    if not _is_size(nf) or not 1 <= nf <= FUNCTIONS_PER_CLASS:
+        raise ParameterError(
+            ValidationError(
+                ErrorCode.FUNC_NUMBER,
+                f"function number must be an integer in [1, {FUNCTIONS_PER_CLASS}], "
+                f"got {nf!r}",
+            )
+        )
+    return int(nf)
+
+
 def generate(params: ClassParams, nf: int) -> GeneratedFunction:
     """Generate function `nf` (1..100) of the class defined by `params`.
 
@@ -338,15 +349,7 @@ def generate(params: ClassParams, nf: int) -> GeneratedFunction:
     errors = check(params)
     if errors:
         raise ParameterError(errors)
-    if not _is_size(nf) or not 1 <= nf <= FUNCTIONS_PER_CLASS:
-        raise ParameterError(
-            ValidationError(
-                ErrorCode.FUNC_NUMBER,
-                f"function number must be an integer in [1, {FUNCTIONS_PER_CLASS}], "
-                f"got {nf!r}",
-            )
-        )
-    nf = int(nf)  # a numpy integer is stored and exported as a plain int
+    nf = _require_function_number(nf)
     rng = LaggedFibonacci(function_seed(params, nf))
     vertex, global_min = place_vertex_and_global(params, rng)
     others = place_local_minimizers(params, vertex, global_min, rng)

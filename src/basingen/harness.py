@@ -52,20 +52,13 @@ from .evaluate import (
     evaluate,
 )
 from .generator import FUNCTIONS_PER_CLASS, GeneratedFunction, generate
-from .params import ClassParams, _is_size
+from .params import ClassParams, _require_count
 
 VALUE_TOL_SCALE = 1e-4  # of the paraboloid-minimum-to-global-value drop
 
 # rows per random-search block: one block covers the usual budgets, and
 # the cap keeps memory bounded whatever the budget
 _RANDOM_BLOCK = 1 << 16
-
-
-def _require_count(name: str, value, minimum: int) -> int:
-    """`value` as a plain int, after checking it is an integer >= `minimum`."""
-    if not _is_size(value) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
 
 
 def _objective_arguments(family: str, budget, value_tol) -> tuple[str, int, float]:
@@ -116,7 +109,7 @@ class BudgetedObjective:
         self.evals_to_success: int | None = None
         self._value_threshold = func.params.global_value + value_tol
         self._radius = func.params.global_radius
-        self._global_points = func.minima.local_min[func.glob.global_indices - 1]
+        self._global_points = func.global_minimizers
 
     def _charge(self) -> None:
         if self.evaluations >= self.budget:

@@ -7,6 +7,11 @@ the curvature parameter, and the global-minimizer bookkeeping.  Floats
 survive the round trip exactly, so a loaded class evaluates bit-for-bit
 like the generated one, without re-running the random stream.  Stored
 weights and global bookkeeping must equal what the record derives.
+
+:func:`export_class` and :func:`load_class` both return the class as a
+:class:`LoadedClass` of records; only ``_function_entry`` (the writer)
+and ``_function_from_entry`` with ``load_class`` (the reader) know the
+JSON layout, and the plain-text summary is formatted from the records.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .params import (
     ParameterError,
     SchemaError,
     ValidationError,
+    _require_count,
     check,
     params_from_dict,
     params_to_dict,
@@ -69,42 +75,25 @@ def _function_entry(func: GeneratedFunction) -> dict:
     }
 
 
-def build_class_document(params: ClassParams, function_type: str) -> dict:
-    """Generate all 100 functions and assemble the notebook document."""
-    return {
-        "class_params": params_to_dict(params),
-        "function_type": _require_family(function_type),
-        "functions": [
-            _function_entry(generate(params, nf))
-            for nf in range(1, FUNCTIONS_PER_CLASS + 1)
-        ],
-    }
-
-
-def _summary_text(document: dict) -> str:
-    cp = document["class_params"]
+def _summary_text(loaded: LoadedClass) -> str:
+    params = loaded.params
     lines = [
         "ground-truth notebook",
-        f"function type: {document['function_type']}",
-        f"dimension: {cp['dim']}  minima per function: {cp['num_minima']}",
-        f"global value: {cp['global_value']!r}  "
-        f"vertex distance: {cp['global_dist']!r}  "
-        f"attraction radius: {cp['global_radius']!r}",
-        f"domain: {cp['domain_left']} .. {cp['domain_right']}",
+        f"function type: {loaded.function_type}",
+        f"dimension: {params.dim}  minima per function: {params.num_minima}",
+        f"global value: {params.global_value!r}  "
+        f"vertex distance: {params.global_dist!r}  "
+        f"attraction radius: {params.global_radius!r}",
+        f"domain: {list(params.domain_left)} .. {list(params.domain_right)}",
         "",
         "nf  global minimizer(s)  [count]  delta",
     ]
-    for entry in document["functions"]:
-        table = entry["minimizers"]
-        glob = entry["global"]
-        heads = glob["gm_index"][: glob["num_global_minima"]]
+    for func in loaded.functions:
         coords = "; ".join(
-            "(" + ", ".join(repr(v) for v in table[idx - 1]["coords"]) + ")"
-            for idx in heads
+            "(" + ", ".join(map(repr, point)) + ")" for point in func.global_minimizers.tolist()
         )
         lines.append(
-            f"{entry['nf']:3d}  {coords}  [{glob['num_global_minima']}]  "
-            f"{entry['delta']!r}"
+            f"{func.nf:3d}  {coords}  [{func.glob.num_global_minima}]  {float(func.delta)!r}"
         )
     return "\n".join(lines) + "\n"
 
@@ -117,16 +106,24 @@ def summary_path_for(path) -> Path:
     return path.with_name(path.name + ".summary.txt")
 
 
-def export_class(params: ClassParams, function_type: str, path) -> dict:
-    """Write the notebook JSON for a class plus a plain-text summary
-    alongside it; returns the document."""
-    document = build_class_document(params, function_type)
+def export_class(params: ClassParams, function_type: str, path) -> LoadedClass:
+    """Generate all 100 functions of a class, write their notebook JSON
+    and a plain-text summary alongside it, and return the records as the
+    :class:`LoadedClass` that :func:`load_class` reads back from `path`."""
+    _require_family(function_type)
+    functions = [generate(params, nf) for nf in range(1, FUNCTIONS_PER_CLASS + 1)]
+    loaded = LoadedClass(params=params, functions=functions, function_type=function_type)
+    document = {
+        "class_params": params_to_dict(params),
+        "function_type": function_type,
+        "functions": [_function_entry(func) for func in functions],
+    }
     path = Path(path)
     with open(path, "w") as fh:
         json.dump(document, fh, indent=2)
         fh.write("\n")
-    summary_path_for(path).write_text(_summary_text(document))
-    return document
+    summary_path_for(path).write_text(_summary_text(loaded))
+    return loaded
 
 
 def _function_from_entry(entry, params: ClassParams, position: int) -> GeneratedFunction:
@@ -223,8 +220,7 @@ def grid_samples(func: GeneratedFunction, family: str, resolution: int) -> np.nd
                 f"surface grids require dimension 2, got {func.dim}",
             )
         )
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
+    resolution = _require_count("resolution", resolution, 2)
     xs = np.linspace(func.lower[0], func.upper[0], resolution)
     ys = np.linspace(func.lower[1], func.upper[1], resolution)
     g1, g2 = np.meshgrid(xs, ys, indexing="ij")

@@ -84,6 +84,13 @@ def _is_size(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _require_count(name: str, value, minimum: int) -> int:
+    """`value` as a plain int, after checking it is an integer >= `minimum`."""
+    if not _is_size(value) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ClassParams:
     """Immutable definition of one class of 100 test functions.

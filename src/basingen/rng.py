@@ -22,8 +22,9 @@ reordering and the 10 warm-up blocks are one fixed 100 x 100 map ``C``,
 built on the first construction (never at import) by pushing the unit
 vectors through the same step functions.  A constructor therefore costs
 at most 30 vectorised steps and one matrix-vector product.  Deviates are
-``word / 2**30`` and therefore lie in ``[0, 1)`` exactly; ``uniform()``
-and ``uniforms(count)`` read them one or an array at a time.
+``word / 2**30`` and therefore lie in ``[0, 1)`` exactly.  ``uniforms(count)``
+reads the next `count` of them as an array; ``uniform()`` reads one, through
+``uniforms(1)``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import cache
 
 import numpy as np
 
-from .params import _is_size
+from .params import _require_count
 
 LONG_LAG = 100
 SHORT_LAG = 37
@@ -133,34 +134,27 @@ class LaggedFibonacci:
     """
 
     def __init__(self, seed: int):
-        if not _is_size(seed):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        if not 0 <= seed <= MAX_SEED:
+        self.seed = _require_count("seed", seed, 0)
+        if self.seed > MAX_SEED:
             raise ValueError(f"seed must be in [0, {MAX_SEED}], got {seed}")
-        self.seed = int(seed)
         self._state = _warm_state(self.seed)
-        self._deviates = np.empty(0)  # the current block, or several after uniforms()
+        self._deviates = np.empty(0)  # the emitted blocks not yet read in full
         self._cursor = 0
 
     def uniform(self) -> float:
         """Return the next deviate in [0, 1) and advance the state."""
-        if self._cursor >= len(self._deviates):
-            self._deviates = self._next_words(_BLOCK_LENGTH) / MODULUS
-            self._cursor = 0
-        self._cursor += 1
-        return self._deviates.item(self._cursor - 1)
+        return self.uniforms(1).item()
 
     def uniforms(self, count: int) -> np.ndarray:
-        """Return the next `count` deviates as a float64 array: the values
-        `count` calls of :meth:`uniform` would return."""
-        if not _is_size(count) or count < 0:
-            raise ValueError(f"count must be an integer >= 0, got {count!r}")
+        """Return the next `count` deviates as a float64 array, refilling
+        whole blocks of 1009 words as the stream runs out."""
+        count = _require_count("count", count, 0)
         blocks = -(-(self._cursor + count - len(self._deviates)) // _BLOCK_LENGTH)
         if blocks > 0:
             fresh = [self._next_words(_BLOCK_LENGTH) / MODULUS for _ in range(blocks)]
             self._deviates = np.concatenate([self._deviates[self._cursor :], *fresh])
             self._cursor = 0
-        self._cursor += int(count)
+        self._cursor += count
         return self._deviates[self._cursor - count : self._cursor].copy()
 
     def _next_words(self, length: int) -> np.ndarray:

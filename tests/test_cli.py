@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -83,6 +84,25 @@ def test_gen_is_byte_identical(tmp_path, cli_notebook, capsys):
     again = tmp_path / "again.json"
     assert main(["gen", "--type", "d", "--out", str(again)]) == 0
     assert again.read_bytes() == cli_notebook.read_bytes()
+
+
+# sha256 of `gen --type d --out c.json`'s notebook, summary and stdout; they
+# rest on the platform assumption of test_generator's PINNED_FIELD_DIGESTS
+PINNED_GEN_DIGESTS = {
+    "c.json": "8cf86512e33d3269d89af9929d12ca481df02e9d341fe90a4d563e1b7f7e3b0b",
+    "c.txt": "541cc9f87cd1cd6f20192b6961be1288ce8f17fbfd2cd9cb0742c5fd7d864bef",
+    "stdout": "c4bf7fb031eadea9f029c1b0a0eba7df72e06a3d72290b3484ce9af59318f5d0",
+}
+
+
+def test_gen_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, ["gen", "--type", "d", "--out", "c.json"])
+    assert code == 0
+    data = {name: (tmp_path / name).read_bytes() for name in ("c.json", "c.txt")}
+    data["stdout"] = out.encode()
+    digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in data.items()}
+    assert digests == PINNED_GEN_DIGESTS
 
 
 def test_gen_rejects_bad_params(tmp_path, capsys):

@@ -250,8 +250,8 @@ def test_unplaceable_global_minimizer_is_a_parameter_error(monkeypatch):
         def __init__(self, seed):
             pass
 
-        def uniform(self):
-            return 0.0
+        def uniforms(self, count):
+            return np.zeros(count)
 
     monkeypatch.setattr(generator, "LaggedFibonacci", StuckStream)
     with pytest.raises(ParameterError) as exc:

@@ -7,6 +7,7 @@ import pytest
 from basingen import (
     eval_many,
     evaluate,
+    export_class,
     generate,
     make_multistart,
     make_random_search,
@@ -16,7 +17,6 @@ from basingen import (
 )
 from basingen import harness
 from basingen.harness import BudgetExhausted, BudgetedObjective, _descend
-from basingen.notebook import build_class_document
 
 
 def test_oracle_succeeds_everywhere(params2):
@@ -119,10 +119,10 @@ def test_objective_checks_its_arguments(func9):
             objective.value(func9.vertex)
 
 
-def test_unknown_family_has_one_text(params2, func9):
+def test_unknown_family_has_one_text(params2, func9, tmp_path):
     calls = (
         lambda: run_solver(params2, "smooth", oracle_solver, budget=1),
-        lambda: build_class_document(params2, "smooth"),
+        lambda: export_class(params2, "smooth", tmp_path / "never.json"),
         lambda: evaluate(func9, [0.0, 0.0], "smooth"),
         lambda: eval_many(func9, "smooth", np.zeros((1, 2))),
     )

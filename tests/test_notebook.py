@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from basingen import (
+    LoadedClass,
     NotebookError,
     ParameterError,
     default_params,
@@ -17,7 +18,7 @@ from basingen import (
     load_class,
     write_grid,
 )
-from basingen.notebook import build_class_document, summary_path_for
+from basingen.notebook import summary_path_for
 
 from conftest import sized_class
 
@@ -71,14 +72,33 @@ def test_round_trip_reproduces_ground_truth(
         assert loaded.params == params
         assert len(loaded.functions) == 100
         for original, restored in zip(generated, loaded.functions):
-            for field in ("local_min", "f", "rho", "peak", "w_rho"):
-                stored = getattr(restored.minima, field)
-                assert stored.dtype == np.float64
-                assert np.array_equal(getattr(original.minima, field), stored)
-            assert restored.glob.gm_index.dtype == np.int64
-            assert np.array_equal(original.glob.gm_index, restored.glob.gm_index)
-            assert original.glob.num_global_minima == restored.glob.num_global_minima
-            assert original.delta == restored.delta
+            assert_same_record(original, restored)
+
+
+def assert_same_record(original, restored):
+    """Every stored and derived field of two records is equal, bit for bit."""
+    assert original.nf == restored.nf
+    for field in ("local_min", "f", "rho", "peak", "w_rho"):
+        stored = getattr(restored.minima, field)
+        assert stored.dtype == np.float64
+        assert np.array_equal(getattr(original.minima, field), stored)
+    assert restored.glob.gm_index.dtype == np.int64
+    assert np.array_equal(original.glob.gm_index, restored.glob.gm_index)
+    assert original.glob.num_global_minima == restored.glob.num_global_minima
+    assert original.delta == restored.delta and type(restored.delta) is float
+
+
+def test_export_returns_the_class_load_reads(tmp_path, params2, default_class):
+    path = tmp_path / "c.json"
+    exported = export_class(params2, "d", path)
+    loaded = load_class(path)
+    assert type(exported) is LoadedClass
+    assert exported.params is params2 and loaded.params == params2
+    assert exported.function_type == loaded.function_type == "d"
+    assert len(exported.functions) == len(loaded.functions) == 100
+    for generated, written, restored in zip(default_class, exported.functions, loaded.functions):
+        assert_same_record(generated, written)
+        assert_same_record(written, restored)
 
 
 def test_round_trip_evaluations_bitwise(notebook_path, default_class):
@@ -278,7 +298,8 @@ def test_wrong_function_count_is_rejected(tmp_path, notebook_path):
 
 def test_unknown_family_rejected(params2, tmp_path):
     with pytest.raises(ValueError):
-        build_class_document(params2, "smooth")
+        export_class(params2, "smooth", tmp_path / "never.json")
+    assert not (tmp_path / "never.json").exists()
 
 
 def test_invalid_params_rejected(tmp_path):
@@ -327,6 +348,13 @@ def test_grid_corners_match_paraboloid(func9):
         if locate_ball(func9, corner) is None:
             expected = float(np.sum((corner - func9.vertex) ** 2))
             assert value == pytest.approx(expected, abs=1e-14)
+
+
+def test_grid_resolution_is_an_integer_of_at_least_2(func9):
+    for resolution in (2.5, 2.0, "3", None, True, 1, 0, -4):
+        with pytest.raises(ValueError, match="resolution must be an integer >= 2"):
+            grid_samples(func9, "d", resolution)
+    assert grid_samples(func9, "d", np.int64(2)).shape == (4, 3)
 
 
 def test_grid_requires_2d():
