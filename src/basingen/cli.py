@@ -24,6 +24,7 @@ from .params import (
     ClassParams,
     DEFAULT_DELTA_MAX,
     DEFAULT_GLOBAL_VALUE,
+    DEFAULT_MAX_DIM,
     DEFAULT_NUM_MINIMA,
     DEFAULT_PARABOLOID_MIN,
     ParameterError,
@@ -103,7 +104,7 @@ def _add_class_flags(parser: argparse.ArgumentParser) -> None:
 
 def _params_from_args(args) -> ClassParams:
     dim = args.dim
-    width = max(dim, 1)
+    width = min(max(dim, 1), DEFAULT_MAX_DIM + 1)  # a larger dim is for check to report
     left = (
         _parse_vector(args.domain_left, "--domain-left")
         if args.domain_left is not None

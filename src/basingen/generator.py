@@ -435,7 +435,8 @@ def ground_truth_problems(func: GeneratedFunction) -> list[str]:
 
     if np.any(dists[GLOBAL_ROW, 2:] < params.global_radius + params.gap - eps):
         problems.append("a local minimizer intrudes on the global-ball gap")
-    boundary_min = (dists[VERTEX_ROW, 2:] - table.rho[2:]) ** 2 + t
+    with np.errstate(over="ignore"):  # a huge radius gives inf; the overlap rule reports it
+        boundary_min = (dists[VERTEX_ROW, 2:] - table.rho[2:]) ** 2 + t
     if np.any(table.f[2:] >= boundary_min):
         problems.append(
             "some minimum is not below the paraboloid minimum over its "

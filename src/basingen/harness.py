@@ -34,7 +34,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import statistics
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -52,7 +51,8 @@ from .evaluate import (
     evaluate,
 )
 from .generator import FUNCTIONS_PER_CLASS, GeneratedFunction, generate
-from .params import ClassParams, _require_count
+from .notebook import summary_path_for
+from .params import ClassParams, _as_float, _require_count
 
 VALUE_TOL_SCALE = 1e-4  # of the paraboloid-minimum-to-global-value drop
 
@@ -64,11 +64,11 @@ _RANDOM_BLOCK = 1 << 16
 def _objective_arguments(family: str, budget, value_tol) -> tuple[str, int, float]:
     """The arguments of a :class:`BudgetedObjective`, checked: a known
     family, an integer budget >= 1 and a real, finite value_tol >= 0
-    (a bool is not one)."""
+    (a bool is not one), returned as an int and a float."""
     _require_family(family)
     budget = _require_count("budget", budget, 1)
-    real = isinstance(value_tol, numbers.Real) and not isinstance(value_tol, bool)
-    if not (real and 0.0 <= value_tol < math.inf):  # NaN fails too
+    value_tol = _as_float(value_tol)
+    if not (isinstance(value_tol, float) and 0.0 <= value_tol < math.inf):  # NaN fails too
         raise ValueError(f"value_tol must be finite and >= 0, got {value_tol!r}")
     return family, budget, value_tol
 
@@ -401,15 +401,14 @@ def make_multistart(starts: int = 10, local_steps: int = 100, seed: int = 0):
 _CSV_FIELDS = [f.name for f in fields(FunctionOutcome) if f.name != "best_point"]
 
 
-def write_report(report: SolverReport, json_path, csv_path=None) -> None:
-    """Write the full report as JSON and a per-function CSV summary."""
-    json_path = Path(json_path)
-    with open(json_path, "w") as fh:
+def write_report(report: SolverReport, path) -> None:
+    """Write the full report as JSON to `path` and a per-function CSV summary
+    to ``summary_path_for(path, ".csv")``: r.json -> r.csv, r.csv -> r.csv.summary.csv."""
+    path = Path(path)
+    with open(path, "w") as fh:
         json.dump(asdict(report), fh, indent=2)
         fh.write("\n")
-    if csv_path is None:
-        csv_path = json_path.with_suffix(".csv")
-    with open(csv_path, "w", newline="") as fh:
+    with open(summary_path_for(path, ".csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_FIELDS)
         for o in report.outcomes:

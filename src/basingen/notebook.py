@@ -62,13 +62,13 @@ def _function_entry(func: GeneratedFunction) -> dict:
     columns = {key: getattr(func.minima, field).tolist() for key, field in _MINIMA_KEYS.items()}
     return {
         "nf": func.nf,
-        "delta": float(func.delta),
+        "delta": func.delta,
         "minimizers": [
             {"index": i + 1, **{key: column[i] for key, column in columns.items()}}
             for i in range(func.num_minima)
         ],
         "global": {
-            "value": float(func.params.global_value),
+            "value": func.params.global_value,
             "num_global_minima": func.glob.num_global_minima,
             "gm_index": func.glob.gm_index.tolist(),
         },
@@ -92,18 +92,16 @@ def _summary_text(loaded: LoadedClass) -> str:
         coords = "; ".join(
             "(" + ", ".join(map(repr, point)) + ")" for point in func.global_minimizers.tolist()
         )
-        lines.append(
-            f"{func.nf:3d}  {coords}  [{func.glob.num_global_minima}]  {float(func.delta)!r}"
-        )
+        lines.append(f"{func.nf:3d}  {coords}  [{func.glob.num_global_minima}]  {func.delta!r}")
     return "\n".join(lines) + "\n"
 
 
-def summary_path_for(path) -> Path:
-    """Plain-text companion path: notebook.json -> notebook.txt."""
+def summary_path_for(path, suffix: str = ".txt") -> Path:
+    """Companion path, never `path` itself: c.json -> c.txt, c.txt -> c.txt.summary.txt."""
     path = Path(path)
-    if path.suffix and path.suffix != ".txt":
-        return path.with_suffix(".txt")
-    return path.with_name(path.name + ".summary.txt")
+    if path.suffix and path.suffix != suffix:
+        return path.with_suffix(suffix)
+    return path.with_name(f"{path.name}.summary{suffix}")
 
 
 def export_class(params: ClassParams, function_type: str, path) -> LoadedClass:

@@ -10,8 +10,10 @@ are fixed for every class (:data:`PRECISION`, :func:`radius_weights`).
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -84,6 +86,11 @@ def _is_size(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _as_float(value):
+    """A real number other than a bool (numpy scalar, Fraction, int) as a float; else `value`."""
+    return value if isinstance(value, bool) or not isinstance(value, numbers.Real) else float(value)
+
+
 def _require_count(name: str, value, minimum: int) -> int:
     """`value` as a plain int, after checking it is an integer >= `minimum`."""
     if not _is_size(value) or value < minimum:
@@ -95,8 +102,8 @@ def _require_count(name: str, value, minimum: int) -> int:
 class ClassParams:
     """Immutable definition of one class of 100 test functions.
 
-    ``gap`` may be passed as ``None`` to request its default, the
-    attraction radius of the global minimizer.
+    A ``gap`` of ``None`` is the global attraction radius.  Sizes are stored
+    as int and reals as float, one spelling per class; check reports the rest.
     """
 
     dim: int
@@ -111,13 +118,18 @@ class ClassParams:
     gap: float | None = None
 
     def __post_init__(self):
-        for name in ("dim", "num_minima"):
-            if isinstance(getattr(self, name), np.integer):
-                object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "domain_left", tuple(float(v) for v in self.domain_left))
-        object.__setattr__(self, "domain_right", tuple(float(v) for v in self.domain_right))
         if self.gap is None:
-            object.__setattr__(self, "gap", float(self.global_radius))
+            object.__setattr__(self, "gap", self.global_radius)
+        for f in fields(self):  # sizes as int, reals as float; anything else is for check
+            value = getattr(self, f.name)
+            if f.name in ("dim", "num_minima"):
+                value = int(value) if _is_size(value) else value
+            elif f.name.startswith("domain_"):
+                with contextlib.suppress(TypeError):  # not a sequence
+                    value = tuple(map(_as_float, value))
+            else:
+                value = _as_float(value)
+            object.__setattr__(self, f.name, value)
 
 
 def default_params(dim: int) -> ClassParams:
@@ -156,10 +168,13 @@ def check(params: ClassParams) -> list[ValidationError]:
         if not (_is_size(value) and 2 <= value <= top):
             errors.append(ValidationError(code, f"{name} must be an integer {rule}, got {value!r}"))
 
-    left, right = params.domain_left, params.domain_right
+    def real(value) -> float:  # not a float (a bool, str, None, array ...): fails as NaN
+        return value if isinstance(value, float) else math.nan
+
+    left, right = (v if type(v) is tuple else () for v in (params.domain_left, params.domain_right))
     # a finite span implies finite bounds and keeps box arithmetic finite
     domain_ok = len(left) == params.dim == len(right) and all(
-        lo < hi and math.isfinite(hi - lo) for lo, hi in zip(left, right)
+        real(lo) < real(hi) and math.isfinite(hi - lo) for lo, hi in zip(left, right)
     )
     if not domain_ok:
         errors.append(
@@ -170,36 +185,36 @@ def check(params: ClassParams) -> list[ValidationError]:
             )
         )
 
-    if not -math.inf < params.global_value < params.paraboloid_min < math.inf:
+    if not -math.inf < real(params.global_value) < real(params.paraboloid_min) < math.inf:
         errors.append(
             ValidationError(
                 ErrorCode.GLOBAL_MIN_VALUE,
-                f"global minimum value ({params.global_value}) must be finite and "
-                f"strictly below the finite paraboloid minimum ({params.paraboloid_min})",
+                f"global minimum value ({params.global_value!r}) must be finite and "
+                f"strictly below the finite paraboloid minimum ({params.paraboloid_min!r})",
             )
         )
     if domain_ok:
-        half_side = 0.5 * min(hi - lo for lo, hi in zip(left, right))
-        if not 0.0 < params.global_dist < half_side:
+        half_side = 0.5 * min((hi - lo for lo, hi in zip(left, right)), default=0.0)
+        if not 0.0 < real(params.global_dist) < half_side:
             errors.append(
                 ValidationError(
                     ErrorCode.GLOBAL_DIST,
                     f"global-minimizer distance must satisfy 0 < dist < {half_side} "
-                    f"(half the smallest domain side), got {params.global_dist}",
+                    f"(half the smallest domain side), got {params.global_dist!r}",
                 )
             )
-    if not 0.0 < params.global_radius <= 0.5 * params.global_dist:
+    if not 0.0 < real(params.global_radius) <= 0.5 * real(params.global_dist):
         errors.append(
             ValidationError(
                 ErrorCode.GLOBAL_RADIUS,
                 f"global attraction radius must satisfy 0 < radius <= "
-                f"{0.5 * params.global_dist} (half the global-minimizer distance), "
-                f"got {params.global_radius}",
+                f"{0.5 * real(params.global_dist)} (half the global-minimizer distance), "
+                f"got {params.global_radius!r}",
             )
         )
     for name, value, rule, ok in (  # each test fails on NaN
-        ("delta_max", params.delta_max, "finite and > 0", 0.0 < params.delta_max < math.inf),
-        ("gap", params.gap, "finite and >= 0", 0.0 <= params.gap < math.inf),
+        ("delta_max", params.delta_max, "finite and > 0", 0.0 < real(params.delta_max) < math.inf),
+        ("gap", params.gap, "finite and >= 0", 0.0 <= real(params.gap) < math.inf),
     ):
         if not ok:
             errors.append(ValidationError(ErrorCode.TUNING, f"{name} must be {rule}, got {value}"))

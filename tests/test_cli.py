@@ -39,9 +39,12 @@ def test_check_bad_radius(capsys):
 
 
 def test_check_bad_dim(capsys):
-    code, out, err = run(capsys, ["check", "--dim", "1"])
-    assert code == 1
-    assert "DimError" in err
+    # the default box is capped, so a huge dim allocates nothing
+    for dim in ("1", "2000000000000000000"):
+        code, out, err = run(capsys, ["check", "--dim", dim])
+        assert code == 1
+        assert "DimError" in err
+        assert "Traceback" not in err
 
 
 def test_check_multiple_violations(capsys):
@@ -275,19 +278,21 @@ def test_grid_rejects_non_2d(tmp_path, capsys):
 
 
 def test_bench_oracle(tmp_path, capsys):
-    out_path = tmp_path / "report.json"
-    code, out, err = run(
-        capsys,
-        [
-            "bench", "--type", "d", "--solver", "oracle",
-            "--budget", "10", "--out", str(out_path),
-        ],
-    )
-    assert code == 0
-    assert "100/100" in out
-    data = json.loads(out_path.read_text())
-    assert data["success_count"] == 100
-    assert out_path.with_suffix(".csv").exists()
+    # a report named .csv keeps its JSON; the CSV goes to r.csv.summary.csv
+    for name, companion in (("report.json", "report.csv"), ("r.csv", "r.csv.summary.csv")):
+        out_path = tmp_path / name
+        code, out, err = run(
+            capsys,
+            [
+                "bench", "--type", "d", "--solver", "oracle",
+                "--budget", "10", "--out", str(out_path),
+            ],
+        )
+        assert code == 0
+        assert "100/100" in out and f"report in {out_path}" in out
+        data = json.loads(out_path.read_text())
+        assert data["success_count"] == 100
+        assert (tmp_path / companion).read_text().startswith("nf,")
 
 
 def test_bench_random_deterministic(tmp_path, capsys):

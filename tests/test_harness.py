@@ -234,16 +234,16 @@ def test_gradient_refused_for_nd(func9):
 
 def test_report_files(tmp_path, params2):
     report = run_solver(params2, "d", oracle_solver, budget=5)
-    json_path = tmp_path / "report.json"
-    write_report(report, json_path)
-    data = json.loads(json_path.read_text())
-    assert data["success_count"] == 100
-    assert len(data["outcomes"]) == 100
-    csv_path = tmp_path / "report.csv"
-    assert csv_path.exists()
-    lines = csv_path.read_text().splitlines()
-    assert lines[0].startswith("nf,evaluations,best_value")
-    assert len(lines) == 101
+    # the CSV companion never overwrites the JSON report
+    pairs = (("a.json", "a.csv"), ("b.csv", "b.csv.summary.csv"), ("c", "c.summary.csv"))
+    for name, companion in pairs:
+        write_report(report, tmp_path / name)
+        data = json.loads((tmp_path / name).read_text())
+        assert data["success_count"] == 100
+        assert len(data["outcomes"]) == 100
+        lines = (tmp_path / companion).read_text().splitlines()
+        assert lines[0].startswith("nf,evaluations,best_value")
+        assert len(lines) == 101
 
 
 # --------------------------------------------------------------------------

@@ -136,12 +136,14 @@ def test_tampered_global_value_is_rejected(tmp_path, notebook_path):
 
 
 def test_tampered_radius_is_rejected(tmp_path, notebook_path):
-    document = json.loads(notebook_path.read_text())
-    document["functions"][0]["minimizers"][0]["rho"] = 5.0  # overlaps everything
-    bad = tmp_path / "tampered_rho.json"
-    bad.write_text(json.dumps(document))
-    with pytest.raises(NotebookError):
-        load_class(bad)
+    # a radius that overlaps everything, and one whose square overflows
+    for nf, row, rho in ((1, 1, 5.0), (5, 4, 1e200)):
+        document = json.loads(notebook_path.read_text())
+        document["functions"][nf - 1]["minimizers"][row - 1]["rho"] = rho
+        bad = tmp_path / "tampered_rho.json"
+        bad.write_text(json.dumps(document))
+        with pytest.raises(NotebookError, match=f"attraction ball {row} overlaps"):
+            load_class(bad)
 
 
 def test_non_finite_ground_truth_is_rejected(tmp_path, notebook_path):

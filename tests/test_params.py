@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from basingen import (
     ParameterError,
     check,
     default_params,
+    export_class,
     generate,
     params_from_dict,
     params_to_dict,
@@ -168,18 +170,39 @@ def test_radius_boundary_case_is_allowed():
     assert check(p) == []
 
 
-def test_numpy_integer_sizes_generate_the_same_records():
+def test_numpy_integer_sizes_generate_the_same_records(tmp_path):
     as_int = dataclasses.replace(default_params(3), num_minima=12)
     as_numpy = dataclasses.replace(as_int, dim=np.int64(3), num_minima=np.int32(12))
     assert as_numpy == as_int
     assert default_params(np.int64(3)) == default_params(3)
     assert type(as_numpy.dim) is int and type(as_numpy.num_minima) is int
-    for nf in (1, 57):
-        a, b = generate(as_int, nf), generate(as_numpy, nf)
-        assert np.array_equal(a.minima.local_min, b.minima.local_min)
-        assert np.array_equal(a.minima.f, b.minima.f)
-        assert np.array_equal(a.minima.rho, b.minima.rho)
-        assert a.delta == b.delta
+    # every real value spelled as a numpy float, a Fraction or an int: values
+    # exact in float32 and whole where an int spells them
+    as_float = dataclasses.replace(as_int, global_dist=0.75, global_radius=0.25, gap=0.3125)
+    reals = ("global_value", "global_dist", "global_radius", "paraboloid_min", "delta_max", "gap")
+    spellings = [as_numpy]
+    for kind in (np.float32, np.float64, Fraction, int):
+        spelled = {name: kind(getattr(as_float, name)) for name in reals}
+        spelled = {name: v for name, v in spelled.items() if v == getattr(as_float, name)}
+        spelled["domain_left"] = (kind(-1.0), -1.0, -1.0)
+        spellings.append(dataclasses.replace(as_float, **spelled))
+    for spelling in spellings:
+        plain = as_int if spelling is as_numpy else as_float
+        assert spelling == plain and hash(spelling) == hash(plain)
+        assert all(type(getattr(spelling, name)) is float for name in reals)
+        assert all(type(v) is float for v in spelling.domain_left + spelling.domain_right)
+        for nf in (1, 57):
+            a, b = generate(plain, nf), generate(spelling, nf)
+            assert np.array_equal(a.minima.local_min, b.minima.local_min)
+            assert np.array_equal(a.minima.f, b.minima.f)
+            assert np.array_equal(a.minima.rho, b.minima.rho)
+            assert a.delta == b.delta and type(b.delta) is float
+    export_class(as_float, "d2", tmp_path / "plain.json")
+    for spelling in spellings[1:]:
+        export_class(spelling, "d2", tmp_path / "spelled.json")
+        for suffix in (".json", ".txt"):
+            plain, spelled = (tmp_path / f"{stem}{suffix}" for stem in ("plain", "spelled"))
+            assert spelled.read_bytes() == plain.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -191,11 +214,31 @@ def test_numpy_integer_sizes_generate_the_same_records():
         ({"num_minima": 10.0}, ErrorCode.NUM_MINIMA),
         ({"num_minima": np.float32(10.0)}, ErrorCode.NUM_MINIMA),
         ({"num_minima": "10"}, ErrorCode.NUM_MINIMA),
+        # a value that is not a real number, or is a bool, in a real field or a bound
+        *(
+            ({name: bad}, code)
+            for name, code in (
+                ("global_value", ErrorCode.GLOBAL_MIN_VALUE),
+                ("paraboloid_min", ErrorCode.GLOBAL_MIN_VALUE),
+                ("global_dist", ErrorCode.GLOBAL_DIST),
+                ("global_radius", ErrorCode.GLOBAL_RADIUS),
+                ("delta_max", ErrorCode.TUNING),
+                ("gap", ErrorCode.TUNING),
+            )
+            for bad in ("0.5", None, True, np.array(0.5), 0.5j)
+            if not (name == "gap" and bad is None)  # gap=None asks for the default
+        ),
+        *(({"domain_left": (bad, -1.0)}, ErrorCode.BOUNDARY) for bad in ("-1", None, False)),
+        ({"domain_left": (np.array(-1.0), -1.0)}, ErrorCode.BOUNDARY),
+        ({"domain_left": (-1j, -1.0)}, ErrorCode.BOUNDARY),
+        ({"domain_left": None}, ErrorCode.BOUNDARY),
+        ({"domain_right": np.array(1.0)}, ErrorCode.BOUNDARY),
     ],
 )
 def test_non_integer_sizes_are_parameter_errors(change, code):
     p = dataclasses.replace(default_params(2), **change)
-    assert code in codes(check(p))  # dim=True also mismatches the box
+    # check never raises; dim=True also mismatches the box
+    assert code in codes(check(p))
     with pytest.raises(ParameterError) as exc:
         generate(p, 1)
     assert code in exc.value.codes

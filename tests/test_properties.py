@@ -1,17 +1,34 @@
-"""Property tests: batch evaluation against the scalar evaluators, and
-block queries against one-at-a-time queries.
+"""Property tests: batch evaluation against the scalar evaluators, block
+queries against one-at-a-time queries, and notebooks with one leaf edited.
 
 Examples are derandomized and their number bounded, so every run checks
 the same cases.
 """
+
+import dataclasses
+import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from basingen import eval_d, eval_d2, eval_many, eval_nd
+from basingen import (
+    NotebookError,
+    eval_d,
+    eval_d2,
+    eval_many,
+    eval_nd,
+    export_class,
+    generate,
+    ground_truth_problems,
+    load_class,
+    params_to_dict,
+)
 from basingen.harness import BudgetExhausted, BudgetedObjective
+from basingen.notebook import _function_entry
 from basingen.params import PRECISION
 
 EVALUATORS = {"nd": eval_nd, "d": eval_d, "d2": eval_d2}
@@ -49,10 +66,21 @@ def draw_point(data, func):
     return np.clip(x, lower, upper)
 
 
+@pytest.fixture(scope="module")
+def float32_class(params2):
+    """The default 2-D class with every real value spelled as np.float32."""
+    reals = ("global_value", "global_dist", "global_radius", "paraboloid_min", "delta_max", "gap")
+    spelled = {name: np.float32(getattr(params2, name)) for name in reals}
+    for side in ("domain_left", "domain_right"):
+        spelled[side] = tuple(map(np.float32, getattr(params2, side)))
+    params = dataclasses.replace(params2, **spelled)
+    return [generate(params, nf) for nf in range(1, 101)]
+
+
 @PROPERTY
 @given(data=st.data())
-def test_eval_many_equals_scalar_evaluators(default_class, func5, data):
-    func = data.draw(st.sampled_from([*default_class, func5]))
+def test_eval_many_equals_scalar_evaluators(default_class, func5, float32_class, data):
+    func = data.draw(st.sampled_from([*default_class, func5, *float32_class]))
     count = data.draw(st.integers(1, 6))
     points = np.array([draw_point(data, func) for _ in range(count)])
     for family, evaluator in EVALUATORS.items():
@@ -98,3 +126,99 @@ def test_block_queries_equal_single_queries(default_class, data):
     else:
         assert batched.values(block).tolist() == want
     assert _state(batched) == _state(scalar)
+
+
+# --------------------------------------------------------------------------
+# notebooks with one leaf edited
+
+
+@pytest.fixture(scope="module")
+def notebook_text(tmp_path_factory, params2):
+    path = tmp_path_factory.mktemp("leaf") / "class.json"
+    export_class(params2, "d2", path)
+    return path.read_text()
+
+
+def _paths(node, path=()):
+    """Every path into a JSON document, the root's included."""
+    yield path
+    children = node.items() if type(node) is dict else enumerate(node) if type(node) is list else ()
+    for key, child in children:
+        yield from _paths(child, (*path, key))
+
+
+def _at(document, path):
+    for key in path:
+        document = document[key]
+    return document
+
+
+def _same_json(a, b):
+    """Equal JSON values, where an int equals the float it reads as, and
+    a bool equals no number."""
+    if type(a) is dict or type(b) is dict:
+        same_keys = type(a) is type(b) and a.keys() == b.keys()
+        return same_keys and all(_same_json(a[k], b[k]) for k in a)
+    if type(a) is list or type(b) is list:
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same_json, a, b))
+    if type(a) is str or type(b) is str:
+        return a == b
+    numbers = (int, float)
+    return (
+        type(a) in numbers and type(b) in numbers and a == b
+        and math.copysign(1.0, a) == math.copysign(1.0, b)
+    )
+
+
+LEAF_VALUES = st.one_of(
+    st.sampled_from([1e300, -1e300, 0.0, -0.0, 5e-324]),
+    st.sampled_from([0, 1, 2, -1, 101, 2**70]),
+    st.booleans(),
+    st.just("0.5"),
+    st.none(),
+    st.just([0.5]),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_one_leaf_edit_loads_or_is_a_notebook_error(notebook_text, tmp_path_factory, data):
+    document = json.loads(notebook_text)
+    op = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    if op == "replace":
+        wanted = (p for p in _paths(document) if type(_at(document, p)) not in (dict, list))
+    elif op == "delete":
+        wanted = (p for p in _paths(document) if p and type(p[-1]) is str)
+    else:
+        wanted = (p for p in _paths(document) if type(_at(document, p)) is dict)
+    # draw the kind of path first (list positions as *), so that the few
+    # class-level leaves are drawn as often as the many minimizer leaves
+    kinds = {}
+    for path in wanted:
+        kinds.setdefault(tuple("*" if type(k) is int else k for k in path), []).append(path)
+    path = data.draw(st.sampled_from(kinds[data.draw(st.sampled_from(sorted(kinds)))]))
+    edited = json.loads(notebook_text)
+    if op == "add":  # an unknown key is ignored
+        _at(edited, path)["extra"] = 1
+    elif op == "delete":
+        del _at(edited, path[:-1])[path[-1]]
+    else:
+        _at(edited, path[:-1])[path[-1]] = data.draw(LEAF_VALUES)
+    # the load is a NotebookError, or audit-clean records that write back as
+    # the edited document, and never a RuntimeWarning
+    file = tmp_path_factory.getbasetemp() / "edited.json"
+    file.write_text(json.dumps(edited))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            loaded = load_class(file)
+        except NotebookError:
+            return
+    assert not any(ground_truth_problems(func) for func in loaded.functions)
+    rewritten = {
+        "class_params": params_to_dict(loaded.params),
+        "function_type": loaded.function_type,
+        "functions": [_function_entry(func) for func in loaded.functions],
+    }
+    assert _same_json(rewritten, document if op == "add" else edited)
+
