@@ -276,12 +276,15 @@ def _distance_matrix(points: np.ndarray) -> np.ndarray:
 
 def compute_radii(local_min: np.ndarray, params: ClassParams) -> np.ndarray:
     """Attraction radii: the global ball keeps its user radius; every
-    other ball starts at half the distance to its nearest neighbour, is
-    then expanded (ascending row order) up to tangency with the current
-    radii, and finally shrunk by the weight coefficients."""
+    other ball starts at half the distance to its nearest neighbour,
+    capped for rows 3..m at tangency with the global ball (which half the
+    distance crosses when the gap is below the global radius), is then
+    expanded (ascending row order) up to tangency with the current radii,
+    and finally shrunk by the weight coefficients."""
     dists = _distance_matrix(local_min)
     rho = 0.5 * dists.min(axis=1)
     rho[GLOBAL_ROW] = params.global_radius
+    rho[2:] = np.minimum(rho[2:], dists[GLOBAL_ROW, 2:] - params.global_radius)
     for i in (VERTEX_ROW, *range(2, local_min.shape[0])):
         rho[i] = max(rho[i], (dists[i] - rho).min())
     return rho * radius_weights(len(rho))
@@ -411,6 +414,11 @@ def ground_truth_problems(func: GeneratedFunction) -> list[str]:
         problems.append(
             f"global minimizer value {table.f[GLOBAL_ROW]} != class value "
             f"{params.global_value}"
+        )
+    if table.rho[GLOBAL_ROW] != params.global_radius:
+        problems.append(
+            f"global attraction radius {table.rho[GLOBAL_ROW]} != class radius "
+            f"{params.global_radius}"
         )
     if np.any(table.f < params.global_value - eps):
         problems.append("some minimum lies below the class global value")

@@ -52,7 +52,7 @@ from .evaluate import (
 )
 from .generator import FUNCTIONS_PER_CLASS, GeneratedFunction, generate
 from .notebook import summary_path_for
-from .params import ClassParams, _as_float, _require_count
+from .params import ClassParams, ParameterError, _as_float, _require_count, check
 
 VALUE_TOL_SCALE = 1e-4  # of the paraboloid-minimum-to-global-value drop
 
@@ -239,8 +239,12 @@ def run_solver(
     `solver` is called as ``solver(objective, func)`` with a
     :class:`BudgetedObjective` and the ground-truth record (for replay
     baselines only; honest solvers must not read it).  A solver exception
-    is recorded as a per-function failure; the sweep continues.
+    is recorded as a per-function failure; the sweep continues.  An
+    invalid class is a :class:`ParameterError` before anything else.
     """
+    errors = check(params)  # the default value_tol reads the class values
+    if errors:
+        raise ParameterError(errors)
     if value_tol is None:
         value_tol = VALUE_TOL_SCALE * (params.paraboloid_min - params.global_value)
     # the objective's checks, once before anything is generated

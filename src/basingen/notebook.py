@@ -5,18 +5,22 @@ class parameters, the family it was exported for, and per function the
 full minimizer table (coordinates, values, radii, basin depths, weights),
 the curvature parameter, and the global-minimizer bookkeeping.  Floats
 survive the round trip exactly, so a loaded class evaluates bit-for-bit
-like the generated one, without re-running the random stream.  Stored
-weights and global bookkeeping must equal what the record derives.
+like the generated one, without re-running the random stream.
 
-:func:`export_class` and :func:`load_class` both return the class as a
-:class:`LoadedClass` of records; only ``_function_entry`` (the writer)
-and ``_function_from_entry`` with ``load_class`` (the reader) know the
-JSON layout, and the plain-text summary is formatted from the records.
+Only this module knows the JSON layout: :func:`params_to_dict` and
+``_function_entry`` write it; :func:`params_from_dict`,
+``_function_from_entry`` and :func:`load_class` read it, every value
+through :func:`read_numbers`.  Any failure to read is a
+:class:`NotebookError` naming the bad value's path, and so is a stored
+copy (``index``, ``w``, ``global``) that differs from what the record
+derives.  :func:`export_class` and :func:`load_class` both return a
+:class:`LoadedClass` of records; the text summary is formatted from them.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -31,16 +35,14 @@ from .generator import (
     ground_truth_problems,
 )
 from .params import (
+    PRECISION,
     ClassParams,
     ErrorCode,
     ParameterError,
-    SchemaError,
     ValidationError,
     _require_count,
     check,
-    params_from_dict,
-    params_to_dict,
-    read_numbers,
+    radius_weights,
 )
 
 
@@ -54,12 +56,20 @@ class LoadedClass(NamedTuple):
     function_type: str
 
 
-# JSON key of each minimizer column -> its MinimaTable field, in export order
-_MINIMA_KEYS = {"coords": "local_min", "f": "f", "rho": "rho", "peak": "peak", "w": "w_rho"}
+# JSON key of each stored minimizer column -> its MinimaTable field, in export order
+_MINIMA_KEYS = {"coords": "local_min", "f": "f", "rho": "rho", "peak": "peak"}
+
+
+def params_to_dict(params: ClassParams) -> dict:
+    """JSON-ready mapping with the fixed key set of the class schema: one
+    key per :class:`ClassParams` field, in field order."""
+    values = {f.name: getattr(params, f.name) for f in fields(params)}
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
 
 
 def _function_entry(func: GeneratedFunction) -> dict:
     columns = {key: getattr(func.minima, field).tolist() for key, field in _MINIMA_KEYS.items()}
+    columns["w"] = func.minima.w_rho.tolist()
     return {
         "nf": func.nf,
         "delta": func.delta,
@@ -124,6 +134,58 @@ def export_class(params: ClassParams, function_type: str, path) -> LoadedClass:
     return loaded
 
 
+_JSON_NUMBERS = {int: ({int}, np.int64, "integers"), float: ({int, float}, np.float64, "numbers")}
+
+
+def read_numbers(
+    data, key: str, where: str, shape: tuple[int, ...] = (), kind: type = float
+) -> np.ndarray:
+    """Decode JSON value ``data[key]`` into an array of exactly `shape`:
+    float64, or int64 where `kind` is int.
+
+    `data` must be a JSON object holding `key`, and every leaf a JSON
+    number (int or float, never bool, str, null or a container) or, where
+    `kind` is int, a JSON integer.  Anything else, a number out of range
+    included, raises :class:`NotebookError` naming ``where.key``.
+    """
+    if type(data) is not dict or key not in data:
+        raise NotebookError(f"{where} must be an object with key {key!r}")
+    where = f"{where}.{key}"
+    leaves = [data[key]]
+    for n in shape:
+        if not all(type(v) is list and len(v) == n for v in leaves):
+            raise NotebookError(f"{where} must be an array of shape {shape}")
+        leaves = [x for v in leaves for x in v]
+    allowed, dtype, noun = _JSON_NUMBERS[kind]
+    if not set(map(type, leaves)) <= allowed:
+        bad = next(type(v).__name__ for v in leaves if type(v) not in allowed)
+        raise NotebookError(f"{where} must hold JSON {noun} only, got a {bad}")
+    try:
+        return np.array(leaves, dtype=dtype).reshape(shape)
+    except OverflowError:
+        raise NotebookError(f"{where} holds a number out of {dtype.__name__} range") from None
+
+
+def params_from_dict(data: dict) -> ClassParams:
+    """Inverse of :func:`params_to_dict`; every value goes through
+    :func:`read_numbers`, so a missing key, a wrong type or a wrong length
+    raises :class:`NotebookError`.  The class is not checked."""
+
+    def read(key, shape=(), kind=float):
+        return read_numbers(data, key, "class_params", shape, kind).tolist()
+
+    dim, num_minima = read("dim", kind=int), read("num_minima", kind=int)
+    # keys from when these were settable load at the fixed values only
+    if "precision" in data and read("precision") != PRECISION:
+        raise NotebookError(f"class_params.precision must be {PRECISION}, got {data['precision']}")
+    if "weights" in data and read("weights", (num_minima,)) != radius_weights(num_minima).tolist():
+        raise NotebookError("class_params.weights must be 0.99, and 1.0 for minimizer 2")
+    shapes = {"domain_left": (dim,), "domain_right": (dim,)}
+    rest = fields(ClassParams)[2:]  # every field after dim and num_minima
+    values = {f.name: read(f.name, shapes.get(f.name, ())) for f in rest}
+    return ClassParams(dim=dim, num_minima=num_minima, **values)
+
+
 def _function_from_entry(entry, params: ClassParams, position: int) -> GeneratedFunction:
     where = f"functions[{position}]"
     m = params.num_minima
@@ -134,26 +196,12 @@ def _function_from_entry(entry, params: ClassParams, position: int) -> Generated
     if type(rows) is not list or len(rows) != m or not all(type(row) is dict for row in rows):
         raise NotebookError(f"{where}.minimizers must be an array of {m} objects")
     # a missing key reads as null, which read_numbers rejects
-    columns = {key: [row.get(key) for row in rows] for key in ("index", *_MINIMA_KEYS)}
+    columns = {key: [row.get(key) for row in rows] for key in ("index", *_MINIMA_KEYS, "w")}
     rows_where = f"{where}.minimizers[*]"
-    index = read_numbers(columns, "index", rows_where, (m,), int)
-    if not np.array_equal(index, np.arange(1, m + 1)):
-        raise NotebookError(f"{where}.minimizers are out of order")
     table = {
         field: read_numbers(columns, key, rows_where, (m, params.dim) if key == "coords" else (m,))
         for key, field in _MINIMA_KEYS.items()
     }
-    glob = entry.get("global")
-    glob_where = f"{where}.global"
-    stored_value = read_numbers(glob, "value", glob_where).item()
-    if stored_value != params.global_value:
-        raise NotebookError(
-            f"{glob_where}.value {stored_value!r} disagrees with the class "
-            f"value {params.global_value!r}"
-        )
-    num_global = read_numbers(glob, "num_global_minima", glob_where, kind=int).item()
-    gm_index = read_numbers(glob, "gm_index", glob_where, (m,), int)
-    weights = table.pop("w_rho")
     func = GeneratedFunction(
         params=params,
         nf=nf,
@@ -163,14 +211,18 @@ def _function_from_entry(entry, params: ClassParams, position: int) -> Generated
     problems = ground_truth_problems(func)
     if problems:
         raise NotebookError(f"{where} violates ground-truth invariants: " + "; ".join(problems))
-    if not np.array_equal(weights, func.minima.w_rho):
-        raise NotebookError(f"{rows_where}.w must be 0.99, and 1.0 for minimizer 2")
-    derived = func.glob
-    if num_global != derived.num_global_minima or not np.array_equal(gm_index, derived.gm_index):
-        raise NotebookError(
-            f"{glob_where} must list the global minimizers by value: num_global_minima "
-            f"{derived.num_global_minima}, gm_index {derived.gm_index.tolist()}"
-        )
+    glob, glob_where = entry.get("global"), f"{where}.global"
+    for data, at, key, shape, kind, derived in (  # each stored copy of what the record derives
+        (columns, rows_where, "index", (m,), int, np.arange(1, m + 1)),
+        (columns, rows_where, "w", (m,), float, func.minima.w_rho),
+        (glob, glob_where, "value", (), float, params.global_value),
+        (glob, glob_where, "num_global_minima", (), int, func.glob.num_global_minima),
+        (glob, glob_where, "gm_index", (m,), int, func.glob.gm_index),
+    ):
+        if not np.array_equal(read_numbers(data, key, at, shape, kind), derived):
+            raise NotebookError(
+                f"{at}.{key} must be {np.asarray(derived).tolist()}, as the record derives"
+            )
     return func
 
 
@@ -183,24 +235,17 @@ def load_class(path) -> LoadedClass:
         raise NotebookError(f"cannot read notebook: {exc}") from exc
     if type(document) is not dict:
         raise NotebookError("notebook root must be an object")
-    try:  # every value is decoded by read_numbers, whose errors are reported here
-        params = params_from_dict(document.get("class_params"))
-        errors = check(params)
-        if errors:
-            raise NotebookError(
-                "stored class parameters are invalid: " + "; ".join(map(str, errors))
-            )
-        function_type = document.get("function_type")
-        if function_type not in FAMILIES:
-            raise NotebookError(f"unknown function_type {function_type!r}")
-        entries = document.get("functions")
-        if type(entries) is not list or len(entries) != FUNCTIONS_PER_CLASS:
-            raise NotebookError(f"notebook must list {FUNCTIONS_PER_CLASS} functions")
-        functions = [
-            _function_from_entry(entry, params, i) for i, entry in enumerate(entries)
-        ]
-    except SchemaError as exc:
-        raise NotebookError(str(exc)) from exc
+    params = params_from_dict(document.get("class_params"))
+    errors = check(params)
+    if errors:
+        raise NotebookError("stored class parameters are invalid: " + "; ".join(map(str, errors)))
+    function_type = document.get("function_type")
+    if function_type not in FAMILIES:
+        raise NotebookError(f"unknown function_type {function_type!r}")
+    entries = document.get("functions")
+    if type(entries) is not list or len(entries) != FUNCTIONS_PER_CLASS:
+        raise NotebookError(f"notebook must list {FUNCTIONS_PER_CLASS} functions")
+    functions = [_function_from_entry(entry, params, i) for i, entry in enumerate(entries)]
     return LoadedClass(params=params, functions=functions, function_type=function_type)
 
 

@@ -6,6 +6,8 @@ value, distance from the paraboloid vertex to the global minimizer, and
 the attraction radius of the global minimizer) plus the admissible box
 and three defaulted tuning values.  The precision and the radius weights
 are fixed for every class (:data:`PRECISION`, :func:`radius_weights`).
+How a class is written to and read from a notebook is the business of
+:mod:`basingen.notebook` alone.
 """
 
 from __future__ import annotations
@@ -70,11 +72,6 @@ class ParameterError(Exception):
     @property
     def codes(self) -> list[ErrorCode]:
         return [e.code for e in self.errors]
-
-
-class SchemaError(ValueError):
-    """A stored value is missing or does not have the type and shape its
-    schema requires; the message names the path of the value."""
 
 
 def radius_weights(num_minima: int) -> np.ndarray:
@@ -220,61 +217,3 @@ def check(params: ClassParams) -> list[ValidationError]:
             errors.append(ValidationError(ErrorCode.TUNING, f"{name} must be {rule}, got {value}"))
     return errors
 
-
-def params_to_dict(params: ClassParams) -> dict:
-    """JSON-ready mapping with the fixed key set of the class schema: one
-    key per :class:`ClassParams` field, in field order."""
-    values = {f.name: getattr(params, f.name) for f in fields(params)}
-    return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
-
-
-_JSON_NUMBERS = {int: ({int}, np.int64, "integers"), float: ({int, float}, np.float64, "numbers")}
-
-
-def read_numbers(
-    data, key: str, where: str, shape: tuple[int, ...] = (), kind: type = float
-) -> np.ndarray:
-    """Decode JSON value ``data[key]`` into an array of exactly `shape`:
-    float64, or int64 where `kind` is int.
-
-    `data` must be a JSON object holding `key`, and every leaf a JSON
-    number (int or float, never bool, str, null or a container) or, where
-    `kind` is int, a JSON integer.  Anything else, a number out of range
-    included, raises :class:`SchemaError` naming ``where.key``.
-    """
-    if type(data) is not dict or key not in data:
-        raise SchemaError(f"{where} must be an object with key {key!r}")
-    where = f"{where}.{key}"
-    leaves = [data[key]]
-    for n in shape:
-        if not all(type(v) is list and len(v) == n for v in leaves):
-            raise SchemaError(f"{where} must be an array of shape {shape}")
-        leaves = [x for v in leaves for x in v]
-    allowed, dtype, noun = _JSON_NUMBERS[kind]
-    if not set(map(type, leaves)) <= allowed:
-        bad = next(type(v).__name__ for v in leaves if type(v) not in allowed)
-        raise SchemaError(f"{where} must hold JSON {noun} only, got a {bad}")
-    try:
-        return np.array(leaves, dtype=dtype).reshape(shape)
-    except OverflowError:
-        raise SchemaError(f"{where} holds a number out of {dtype.__name__} range") from None
-
-
-def params_from_dict(data: dict) -> ClassParams:
-    """Inverse of :func:`params_to_dict`; every value goes through
-    :func:`read_numbers`, so a missing key, a wrong type or a wrong length
-    raises :class:`SchemaError`."""
-
-    def read(key, shape=(), kind=float):
-        return read_numbers(data, key, "class_params", shape, kind).tolist()
-
-    dim, num_minima = read("dim", kind=int), read("num_minima", kind=int)
-    # keys from when these were settable load at the fixed values only
-    if "precision" in data and read("precision") != PRECISION:
-        raise SchemaError(f"class_params.precision must be {PRECISION}, got {data['precision']}")
-    if "weights" in data and read("weights", (num_minima,)) != radius_weights(num_minima).tolist():
-        raise SchemaError("class_params.weights must be 0.99, and 1.0 for minimizer 2")
-    shapes = {"domain_left": (dim,), "domain_right": (dim,)}
-    rest = fields(ClassParams)[2:]  # every field after dim and num_minima
-    values = {f.name: read(f.name, shapes.get(f.name, ())) for f in rest}
-    return ClassParams(dim=dim, num_minima=num_minima, **values)

@@ -52,6 +52,11 @@ def ground_truth_problems(func) -> list[str]:
             f"global minimizer value {table.f[GLOBAL_ROW]} != class value "
             f"{params.global_value}"
         )
+    if table.rho[GLOBAL_ROW] != params.global_radius:
+        problems.append(
+            f"global attraction radius {table.rho[GLOBAL_ROW]} != class radius "
+            f"{params.global_radius}"
+        )
     if np.any(table.f < params.global_value - eps):
         problems.append("some minimum lies below the class global value")
     if np.any(table.rho <= 0.0):

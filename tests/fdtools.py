@@ -196,6 +196,9 @@ def reference_radii(local_min, params, global_row=1, vertex_row=0):
         if i == global_row:
             continue
         rho[i] = 0.5 * _distances_from(local_min, i).min()
+        if i != vertex_row:  # no further than tangency with the global ball
+            reach = _distances_from(local_min, i)[global_row] - params.global_radius
+            rho[i] = min(rho[i], reach)
     for i in (vertex_row, *range(2, count)):
         slack = _distances_from(local_min, i) - rho
         rho[i] = max(rho[i], slack.min())

@@ -243,6 +243,23 @@ def test_infeasible_gap_fails_not_hangs():
     assert "cannot place minimizers" in exc.value.errors[0].detail
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        dataclasses.replace(default_params(2), gap=0.0),
+        dataclasses.replace(default_params(3), num_minima=12, global_radius=0.25, gap=0.125),
+    ],
+    ids=["2d10-gap-0", "3d12-gap-half-radius"],
+)
+def test_gap_below_global_radius_generates_clean_classes(params):
+    # half the distance to x* would cross the global ball; the local ball
+    # starts at tangency with it instead
+    for nf in range(1, 101):
+        func = generate(params, nf)
+        assert ground_truth_problems(func) == reference_problems(func) == []
+        assert np.array_equal(func.minima.rho, reference_radii(func.minima.local_min, params))
+
+
 def test_unplaceable_global_minimizer_is_a_parameter_error(monkeypatch):
     # a stream stuck at 0.0 puts every vertex draw on the box corner,
     # never inside the precision margin
@@ -455,6 +472,8 @@ AUDIT_CASES = [
      ["vertex value 0.5 != paraboloid minimum 0.0"]),
     ("global-value", lambda t: dict(f=edited(t.f, 1, -0.5)),
      ["global minimizer value -0.5 != class value -1.0"]),
+    ("global-radius", lambda t: dict(rho=edited(t.rho, 1, 0.2)),
+     ["global attraction radius 0.2 != class radius 0.3333333333333333"]),
     ("below-global", lambda t: dict(f=edited(t.f, 4, -2.0)),
      ["some minimum lies below the class global value"]),
     ("radius-zero", lambda t: dict(rho=edited(t.rho, 3, 0.0)),

@@ -1,10 +1,11 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from basingen import (
+    ParameterError,
     eval_many,
     evaluate,
     export_class,
@@ -45,6 +46,15 @@ def test_bad_value_tol_rejected_before_generation(params2, monkeypatch, value_to
     monkeypatch.setattr(harness, "generate", None)  # a call would raise TypeError
     with pytest.raises(ValueError, match="value_tol"):
         run_solver(params2, "d", oracle_solver, budget=10, value_tol=value_tol)
+
+
+@pytest.mark.parametrize("global_value", [None, "-1", float("nan")])
+def test_invalid_class_rejected_before_generation(params2, monkeypatch, global_value):
+    # the default value_tol is computed from the class values
+    monkeypatch.setattr(harness, "generate", None)  # a call would raise TypeError
+    bad = replace(params2, global_value=global_value)
+    with pytest.raises(ParameterError, match="GlobalMinValueError"):
+        run_solver(bad, "d", oracle_solver, budget=10)
 
 
 @pytest.mark.parametrize(

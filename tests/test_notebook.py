@@ -16,6 +16,8 @@ from basingen import (
     generate,
     grid_samples,
     load_class,
+    params_from_dict,
+    params_to_dict,
     write_grid,
 )
 from basingen.notebook import summary_path_for
@@ -252,29 +254,46 @@ def test_malformed_value_is_rejected(tmp_path, notebook_path, case):
         load_class(bad)
 
 
-# a notebook's copies of what the record derives (the weights from the
-# class, the global list from the values) must equal the derived ones;
-# function 5 of the class has one global minimizer, minimizer 2.  The ids
-# are those of the audit cases these checks moved from.
+# a notebook's copies of what the record derives (the row indices, the
+# weights and the global value from the class, the global list from the
+# values) must equal the derived ones; the error names the copy's path.
+# Function 5 of the class has one global minimizer, minimizer 2.
 _GLOBAL = (*_F4, "global")
-_W_PATH = "functions[4].minimizers[*].w"
+_ROWS_PATH = "functions[4].minimizers[*]"
 _GLOBAL_PATH = "functions[4].global"
 _LIST = [2, 1, 3, 4, 5, 6, 7, 8, 9, 10]
 
+
+def _swapped_index(document):
+    rows = document["functions"][4]["minimizers"]
+    rows[2]["index"], rows[3]["index"] = rows[3]["index"], rows[2]["index"]
+    return json.dumps(document).encode()
+
+
 DERIVED_COPIES = {
-    "w-length": (_set(*_ROW, "w", value=[0.99, 0.99]), _W_PATH),
-    "w-nan": (_set(*_ROW, "w", value=float("nan")), _W_PATH),
-    "weights": (_set(*_ROW, "w", value=0.5), _W_PATH),
-    "vertex-weight-one": (_set(*_F4, "minimizers", 0, "w", value=1.0), _W_PATH),
-    "not-permutation": (_set(*_GLOBAL, "gm_index", 1, value=2), _GLOBAL_PATH),
-    "count-zero": (_set(*_GLOBAL, "num_global_minima", value=0), _GLOBAL_PATH),
-    "count-high": (_set(*_GLOBAL, "num_global_minima", value=11), _GLOBAL_PATH),
-    "global-missing": (_set(*_GLOBAL, "gm_index", value=sorted(_LIST)), _GLOBAL_PATH),
+    "index-order": (_swapped_index, f"{_ROWS_PATH}.index"),
+    "w-length": (_set(*_ROW, "w", value=[0.99, 0.99]), f"{_ROWS_PATH}.w"),
+    "w-nan": (_set(*_ROW, "w", value=float("nan")), f"{_ROWS_PATH}.w"),
+    "weights": (_set(*_ROW, "w", value=0.5), f"{_ROWS_PATH}.w"),
+    "vertex-weight-one": (_set(*_F4, "minimizers", 0, "w", value=1.0), f"{_ROWS_PATH}.w"),
+    "global-value": (_set(*_GLOBAL, "value", value=-0.5), f"{_GLOBAL_PATH}.value"),
+    "not-permutation": (_set(*_GLOBAL, "gm_index", 1, value=2), f"{_GLOBAL_PATH}.gm_index"),
+    "count-zero": (
+        _set(*_GLOBAL, "num_global_minima", value=0), f"{_GLOBAL_PATH}.num_global_minima"
+    ),
+    "count-high": (
+        _set(*_GLOBAL, "num_global_minima", value=11), f"{_GLOBAL_PATH}.num_global_minima"
+    ),
+    "global-missing": (
+        _set(*_GLOBAL, "gm_index", value=sorted(_LIST)), f"{_GLOBAL_PATH}.gm_index"
+    ),
     "global-extra": (
         _set(*_GLOBAL, value=dict(value=-1.0, num_global_minima=2, gm_index=[2, 3, 1, *_LIST[3:]])),
-        _GLOBAL_PATH,
+        f"{_GLOBAL_PATH}.num_global_minima",
     ),
-    "groups-unsorted": (_set(*_GLOBAL, "gm_index", value=[2, 1, 4, 3, *_LIST[4:]]), _GLOBAL_PATH),
+    "groups-unsorted": (
+        _set(*_GLOBAL, "gm_index", value=[2, 1, 4, 3, *_LIST[4:]]), f"{_GLOBAL_PATH}.gm_index"
+    ),
 }
 
 
@@ -287,6 +306,24 @@ def test_stored_copies_must_equal_the_derived_data(tmp_path, notebook_path, case
     bad.write_bytes(edit(document))
     with pytest.raises(NotebookError, match=re.escape(where)):
         load_class(bad)
+
+
+def test_class_radius_must_be_the_global_ball_radius(tmp_path, notebook_path):
+    document = json.loads(notebook_path.read_text())
+    document["class_params"]["global_radius"] = 0.2
+    bad = tmp_path / "radius.json"
+    bad.write_text(json.dumps(document))
+    expected = "functions[0] violates ground-truth invariants: global attraction radius "
+    expected += "0.3333333333333333 != class radius 0.2"
+    with pytest.raises(NotebookError, match=re.escape(expected)):
+        load_class(bad)
+
+
+def test_params_from_dict_raises_notebook_errors(params2):
+    data = params_to_dict(params2)
+    data["dim"] = "2"
+    with pytest.raises(NotebookError, match=re.escape("class_params.dim must hold JSON integers")):
+        params_from_dict(data)
 
 
 def test_wrong_function_count_is_rejected(tmp_path, notebook_path):
