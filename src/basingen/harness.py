@@ -13,6 +13,11 @@ charges one unit against the budget, infeasible queries (the evaluator's
 box test decides) answer +inf or None and are still charged, and
 exhausting the budget stops the solver.
 
+``BudgetedObjective.run(solver)`` owns one function's run: it calls
+``solver(objective, func)``, ends normally on ``BudgetExhausted``, records
+any other exception as the outcome's ``solver_error`` and returns the
+``FunctionOutcome``; ``run_solver`` sweeps a class through it.
+
 ``BudgetedObjective.values(X)`` answers a whole ``(k, dim)`` block of
 value queries with one ``eval_many`` call on its feasible rows.  It
 charges one unit per row, evaluates only the rows the budget still
@@ -116,14 +121,14 @@ class BudgetedObjective:
             raise BudgetExhausted
         self.evaluations += 1
 
-    def _note_best(self, point: np.ndarray, value: float) -> None:
+    def _note_best(self, point: np.ndarray, value: float, evaluation: int) -> None:
         if self.best_value is None or value < self.best_value:
             self.best_value = value
             self.best_point = point.copy()
             if self.evals_to_success is None and (
                 value <= self._value_threshold or self._hits_global_ball(point)
             ):
-                self.evals_to_success = self.evaluations
+                self.evals_to_success = evaluation
 
     def _hits_global_ball(self, point: np.ndarray) -> bool:
         diffs = self._global_points - point
@@ -140,7 +145,7 @@ class BudgetedObjective:
             val = evaluate(self._func, point, self.family)
         except OutOfDomainError:
             return math.inf
-        self._note_best(point, val)
+        self._note_best(point, val, self.evaluations)
         return val
 
     def values(self, X) -> np.ndarray:
@@ -170,8 +175,7 @@ class BudgetedObjective:
         best = math.inf if self.best_value is None else self.best_value
         before = np.minimum.accumulate(np.concatenate(([best], vals[:-1])))
         for i in np.flatnonzero(vals < before):
-            self.evaluations = start + int(i) + 1
-            self._note_best(block[i], float(vals[i]))
+            self._note_best(block[i], float(vals[i]), start + int(i) + 1)
         self.evaluations = start + len(block)
         if len(block) < len(points):
             raise BudgetExhausted
@@ -190,13 +194,31 @@ class BudgetedObjective:
         except DerivEvalError:
             return None
 
-    def success_flags(self) -> tuple[bool, bool]:
-        """(by_radius, by_value) for the final best feasible query."""
-        if self.best_point is None:
-            return False, False
-        by_radius = self._hits_global_ball(self.best_point)
-        by_value = self.best_value <= self._value_threshold
-        return by_radius, by_value
+    def run(self, solver) -> FunctionOutcome:
+        """Call ``solver(self, func)`` and return the outcome of the final
+        best feasible query.  Spending the budget ends the run normally;
+        any other solver exception is recorded as ``solver_error``."""
+        error = None
+        try:
+            solver(self, self._func)
+        except BudgetExhausted:
+            pass
+        except Exception as exc:  # noqa: BLE001 - solver faults are data
+            error = f"{type(exc).__name__}: {exc}"
+        found = self.best_point is not None
+        by_radius = found and self._hits_global_ball(self.best_point)
+        by_value = found and self.best_value <= self._value_threshold
+        return FunctionOutcome(
+            nf=self._func.nf,
+            evaluations=self.evaluations,
+            best_value=self.best_value,
+            best_point=self.best_point.tolist() if found else None,
+            success=by_radius or by_value,
+            success_by_radius=by_radius,
+            success_by_value=by_value,
+            evals_to_success=self.evals_to_success,
+            solver_error=error,
+        )
 
 
 @dataclass
@@ -234,12 +256,9 @@ def run_solver(
     budget: int,
     value_tol: float | None = None,
 ) -> SolverReport:
-    """Benchmark `solver` on all 100 functions of a class.
-
-    `solver` is called as ``solver(objective, func)`` with a
-    :class:`BudgetedObjective` and the ground-truth record (for replay
-    baselines only; honest solvers must not read it).  A solver exception
-    is recorded as a per-function failure; the sweep continues.  An
+    """Benchmark `solver` on all 100 functions of a class, one
+    :meth:`BudgetedObjective.run` per function: a solver exception is
+    recorded as a per-function failure and the sweep continues.  An
     invalid class is a :class:`ParameterError` before anything else.
     """
     errors = check(params)  # the default value_tol reads the class values
@@ -250,35 +269,10 @@ def run_solver(
     # the objective's checks, once before anything is generated
     family, budget, value_tol = _objective_arguments(family, budget, value_tol)
 
-    outcomes = []
-    for nf in range(1, FUNCTIONS_PER_CLASS + 1):
-        func = generate(params, nf)
-        objective = BudgetedObjective(func, family, budget, value_tol)
-        error = None
-        try:
-            solver(objective, func)
-        except BudgetExhausted:
-            pass
-        except Exception as exc:  # noqa: BLE001 - solver faults are data
-            error = f"{type(exc).__name__}: {exc}"
-        by_radius, by_value = objective.success_flags()
-        outcomes.append(
-            FunctionOutcome(
-                nf=nf,
-                evaluations=objective.evaluations,
-                best_value=objective.best_value,
-                best_point=(
-                    None
-                    if objective.best_point is None
-                    else [float(v) for v in objective.best_point]
-                ),
-                success=by_radius or by_value,
-                success_by_radius=by_radius,
-                success_by_value=by_value,
-                evals_to_success=objective.evals_to_success,
-                solver_error=error,
-            )
-        )
+    outcomes = [
+        BudgetedObjective(generate(params, nf), family, budget, value_tol).run(solver)
+        for nf in range(1, FUNCTIONS_PER_CLASS + 1)
+    ]
 
     hits = [
         o.evals_to_success

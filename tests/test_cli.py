@@ -113,6 +113,9 @@ def test_gen_rejects_bad_params(tmp_path, capsys):
     for flags, code_name in (
         (["--global-radius", "0.4"], "GlobalRadiusError"),
         (["--delta-max", "-1"], "TuningError"),
+        # magnitudes whose basin depths are lost in rounding
+        (["--paraboloid-min", "1e16"], "GlobalMinValueError"),
+        (["--domain-left=-1e16,-1e16", "--domain-right=1e16,1e16"], "BoundaryError"),
     ):
         code, out, err = run(capsys, ["gen", "--type", "d", *flags, "--out", str(path)])
         assert code == 1

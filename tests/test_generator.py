@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -279,6 +280,102 @@ def test_unplaceable_global_minimizer_is_a_parameter_error(monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# magnitudes that double precision cannot hold
+
+
+def _square_box(lo, hi, scaled=False, **kw):
+    """The default 2-D class on [lo, hi]^2; `scaled` sizes global_dist
+    and global_radius to the box (side/3, side/6) as default_params does."""
+    if scaled:
+        kw.update(global_dist=(hi - lo) / 3.0, global_radius=(hi - lo) / 6.0, gap=None)
+    return dataclasses.replace(default_params(2), domain_left=(lo, lo), domain_right=(hi, hi), **kw)
+
+
+def _class_outcomes(params):
+    """How the 100 functions of a class end: None for an audit-clean
+    record, else the codes of the ParameterError."""
+    outcomes = collections.Counter()
+    for nf in range(1, 101):
+        try:
+            func = generate(params, nf)
+        except ParameterError as exc:
+            outcomes[tuple(exc.codes)] += 1
+        else:
+            assert ground_truth_problems(func) == []
+            outcomes[None] += 1
+    return outcomes
+
+
+BOUNDARY, VALUES, DIST = (ErrorCode.BOUNDARY,), (ErrorCode.GLOBAL_MIN_VALUE,), (ErrorCode.GLOBAL_DIST,)
+
+
+@pytest.mark.parametrize(
+    "params, expected",
+    [
+        (dataclasses.replace(default_params(2), paraboloid_min=1e16), {VALUES: 100}),
+        (dataclasses.replace(default_params(2), paraboloid_min=1e15), {VALUES: 22, None: 78}),
+        (_square_box(-1e16, 1e16), {BOUNDARY: 100}),
+        (_square_box(-1e16, 1e16, scaled=True), {BOUNDARY: 100}),
+        (_square_box(-1e13, 1e13, scaled=True), {BOUNDARY: 1, None: 99}),
+        (_square_box(1e15, 1e15 + 2.0), {BOUNDARY: 16, None: 84}),
+        (_square_box(1e14, 1e14 + 2.0), {BOUNDARY: 1, None: 99}),
+        (_square_box(-6.13e15, -6.13e15 + 2.0, num_minima=2), {BOUNDARY: 100}),
+        (small_class(num_minima=5, global_dist=1e-11, global_radius=5e-12), {DIST: 100}),
+    ],
+    ids=[
+        "paraboloid-1e16", "paraboloid-1e15", "default-1e16", "scaled-1e16", "scaled-1e13",
+        "narrow-1e15", "narrow-1e14", "narrow-at-6e15", "dist-below-precision",
+    ],
+)
+def test_unrepresentable_magnitudes_are_parameter_errors(params, expected):
+    # each of these ended in RuntimeError: the audit found the lost quantity
+    assert _class_outcomes(params) == expected
+
+
+# all 100 records of each class, as test_generation_pinned_bit_for_bit
+# hashes them, all fields of a record in turn
+ANCHOR_DIGESTS = {
+    "default-1e6": "2b561f8139c58e572869103b8e030433f5ecb1abe86d23cbc49356af9445d76d",
+    "default-1e13": "756e393476740757164bc110c39010159f1f27ab2ea68fff6879f293a586e910",
+    "scaled-1e12": "d9f60d7b1447828e18009f5442d1532d33d7218f1783c05c43933adb99911287",
+    "narrow-1e13": "08fe3927630ee053fcd1e92b53713c2a0e6cac272f765739073a06c41e2a0bcf",
+    "paraboloid-1e14": "54d3e3b12ebd5c9bb2984103a2a306d9f4e9270242b76be73b1ef05d8409440e",
+}
+ANCHORS = {
+    "default-1e6": _square_box(-1e6, 1e6),
+    "default-1e13": _square_box(-1e13, 1e13),
+    "scaled-1e12": _square_box(-1e12, 1e12, scaled=True),
+    "narrow-1e13": _square_box(1e13, 1e13 + 2.0),
+    "paraboloid-1e14": dataclasses.replace(default_params(2), paraboloid_min=1e14),
+}
+
+
+@pytest.mark.parametrize("name", ANCHOR_DIGESTS)
+def test_large_magnitudes_that_fit_still_generate(name):
+    digest = hashlib.sha256()
+    for nf in range(1, 101):
+        func = generate(ANCHORS[name], nf)
+        assert ground_truth_problems(func) == []
+        for data in stored_fields(func).values():
+            digest.update(data)
+    assert digest.hexdigest() == ANCHOR_DIGESTS[name]
+
+
+def test_broken_record_at_normal_scale_stays_internal(monkeypatch):
+    # only lost magnitudes are the caller's fault; a generator bug is not
+    compute_radii = generator.compute_radii
+
+    def overlapping(local_min, params):
+        rho = compute_radii(local_min, params)
+        rho[2:] *= 3.0
+        return rho
+
+    monkeypatch.setattr(generator, "compute_radii", overlapping)
+    with pytest.raises(RuntimeError, match="internal error.*overlaps a later ball"):
+        generate(default_params(2), 1)
+
+
+# --------------------------------------------------------------------------
 # radii
 
 
@@ -300,6 +397,20 @@ def test_radii_hand_trace_expanding():
     rho = compute_radii(points, p)
     assert rho[VERTEX_ROW] == pytest.approx(0.99 * 7.0 / 15.0)
     assert rho[GLOBAL_ROW] == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize(
+    "apart, global_dist, code",
+    [(0.6, 2.0 / 3.0, ErrorCode.BOUNDARY), (0.0, 1e-11, ErrorCode.GLOBAL_DIST)],
+)
+def test_radii_refuse_a_vertex_ball_on_the_global_ball(apart, global_dist, code):
+    # 0.6 apart, the vertex ball (0.99 * 0.3) meets the global ball (1/3):
+    # rounding moved the global minimizer; 0 apart, global_dist is too small
+    p = small_class(num_minima=2, global_dist=global_dist, global_radius=global_dist / 2)
+    with pytest.raises(ParameterError) as exc:
+        compute_radii(np.array([[0.0, 0.0], [apart, 0.0]]), p)
+    assert exc.value.codes == [code]
+    assert "too close for their attraction balls" in str(exc.value)
 
 
 def test_radii_match_per_row_reference(pinned_classes):

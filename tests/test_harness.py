@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import asdict, replace
 
@@ -254,6 +255,91 @@ def test_report_files(tmp_path, params2):
         lines = (tmp_path / companion).read_text().splitlines()
         assert lines[0].startswith("nf,evaluations,best_value")
         assert len(lines) == 101
+
+
+def _raises_on_function_3(objective, func):
+    objective.value(func.vertex)
+    if func.nf == 3:
+        raise ValueError("boom on 3")
+    objective.value(func.global_minimizer)
+
+
+PINNED_REPORT_DIGESTS = {
+    "oracle.json": "3ec787819891f8781fe2385428df6391b87bf771a76c1d47fd2890eaa80ce92b",
+    "oracle.csv": "93aa1b2cd4827bbec901482ac3e730e624aca16dc6828cd18364fba5099d8559",
+    "random.json": "a626e348de1fd94c370b6c4ebe86db7646a8712585f14c997568ebb8e4fe2aa0",
+    "random.csv": "fed3f06e879d6a9baa3cbd1c46514e3cf683246c641c1f59e64ce71703b2772a",
+    "multistart.json": "587825545f826b23038924aafd8959bff946def08a0281e324b5a6aed2c282b9",
+    "multistart.csv": "54aa8e3dabbb0ebc5558ca213e12d6ae62be9a719f1a75ce75805b8e9aebd5db",
+    "raises.json": "bf79c85c3c8af9a04e32a55158e73fd1b5df4d6c94990480c00eefa380bec722",
+    "raises.csv": "6ef0f394831e910394fbc4b299437fa6e9576409e8d41d31d6c494edf0b3fabd",
+}
+
+
+def test_report_bytes_are_pinned(tmp_path, params2):
+    sweeps = {
+        "oracle": ("d", oracle_solver, 3),
+        "random": ("nd", make_random_search(4), 200),
+        "multistart": ("d2", make_multistart(3, 20, 5), 200),
+        "raises": ("d", _raises_on_function_3, 10),
+    }
+    digests = {}
+    for name, (family, solver, budget) in sweeps.items():
+        write_report(run_solver(params2, family, solver, budget), tmp_path / f"{name}.json")
+        for suffix in (".json", ".csv"):
+            blob = (tmp_path / f"{name}{suffix}").read_bytes()
+            digests[name + suffix] = hashlib.sha256(blob).hexdigest()
+    assert digests == PINNED_REPORT_DIGESTS
+
+
+# --------------------------------------------------------------------------
+# one function's run
+
+
+def _spend_budget(objective, func):
+    while True:
+        objective.value(func.vertex)
+
+
+def _boom_after_two(objective, func):
+    objective.value(func.vertex)
+    objective.value(func.global_minimizer)
+    raise ValueError("boom")
+
+
+def _no_query(objective, func):
+    pass
+
+
+def test_run_spends_the_budget_without_error(func9):
+    outcome = BudgetedObjective(func9, "d", budget=7, value_tol=1e-4).run(_spend_budget)
+    assert outcome.solver_error is None
+    assert outcome.evaluations == 7
+    assert outcome.nf == 9
+
+
+def test_run_records_a_solver_error(func9):
+    outcome = BudgetedObjective(func9, "d", budget=10, value_tol=1e-4).run(_boom_after_two)
+    assert outcome.solver_error == "ValueError: boom"
+    assert outcome.evaluations == 2
+    assert outcome.success and outcome.evals_to_success == 2
+    assert outcome.best_point == func9.global_minimizer.tolist()
+
+
+def test_run_without_queries_has_no_best(func9):
+    outcome = BudgetedObjective(func9, "d2", budget=10, value_tol=1e-4).run(_no_query)
+    assert outcome.best_point is None and outcome.best_value is None
+    assert not (outcome.success or outcome.success_by_radius or outcome.success_by_value)
+    assert outcome.evaluations == 0 and outcome.evals_to_success is None
+
+
+@pytest.mark.parametrize(
+    "family, solver", [("d", oracle_solver), ("nd", make_random_search(2)), ("d2", _boom_after_two)]
+)
+def test_run_matches_the_sweep(params2, func9, family, solver):
+    outcome = BudgetedObjective(func9, family, budget=50, value_tol=1e-3).run(solver)
+    report = run_solver(params2, family, solver, budget=50, value_tol=1e-3)
+    assert outcome == report.outcomes[func9.nf - 1]
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Property tests: batch evaluation against the scalar evaluators, block
-queries against one-at-a-time queries, and notebooks with one leaf edited.
+queries against one-at-a-time queries, notebooks with one leaf edited, and
+generation over boxes and values of every magnitude double precision holds.
 
 Examples are derandomized and their number bounded, so every run checks
 the same cases.
@@ -16,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basingen import (
+    ClassParams,
     NotebookError,
+    ParameterError,
     eval_d,
     eval_d2,
     eval_many,
@@ -222,3 +225,43 @@ def test_one_leaf_edit_loads_or_is_a_notebook_error(notebook_text, tmp_path_fact
     }
     assert _same_json(rewritten, document if op == "add" else edited)
 
+
+
+# --------------------------------------------------------------------------
+# generation
+
+
+def _power(data, low, high):
+    return 10.0 ** data.draw(st.floats(low, high))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_generate_is_clean_or_a_parameter_error(data):
+    dim = data.draw(st.integers(2, 5))
+    half = np.array([_power(data, -3, 17) for _ in range(dim)])
+    offset = data.draw(st.sampled_from([0.0, -1.0, 1.0])) * _power(data, 0, 17)
+    left, right = offset - half, offset + half
+    half_side = 0.5 * float((right - left).min())
+    global_dist = half_side * data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    global_radius = 0.5 * global_dist * data.draw(st.floats(0.0, 1.0, exclude_min=True))
+    paraboloid_min = data.draw(st.sampled_from([0.0, -1.0, 1.0])) * _power(data, -3, 17)
+    params = ClassParams(
+        dim=dim,
+        num_minima=data.draw(st.integers(2, 20)),
+        global_value=paraboloid_min - _power(data, -3, 17),
+        global_dist=global_dist,
+        global_radius=global_radius,
+        domain_left=tuple(left.tolist()),
+        domain_right=tuple(right.tolist()),
+        paraboloid_min=paraboloid_min,
+    )
+    # a quantity lost in rounding is the caller's ParameterError, never an
+    # internal RuntimeError, and no step overflows or divides by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            func = generate(params, data.draw(st.integers(1, 100)))
+        except ParameterError:
+            return
+    assert ground_truth_problems(func) == []
