@@ -26,6 +26,10 @@ which is symmetric by construction.  Both branches take the same value
 on the ball boundary (continuity for every family); for "d" the first
 derivatives also agree there, and for "d2" the second derivatives too.
 
+Every evaluator reads one read-only plan per record and family
+(``_plan``), built on first use and kept on the record: the balls'
+geometry, shared by all families, and the family's coefficients.
+
 Failures are reported as typed exceptions rather than a sentinel value;
 the command-line front end converts them back to a sentinel for textual
 compatibility with sentinel-style tooling.
@@ -34,10 +38,11 @@ compatibility with sentinel-style tooling.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .generator import GeneratedFunction
+from .generator import GeneratedFunction, _read_only
 from .params import PRECISION, ErrorCode, _is_size
 
 FAMILIES = ("nd", "d", "d2")
@@ -90,7 +95,7 @@ def _in_box(func: GeneratedFunction, points: np.ndarray) -> np.ndarray:
 
 def _require_feasible(func: GeneratedFunction, points: np.ndarray) -> None:
     """Box test shared by the scalar and batch paths; NaN fails it."""
-    if not _in_box(func, points).all():
+    if not np.logical_and.reduce(_in_box(func, points), axis=None):
         raise OutOfDomainError("a query point lies outside the admissible box or is NaN")
 
 
@@ -123,8 +128,9 @@ def _locate_row(func: GeneratedFunction, point: np.ndarray):
     center.  Balls are disjoint; on exact tangency the lowest row wins."""
     diffs = func.minima.local_min - point
     dist_sq = np.einsum("ij,ij->i", diffs, diffs)
-    hits = np.nonzero(dist_sq[1:] <= func.minima.rho[1:] ** 2)[0]
-    row = int(hits[0]) + 1 if hits.size else 0
+    inside = dist_sq[1:] <= _plan(func).rho_sq
+    first = int(inside.argmax())
+    row = first + 1 if inside[first] else 0
     return row, float(dist_sq[row])
 
 
@@ -171,6 +177,39 @@ def _coefficients(func: GeneratedFunction, row: int, family: str):
     )
 
 
+class _Plan(NamedTuple):
+    """Read-only tables of one record: its balls (rows 2..m), shared by
+    every family, and one family's coefficients of A and C per ball."""
+
+    rho_sq: np.ndarray  # rho_i^2
+    axes: np.ndarray  # T - M_i
+    keys: np.ndarray  # |T - M_i|^2 - rho_i^2
+    eye: np.ndarray  # the (dim, dim) identity
+    reach: float  # max |T - M_i|
+    spread: float  # max rho_i^2
+    coef_a: np.ndarray | None = None
+    coef_c: np.ndarray | None = None
+
+
+def _plan(func: GeneratedFunction, family: str | None = None) -> _Plan:
+    """The plan of `func` for `family` (the geometry alone when None),
+    built on first use and kept on the record."""
+    plan = func._plans.get(family)
+    if plan is None:
+        if family is None:
+            rho_sq = func.minima.rho[1:] ** 2
+            axes = func.vertex - func.minima.local_min[1:]
+            axes_sq = np.einsum("ij,ij->i", axes, axes)
+            tables = map(_read_only, (rho_sq, axes, axes_sq - rho_sq, np.eye(func.dim)))
+            plan = _Plan(*tables, math.sqrt(float(axes_sq.max())), float(rho_sq.max()))
+        else:
+            coefs = [_coefficients(func, row, family) for row in range(1, func.num_minima)]
+            coef_a, coef_c = (_read_only(np.array(c)) for c in zip(*coefs))
+            plan = _plan(func)._replace(coef_a=coef_a, coef_c=coef_c)
+        func._plans[family] = plan
+    return plan
+
+
 def _horner(coef, r, order: int = 0):
     """(p, p', p'') at `r` for coefficients listed lowest power first.
 
@@ -192,26 +231,25 @@ def _basin(
     polynomial of `row` at `point`, at distance `r` from its center,
     whether or not `point` is in its ball.  Within ``PRECISION`` of the
     minimizer: f_min, a zero gradient and delta * I."""
+    plan = _plan(func, family)
     if r < PRECISION:
         if order == 0:
             return float(func.minima.f[row])
-        return np.zeros(func.dim) if order == 1 else func.delta * np.eye(func.dim)
-    center = func.minima.local_min[row]
-    d = point - center
-    a = func.vertex - center
+        return np.zeros(func.dim) if order == 1 else func.delta * plan.eye
+    d = point - func.minima.local_min[row]
+    a = plan.axes[row - 1]
     c = float(np.einsum("i,i->", d, a))
-    coef_a, coef_c = _coefficients(func, row, family)
-    a0, a1, a2 = _horner(coef_a, r, order)
-    c0, c1, c2 = _horner(coef_c, r, order)
+    a0, a1, a2 = _horner(plan.coef_a[row - 1].tolist(), r, order)
+    c0, c1, c2 = _horner(plan.coef_c[row - 1].tolist(), r, order)
     if order == 0:
         return a0 + c * c0
     u = d / r
     radial = a1 + c * c1
     if order == 1:
         return radial * u + c0 * a
-    uu = np.outer(u, u)
-    ua = np.outer(u, a)
-    return (a2 + c * c2) * uu + c1 * (ua + ua.T) + (radial / r) * (np.eye(func.dim) - uu)
+    uu = u[:, None] * u
+    ua = u[:, None] * a
+    return (a2 + c * c2) * uu + c1 * (ua + ua.T) + (radial / r) * (plan.eye - uu)
 
 
 def _at(func: GeneratedFunction, x, family: str, order: int):
@@ -222,7 +260,7 @@ def _at(func: GeneratedFunction, x, family: str, order: int):
         return _basin(func, row, point, math.sqrt(dist_sq), family, order)
     if order == 0:
         return dist_sq + func.params.paraboloid_min
-    return 2.0 * (point - func.vertex) if order == 1 else 2.0 * np.eye(func.dim)
+    return 2.0 * (point - func.vertex) if order == 1 else 2.0 * _plan(func).eye
 
 
 def _derivative(func: GeneratedFunction, x, family: str, order: int) -> np.ndarray:
@@ -265,7 +303,7 @@ def eval_many(func: GeneratedFunction, family: str, points) -> np.ndarray:
     a proven rounding bound of 0 is confirmed with the scalar lookup's
     exact test, and the lowest confirmed row wins.  The basin kernel then
     runs once over all points in balls, with coefficients gathered per
-    point and the scalar path's operations.
+    point and the scalar path's operations, all read from the plan.
     """
     _require_family(family)
     _require_function(func)
@@ -278,10 +316,7 @@ def eval_many(func: GeneratedFunction, family: str, points) -> np.ndarray:
 
     table = func.minima
     centers = table.local_min[1:]
-    rho_sq = table.rho[1:] ** 2
-    axes = func.vertex - centers
-    axes_sq = np.einsum("ij,ij->i", axes, axes)
-    keys = axes_sq - rho_sq
+    plan = _plan(func, family)
     # The scores are taken about the vertex T, x' = fl(x - T) and
     # M' = fl(M - T) = -axes, so that they do not grow with the box's
     # offset.  Rounding bound (u = eps / 2, gamma_n = n u / (1 - n u),
@@ -302,12 +337,7 @@ def eval_many(func: GeneratedFunction, family: str, points) -> np.ndarray:
     # at the largest |M'| and rho; the factor 2 also covers the rounding
     # of tau itself (relative error below (dim + 6) u).  So no hit is
     # missed; a near miss only costs a confirmation.
-    reach = math.sqrt(float(axes_sq.max()))
-    spread = float(rho_sq.max())
     scale = 2.0 * (func.dim + 4) * np.finfo(float).eps
-
-    coefs = [_coefficients(func, row, family) for row in range(1, func.num_minima)]
-    coef_a, coef_c = map(np.array, zip(*coefs))
 
     values = np.empty(len(pts))
     step = max(1, _CHUNK_CELLS // max(len(centers), func.dim))
@@ -316,23 +346,25 @@ def eval_many(func: GeneratedFunction, family: str, points) -> np.ndarray:
         diffs = block - func.vertex
         sq = np.einsum("ij,ij->i", diffs, diffs)
         out = sq + func.params.paraboloid_min
-        tau = scale * ((np.sqrt(sq) + reach) ** 2 + spread)
-        score = diffs @ axes.T
+        tau = scale * ((np.sqrt(sq) + plan.reach) ** 2 + plan.spread)
+        score = diffs @ plan.axes.T
         score *= 2.0
-        score += keys
+        score += plan.keys
         score += sq[:, None]
         point, row = np.nonzero(score <= tau[:, None])
         # the exact test of the scalar lookup; pairs come ordered by
-        # point, then row, so the first confirmed pair per point holds
-        # its lowest row, which wins on exact tangency
+        # point, then row, so the first confirmed pair of each run of one
+        # point holds its lowest row, which wins on exact tangency
         d = block[point] - centers[row]
         dist_sq = np.einsum("ij,ij->i", d, d)
-        hit = np.flatnonzero(dist_sq <= rho_sq[row])
-        keep = hit[np.unique(point[hit], return_index=True)[1]]
+        hit = np.flatnonzero(dist_sq <= plan.rho_sq[row])
+        first = np.ones(len(hit), dtype=bool)
+        first[1:] = point[hit[1:]] != point[hit[:-1]]
+        keep = hit[first]
         point, row, d, dist_sq = point[keep], row[keep], d[keep], dist_sq[keep]
         r = np.sqrt(dist_sq)
-        c = np.einsum("ij,ij->i", d, axes[row])
-        branch = _horner(coef_a[row].T, r)[0] + c * _horner(coef_c[row].T, r)[0]
+        c = np.einsum("ij,ij->i", d, plan.axes[row])
+        branch = _horner(plan.coef_a[row].T, r)[0] + c * _horner(plan.coef_c[row].T, r)[0]
         out[point] = np.where(r < PRECISION, table.f[1:][row], branch)
         values[start : start + step] = out
     return values

@@ -2,11 +2,12 @@
 
 Each function of a class is assembled from a base paraboloid
 ``g(x) = ||x - T||^2 + t`` whose vertex ``T`` is minimizer 1, a
-user-pinned global minimizer ``x*`` (minimizer 2) at exact distance
-``global_dist`` from ``T``, and further local minimizers drawn uniformly
-over the interior of the box.  Attraction radii, basin depths, and the
-curvature parameter ``delta`` are then derived so that every minimizer,
-its value, and its basin radius are known exactly.
+user-pinned global minimizer ``x*`` (minimizer 2) at distance
+``global_dist`` from ``T``, up to the rounding of each coordinate to the
+spacing of the box's magnitude, and further local minimizers drawn
+uniformly over the interior of the box.  Attraction radii, basin
+depths, and the curvature parameter ``delta`` are then derived so that
+every minimizer, its value, and its basin radius are known exactly.
 
 Generation is a pure function of ``(params, nf)``: the random stream is
 seeded from the function number, the minimizer count, and the dimension,
@@ -137,6 +138,11 @@ class GeneratedFunction:
         lifted = np.einsum("ij,ij->i", diffs, diffs) + self.params.paraboloid_min
         return _read_only(lifted - self.minima.f)
 
+    @cached_property
+    def _plans(self) -> dict:
+        """Evaluation plans by family, filled by ``basingen.evaluate``."""
+        return {}
+
 
 def function_seed(params: ClassParams, nf: int) -> int:
     """Frozen seed map: distinct per (nf, dimension, minimizer count)."""
@@ -183,8 +189,9 @@ def place_vertex_and_global(
     params: ClassParams, rng: LaggedFibonacci
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw the paraboloid vertex uniformly over the box interior and put
-    the global minimizer at exact distance `global_dist` from it, using
-    random spherical angles with out-of-box coordinates reflected."""
+    the global minimizer at distance `global_dist` from it, up to the
+    rounding of each coordinate to the spacing of the box's magnitude,
+    using random spherical angles with out-of-box coordinates reflected."""
     lower = np.array(params.domain_left)
     upper = np.array(params.domain_right)
     span = upper - lower

@@ -334,7 +334,7 @@ def _descend(objective: BudgetedObjective, x: np.ndarray, steps: int) -> None:
         step = min(1.0, reach / gnorm)
         improved = False
         while step * gnorm > 1e-13:
-            candidate = np.clip(x - step * grad, objective.lower, objective.upper)
+            candidate = np.minimum(np.maximum(x - step * grad, objective.lower), objective.upper)
             fc = objective.value(candidate)
             if fc < fx:
                 x, fx = candidate, fc
@@ -356,9 +356,10 @@ def _coordinate_search(objective: BudgetedObjective, x: np.ndarray, steps: int) 
         for axis in range(objective.dim):
             for direction in (1.0, -1.0):
                 candidate = x.copy()
-                candidate[axis] = np.clip(
-                    candidate[axis] + direction * step[axis],
-                    objective.lower[axis],
+                # on a scalar, builtin min and max keep a signed zero at a
+                # bound as np.clip does; np.minimum and np.maximum do not
+                candidate[axis] = min(
+                    max(candidate[axis] + direction * step[axis], objective.lower[axis]),
                     objective.upper[axis],
                 )
                 fc = objective.value(candidate)

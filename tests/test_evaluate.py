@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from basingen import (
     generate,
     locate_ball,
 )
-from basingen.evaluate import _CHUNK_CELLS, _basin
+from basingen.evaluate import _CHUNK_CELLS, _basin, _plan
 from basingen.params import PRECISION
 
 import eval_reference
@@ -516,6 +518,86 @@ def test_lowest_row_wins_on_tangency():
         assert eval_many(func, family, point[None]).tolist() == [lowest]
         assert eval_reference.eval_many(func, family, point[None]).tolist() == [lowest]
     assert_batch_exact(func, lookup_edge_points(func, seed=3))
+
+
+# --------------------------------------------------------------------------
+# the evaluation plan
+
+
+def test_plan_is_built_once_per_record_and_family(params2, monkeypatch):
+    # the package's `evaluate` names the function, not the module
+    evaluate_module = importlib.import_module("basingen.evaluate")
+    calls = []
+    coefficients = evaluate_module._coefficients
+
+    def counting(func, row, family):
+        calls.append((row, family))
+        return coefficients(func, row, family)
+
+    monkeypatch.setattr(evaluate_module, "_coefficients", counting)
+    func = generate(params2, 9)
+    points = np.concatenate(
+        [points_inside_ball(func, row, 25, seed=row) for row in range(1, func.num_minima)]
+    )[:200]
+    assert len(points) == 200
+    for k, x in enumerate(points):
+        assert locate_ball(func, x) is not None
+        (eval_d2, d2_gradient, d2_hessian)[k % 3](func, x)
+    eval_many(func, "d2", points)
+    assert sorted(calls) == [(row, "d2") for row in range(1, func.num_minima)]
+
+
+def test_plan_is_read_only_and_shares_its_geometry(func5):
+    plans = {family: _plan(func5, family) for family in EVALUATORS}
+    for plan in plans.values():
+        arrays = [value for value in plan if isinstance(value, np.ndarray)]
+        assert len(arrays) == 6
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+        assert plan.coef_a.shape[0] == plan.axes.shape[0] == func5.num_minima - 1
+        assert plan.axes is plans["nd"].axes and plan.eye is plans["nd"].eye
+    assert plans["nd"].coef_a.shape != plans["d2"].coef_a.shape
+
+
+SCALAR_ROUTINES = {
+    **EVALUATORS,
+    "d_gradient": d_gradient,
+    "d2_gradient": d2_gradient,
+    "d2_hessian": d2_hessian,
+}
+
+
+def _every_result(func, points, batch_first):
+    """eval_many's values and every scalar routine's results at `points`,
+    with each family's plan built by the batch or by the scalar path."""
+
+    def batch():
+        return {f"eval_many {family}": eval_many(func, family, points) for family in EVALUATORS}
+
+    results = batch() if batch_first else {}
+    for name, routine in SCALAR_ROUTINES.items():
+        results[name] = np.array([routine(func, x) for x in points])
+    return results if batch_first else {**results, **batch()}
+
+
+def test_results_do_not_depend_on_which_path_builds_the_plan(params2, func5):
+    records = [
+        lambda: generate(params2, 9),
+        lambda: generate(func5.params, func5.nf),
+        tangent_function,
+        handmade_function,
+    ]
+    for seed, make in enumerate(records):
+        func = make()
+        points = lookup_edge_points(func, seed=5 * seed)
+        scalar_first = _every_result(func, points, batch_first=False)
+        batch_first = _every_result(make(), points, batch_first=True)
+        assert scalar_first.keys() == batch_first.keys()
+        for key in scalar_first:
+            assert np.array_equal(scalar_first[key], batch_first[key]), (seed, key)
+            assert not np.isnan(scalar_first[key]).any()
 
 
 def test_batch_rejects_infeasible(func9):

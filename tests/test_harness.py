@@ -292,6 +292,24 @@ def test_report_bytes_are_pinned(tmp_path, params2):
     assert digests == PINNED_REPORT_DIGESTS
 
 
+# the coordinate search of make_multistart on "nd", which the sweeps above
+# do not reach
+PINNED_ND_MULTISTART_DIGESTS = {
+    ".json": "f7d729dcf24c47e999b757295d5166e8d85eb03f2e76d7b8eed964fcfa1e41da",
+    ".csv": "825deb7deba3b332cbdab06562b3f215386aef37a4921db7f15d1b005df38273",
+}
+
+
+def test_nd_multistart_report_bytes_are_pinned(tmp_path, params2):
+    report = run_solver(params2, "nd", make_multistart(3, 20, 5), 200)
+    write_report(report, tmp_path / "multistart.json")
+    digests = {
+        suffix: hashlib.sha256((tmp_path / f"multistart{suffix}").read_bytes()).hexdigest()
+        for suffix in PINNED_ND_MULTISTART_DIGESTS
+    }
+    assert digests == PINNED_ND_MULTISTART_DIGESTS
+
+
 # --------------------------------------------------------------------------
 # one function's run
 
