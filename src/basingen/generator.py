@@ -287,9 +287,7 @@ def compute_radii(local_min: np.ndarray, params: ClassParams) -> np.ndarray:
     capped for rows 3..m at tangency with the global ball (which half the
     distance crosses when the gap is below the global radius), is then
     expanded (ascending row order) up to tangency with the current radii,
-    and finally shrunk by the weight coefficients.  A vertex ball that
-    meets the global ball, which only rounding can cause, is a
-    :class:`ParameterError`."""
+    and finally shrunk by the weight coefficients."""
     dists = _distance_matrix(local_min)
     rho = 0.5 * dists.min(axis=1)
     rho[GLOBAL_ROW] = params.global_radius
@@ -297,23 +295,6 @@ def compute_radii(local_min: np.ndarray, params: ClassParams) -> np.ndarray:
     for i in (VERTEX_ROW, *range(2, local_min.shape[0])):
         rho[i] = max(rho[i], (dists[i] - rho).min())
     rho *= radius_weights(len(rho))
-    # global_dist >= 2 global_radius keeps the vertex ball off the global
-    # ball, unless the spacing of the coordinates changed their distance or
-    # global_dist is within the precision: the audit's rules for the pair
-    apart = float(dists[VERTEX_ROW, GLOBAL_ROW])
-    if apart <= PRECISION or apart < rho[VERTEX_ROW] + rho[GLOBAL_ROW] - PRECISION:
-        code, cause = (
-            (ErrorCode.GLOBAL_DIST, f"global_dist is within the precision {PRECISION!r}")
-            if params.global_dist <= PRECISION
-            else (ErrorCode.BOUNDARY, "the box is too large in magnitude")
-        )
-        raise ParameterError(
-            ValidationError(
-                code,
-                f"the vertex and the global minimizer lie {apart!r} apart for global_dist="
-                f"{params.global_dist!r}, too close for their attraction balls: {cause}",
-            )
-        )
     return rho
 
 
@@ -327,8 +308,7 @@ def compute_minima_values(
     remaining value sits `peak_i` below the paraboloid minimum over its
     ball boundary, with `peak_i` the smaller of a draw from
     (rho_i, 2 rho_i) and a draw from (0, boundary_min - global_value).
-    The draws are one block: a radius word, then a depth word, per row.
-    A depth lost in rounding is a :class:`ParameterError`."""
+    The draws are one block: a radius word, then a depth word, per row."""
     vertex = local_min[VERTEX_ROW]
     # T is outside every other ball, so the boundary minimum is closed-form;
     # row by row for the bits of np.linalg.norm and of libm pow in scalar ** 2
@@ -343,24 +323,6 @@ def compute_minima_values(
     depth_draw = words[1::2] * (boundary_min - params.global_value)
     peaks = np.concatenate([[0.0, 0.0], np.minimum(radius_draw, depth_draw)])
     values = boundary_min - peaks[2:]
-    # exact arithmetic puts each value above the global value and below its
-    # boundary minimum, also as the audit computes it (einsum distances, which
-    # may differ in the last bit); only a depth below their spacing can fail
-    offsets = local_min[2:] - vertex
-    audit_min = (np.sqrt(np.einsum("ij,ij->i", offsets, offsets)) - rho[2:]) ** 2
-    audit_min += params.paraboloid_min
-    lost = (values >= audit_min) | (values < params.global_value - PRECISION)
-    if lost.any():
-        row = int(np.argmax(lost))
-        box = boundary_min[row] - params.paraboloid_min > abs(params.paraboloid_min)
-        raise ParameterError(
-            ValidationError(
-                ErrorCode.BOUNDARY if box else ErrorCode.GLOBAL_MIN_VALUE,
-                f"basin depth {float(peaks[row + 2])!r} of minimizer {row + 3} is below the "
-                f"spacing of its boundary minimum {float(boundary_min[row])!r}: the "
-                f"{'box' if box else 'paraboloid minimum'} is too large in magnitude",
-            )
-        )
     fixed = [params.paraboloid_min, params.global_value]  # rows 0 and 1
     return np.concatenate([fixed, values]), peaks
 
@@ -394,7 +356,8 @@ def generate(params: ClassParams, nf: int) -> GeneratedFunction:
 
     Deterministic: equal arguments produce bitwise-identical records.
     Raises :class:`ParameterError` on invalid parameters, a function
-    number outside [1, 100], or geometric placement failure.
+    number outside [1, 100], geometric placement failure, or a record
+    whose quantities double precision lost (the audit names them).
     """
     errors = check(params)
     if errors:
@@ -415,11 +378,42 @@ def generate(params: ClassParams, nf: int) -> GeneratedFunction:
     )
     problems = ground_truth_problems(func)
     if problems:
+        fault = _lost_magnitude(func, problems)
+        if fault:
+            raise ParameterError(fault)
         raise RuntimeError(
-            "internal error: generated record violates its invariants: "
-            + "; ".join(problems)
+            "internal error: generated record violates its invariants: " + "; ".join(problems)
         )
     return func
+
+
+def _lost_magnitude(func: GeneratedFunction, problems: list[str]) -> ValidationError | None:
+    """The class's fault behind the audit's `problems` when rounding lost a
+    quantity, by two audit rules on the audit's own distances; None for a
+    generator bug.  Exact arithmetic keeps the vertex ball off the global
+    ball, and each value between the global value and its boundary minimum."""
+    params, table = func.params, func.minima
+    t = params.paraboloid_min
+    dists = _distance_matrix(table.local_min)
+    apart = float(dists[VERTEX_ROW, GLOBAL_ROW])
+    boundary_min = (dists[VERTEX_ROW, 2:] - table.rho[2:]) ** 2 + t
+    lost = (table.f[2:] >= boundary_min) | (table.f[2:] < params.global_value - PRECISION)
+    large = "is too large in magnitude"
+    if apart <= PRECISION or apart < table.rho[VERTEX_ROW] + table.rho[GLOBAL_ROW] - PRECISION:
+        near = params.global_dist <= PRECISION
+        code = ErrorCode.GLOBAL_DIST if near else ErrorCode.BOUNDARY
+        fault = f"global_dist is within the precision {PRECISION!r}" if near else f"the box {large}"
+        cause = f"the vertex and the global minimizer lie {apart!r} apart, too close for their "
+        cause += f"attraction balls: {fault}"
+    elif lost.any():
+        row = int(np.argmax(lost))
+        box = boundary_min[row] - t > abs(t)
+        code = ErrorCode.BOUNDARY if box else ErrorCode.GLOBAL_MIN_VALUE
+        cause = f"the basin depth of minimizer {row + 3} is below the spacing of its boundary "
+        cause += f"minimum: the {'box' if box else 'paraboloid minimum'} {large}"
+    else:
+        return None
+    return ValidationError(code, f"{cause} ({'; '.join(problems)})")
 
 
 def ground_truth_problems(func: GeneratedFunction) -> list[str]:

@@ -16,6 +16,7 @@ import contextlib
 import enum
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -29,6 +30,28 @@ DEFAULT_MAX_DIM = 100
 # margin from the box, distinctness and global-value tolerance, and the
 # radius of the disc around each minimizer where its basin is flat
 PRECISION = 1e-10
+
+# Magnitudes that double precision holds.  D^2 = sum (hi - lo)^2, the
+# squared box diagonal, bounds every squared distance between box points,
+# and D every radius, so the fifth powers of the radii that the basin
+# coefficients (evaluate._coefficients) form stay finite when D^2 <=
+# _MAX_DIAGONAL_SQ.  Generation, the audit and eval_many's scores and tau
+# sum at most 5 D^2.  Each value lies in [global_value, D^2 + t], so each
+# bridge |T - M|^2 + t - f is at most 2 S, S = D^2 + |t| + |global_value|.
+# In x = r / rho, a basin polynomial of a ball of radius rho is sum
+# alpha_j x^j with |alpha_j| <= 15 (|bridge| + (1 + delta) rho^2) <= 15 V,
+# V = 2 S + (1 + delta_max)(1 + D^2); the C polynomial's are at most 16,
+# and |<x - M, T - M>| <= rho D.  For r <= rho and s = min(1, rho), every
+# coefficient, Horner partial and term of a value, gradient or Hessian is
+# then at most 1562 V / s^5: the Hessian's (600 + 320 + 288 + 354) V / s^5
+# is the largest, and _MAGNITUDE_FACTOR = 2^11 leaves room for rounding.
+# The global ball has rho = global_radius.  Every other ball is at least
+# 0.99 min(PRECISION / 2, gap) wide up to rounding (its nearest neighbour
+# lies beyond PRECISION, the global ball beyond the gap), so s >=
+# min(global_radius, PRECISION / 4) unless gap < PRECISION / 2 lets a draw
+# land within it of the global ball.
+_MAGNITUDE_FACTOR = 2.0**11
+_MAX_DIAGONAL_SQ = 0.5 * sys.float_info.max**0.4
 
 
 class ErrorCode(enum.Enum):
@@ -169,7 +192,8 @@ def check(params: ClassParams) -> list[ValidationError]:
         return value if isinstance(value, float) else math.nan
 
     left, right = (v if type(v) is tuple else () for v in (params.domain_left, params.domain_right))
-    # a finite span implies finite bounds and keeps box arithmetic finite
+    # a finite span implies finite bounds; _magnitude_errors keeps the
+    # squared distances in the box finite
     domain_ok = len(left) == params.dim == len(right) and all(
         real(lo) < real(hi) and math.isfinite(hi - lo) for lo, hi in zip(left, right)
     )
@@ -215,5 +239,42 @@ def check(params: ClassParams) -> list[ValidationError]:
     ):
         if not ok:
             errors.append(ValidationError(ErrorCode.TUNING, f"{name} must be {rule}, got {value}"))
-    return errors
+    return errors or _magnitude_errors(params)
+
+
+def _magnitude_errors(params: ClassParams) -> list[ValidationError]:
+    """The field to blame when a valid class breaks the magnitude bound
+    above: the box or the values (already at the default delta_max and
+    any global radius), else delta_max, else global_radius."""
+    diag_sq = sum((hi - lo) * (hi - lo) for lo, hi in zip(params.domain_left, params.domain_right))
+    values = abs(params.paraboloid_min) + abs(params.global_value)
+
+    def fits(delta_max: float, global_radius: float) -> bool:
+        bound = 2.0 * (diag_sq + values) + (1.0 + delta_max) * (1.0 + diag_sq)
+        narrowest = min(global_radius, 0.25 * PRECISION)
+        return (
+            diag_sq <= _MAX_DIAGONAL_SQ
+            and _MAGNITUDE_FACTOR * bound <= sys.float_info.max * narrowest**5
+        )
+
+    if not fits(min(params.delta_max, DEFAULT_DELTA_MAX), math.inf):
+        box = diag_sq >= values
+        return [ValidationError(
+            ErrorCode.BOUNDARY if box else ErrorCode.GLOBAL_MIN_VALUE,
+            f"the squared box diagonal ({diag_sq!r}) and |paraboloid_min| + |global_value| "
+            f"({values!r}) overflow double precision: the "
+            f"{'box' if box else 'paraboloid minimum or global value'} is too large in magnitude",
+        )]
+    if not fits(params.delta_max, math.inf):
+        return [ValidationError(
+            ErrorCode.TUNING,
+            f"delta_max ({params.delta_max!r}) overflows the basin polynomials in double precision",
+        )]
+    if not fits(params.delta_max, params.global_radius):
+        return [ValidationError(
+            ErrorCode.GLOBAL_RADIUS,
+            f"global attraction radius ({params.global_radius!r}) is too small: its basin "
+            f"polynomials overflow double precision",
+        )]
+    return []
 

@@ -162,6 +162,3 @@ class LaggedFibonacci:
         words = _run(self._state, length) & _MASK
         self._state = words[length:]
         return words[:length]
-
-    def _next_block(self, length: int) -> list[int]:
-        return self._next_words(length).tolist()

@@ -10,6 +10,7 @@ from basingen import (
     ClassParams,
     ErrorCode,
     ParameterError,
+    check,
     default_params,
     function_seed,
     generate,
@@ -29,6 +30,7 @@ from basingen.generator import (
     place_local_minimizers,
     place_vertex_and_global,
 )
+from basingen.evaluate import FAMILIES, d2_gradient, d2_hessian, d_gradient, eval_many, evaluate
 from basingen.notebook import _function_entry
 from basingen.params import PRECISION, radius_weights
 from basingen.rng import LaggedFibonacci
@@ -361,6 +363,75 @@ def test_large_magnitudes_that_fit_still_generate(name):
     assert digest.hexdigest() == ANCHOR_DIGESTS[name]
 
 
+@pytest.mark.parametrize(
+    "params, code",
+    [
+        (_square_box(-1e160, 1e160, scaled=True), ErrorCode.BOUNDARY),
+        (_square_box(-1e155, 1e155, scaled=True), ErrorCode.BOUNDARY),
+        (_square_box(-1e100, 1e100, scaled=True, num_minima=2), ErrorCode.BOUNDARY),
+        (dataclasses.replace(default_params(2), paraboloid_min=1e308, global_value=-1e308),
+         ErrorCode.GLOBAL_MIN_VALUE),
+        (dataclasses.replace(default_params(2), global_value=-1e308), ErrorCode.GLOBAL_MIN_VALUE),
+        (dataclasses.replace(default_params(2), delta_max=1e308), ErrorCode.TUNING),
+        (dataclasses.replace(default_params(2), global_radius=1e-70, gap=1.0 / 3.0),
+         ErrorCode.GLOBAL_RADIUS),
+    ],
+    ids=["box-1e160", "box-1e155", "two-minima-1e100", "values-1e308", "global-value-1e308",
+         "delta-max-1e308", "global-radius-1e-70"],
+)
+def test_overflowing_magnitudes_are_refused_by_check(params, code):
+    # each ended in an internal error, an overflow warning, or a record
+    # whose values, derivatives or batch values were inf, NaN or raised
+    assert [e.code for e in check(params)] == [code]
+    with pytest.raises(ParameterError) as exc:
+        generate(params, 1)
+    assert exc.value.codes == [code]
+
+
+def _ball_points(func):
+    """Every ball's centre, a mid-radius point and a boundary point, kept in the box."""
+    table = func.minima
+    step = np.zeros(func.dim)
+    step[0] = 1.0
+    rows = [
+        table.local_min[i] + k * table.rho[i] * step
+        for i in range(1, func.num_minima) for k in (0.0, 0.5, 1.0)
+    ]
+    return np.clip(rows, func.lower, func.upper)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        dataclasses.replace(default_params(2), global_value=-1e300),
+        dataclasses.replace(default_params(2), global_value=-1e250),
+        dataclasses.replace(default_params(2), delta_max=1e300),
+        dataclasses.replace(default_params(2), delta_max=1e250),
+        dataclasses.replace(default_params(2), global_radius=1e-62, gap=1.0 / 3.0),
+        dataclasses.replace(default_params(2), global_radius=1e-60, gap=1.0 / 3.0),
+        _square_box(-1e60, 1e60, scaled=True, num_minima=2),
+    ],
+    ids=["global-value-1e300", "global-value-1e250", "delta-max-1e300", "delta-max-1e250",
+         "global-radius-1e-62", "global-radius-1e-60", "two-minima-1e60"],
+)
+def test_large_magnitudes_refuse_or_evaluate_finitely(params):
+    # a class check accepts gives finite values, gradients and Hessians, in
+    # every ball of every function tried, also as batch values
+    if check(params):
+        with pytest.raises(ParameterError):
+            generate(params, 1)
+        return
+    for nf in (1, 2, 3):
+        func = generate(params, nf)
+        points = _ball_points(func)
+        for family in FAMILIES:
+            assert np.isfinite(eval_many(func, family, points)).all()
+            assert np.isfinite([evaluate(func, x, family) for x in points]).all()
+        for x in points:
+            for derivative in (d_gradient, d2_gradient, d2_hessian):
+                assert np.isfinite(derivative(func, x)).all()
+
+
 def test_broken_record_at_normal_scale_stays_internal(monkeypatch):
     # only lost magnitudes are the caller's fault; a generator bug is not
     compute_radii = generator.compute_radii
@@ -373,6 +444,31 @@ def test_broken_record_at_normal_scale_stays_internal(monkeypatch):
     monkeypatch.setattr(generator, "compute_radii", overlapping)
     with pytest.raises(RuntimeError, match="internal error.*overlaps a later ball"):
         generate(default_params(2), 1)
+
+
+def test_only_the_audit_refuses_a_record(monkeypatch):
+    # the audit refuses every function of paraboloid-1e16 (its depths are
+    # lost in rounding); with the audit silenced, construction returns one
+    monkeypatch.setattr(generator, "ground_truth_problems", lambda func: [])
+    func = generate(dataclasses.replace(default_params(2), paraboloid_min=1e16), 1)
+    assert isinstance(func, GeneratedFunction)
+
+
+@pytest.mark.parametrize(
+    "apart, global_dist, code",
+    [(0.6, 2.0 / 3.0, ErrorCode.BOUNDARY), (0.0, 1e-11, ErrorCode.GLOBAL_DIST)],
+)
+def test_lost_magnitude_balls_meet(apart, global_dist, code):
+    # 0.6 apart, the vertex ball (0.99 * 0.3) meets the global ball (1/3):
+    # rounding moved the global minimizer; 0 apart, global_dist is too small
+    p = small_class(num_minima=2, global_dist=global_dist, global_radius=global_dist / 2)
+    points = np.array([[0.0, 0.0], [apart, 0.0]])
+    table = MinimaTable(points, f=[0.0, -1.0], rho=compute_radii(points, p), peak=[0.0, 0.0])
+    func = GeneratedFunction(params=p, nf=1, minima=table, delta=1.0)
+    problems = ground_truth_problems(func)
+    fault = generator._lost_magnitude(func, problems)
+    assert problems and fault.code == code
+    assert "too close for their attraction balls" in fault.detail
 
 
 # --------------------------------------------------------------------------
@@ -397,20 +493,6 @@ def test_radii_hand_trace_expanding():
     rho = compute_radii(points, p)
     assert rho[VERTEX_ROW] == pytest.approx(0.99 * 7.0 / 15.0)
     assert rho[GLOBAL_ROW] == pytest.approx(0.2)
-
-
-@pytest.mark.parametrize(
-    "apart, global_dist, code",
-    [(0.6, 2.0 / 3.0, ErrorCode.BOUNDARY), (0.0, 1e-11, ErrorCode.GLOBAL_DIST)],
-)
-def test_radii_refuse_a_vertex_ball_on_the_global_ball(apart, global_dist, code):
-    # 0.6 apart, the vertex ball (0.99 * 0.3) meets the global ball (1/3):
-    # rounding moved the global minimizer; 0 apart, global_dist is too small
-    p = small_class(num_minima=2, global_dist=global_dist, global_radius=global_dist / 2)
-    with pytest.raises(ParameterError) as exc:
-        compute_radii(np.array([[0.0, 0.0], [apart, 0.0]]), p)
-    assert exc.value.codes == [code]
-    assert "too close for their attraction balls" in str(exc.value)
 
 
 def test_radii_match_per_row_reference(pinned_classes):

@@ -21,7 +21,7 @@ def test_knuth_published_check_value():
     for blocks, length in ((2010, 1009), (1010, 2009)):
         gen = LaggedFibonacci(310952)
         for _ in range(blocks):
-            block = gen._next_block(length)
+            block = gen._next_words(length).tolist()
         assert block[0] == 995235265
 
 
@@ -50,7 +50,7 @@ def test_stream_matches_integer_oracle():
             ref = ReferenceStream(seed)
             same = gen._state.tolist() == ref._state
             for _ in range(3):
-                block = gen._next_block(1009)
+                block = gen._next_words(1009).tolist()
                 same &= block == ref.next_block(1009)
                 same &= all(type(word) is int for word in block)
             same &= gen.uniforms(2500).tolist() == [ref.uniform() for _ in range(2500)]
