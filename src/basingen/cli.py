@@ -306,3 +306,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main_entry()

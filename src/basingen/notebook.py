@@ -2,19 +2,27 @@
 
 A notebook is a JSON document describing every function of a class:
 class parameters, the family it was exported for, and per function the
-full minimizer table (coordinates, values, radii, basin depths, weights),
-the curvature parameter, and the global-minimizer bookkeeping.  Floats
-survive the round trip exactly, so a loaded class evaluates bit-for-bit
-like the generated one, without re-running the random stream.
+stored columns of its minimizer table (coordinates, values, radii, basin
+depths) and its curvature parameter.  Floats survive the round trip
+exactly, so a loaded class evaluates bit-for-bit like the generated one,
+without re-running the random stream.
+
+:func:`export_class` writes schema 2: ``"schema": 2`` and one JSON list
+per column per function, encoded compactly in one ``json.dumps`` call.
+:func:`load_class` also reads schema 1, the layout without a ``schema``
+key that stores one object per minimizer row plus copies of what the
+record derives (``index``, ``w``, ``global``); its rows are gathered
+into the same columns, so both schemas share one path after decoding,
+and its stored copies are compared with the derived values.
 
 Only this module knows the JSON layout: :func:`params_to_dict` and
-``_function_entry`` write it; :func:`params_from_dict`,
-``_function_from_entry`` and :func:`load_class` read it, every value
-through :func:`read_numbers`.  Any failure to read is a
-:class:`NotebookError` naming the bad value's path, and so is a stored
-copy (``index``, ``w``, ``global``) that differs from what the record
-derives.  :func:`export_class` and :func:`load_class` both return a
-:class:`LoadedClass` of records; the text summary is formatted from them.
+``_document`` write it; :func:`params_from_dict`, ``_function_from_entry``
+and :func:`load_class` read it, every value through :func:`read_numbers`.
+Any failure to read is a :class:`NotebookError` naming the bad value's
+path, and so is a schema 1 stored copy that differs from what the
+record derives.  :func:`export_class` and :func:`load_class` both return
+a :class:`LoadedClass` of records; the text summary is formatted from
+them.
 """
 
 from __future__ import annotations
@@ -56,6 +64,9 @@ class LoadedClass(NamedTuple):
     function_type: str
 
 
+# the schema export_class writes; a document without a "schema" key is schema 1
+SCHEMA = 2
+
 # JSON key of each stored minimizer column -> its MinimaTable field, in export order
 _MINIMA_KEYS = {"coords": "local_min", "f": "f", "rho": "rho", "peak": "peak"}
 
@@ -67,21 +78,21 @@ def params_to_dict(params: ClassParams) -> dict:
     return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
 
 
-def _function_entry(func: GeneratedFunction) -> dict:
-    columns = {key: getattr(func.minima, field).tolist() for key, field in _MINIMA_KEYS.items()}
-    columns["w"] = func.minima.w_rho.tolist()
+def _document(loaded: LoadedClass) -> dict:
+    """The schema 2 notebook of `loaded`: one JSON list per stored column
+    per function, and none of the copies that the record derives."""
     return {
-        "nf": func.nf,
-        "delta": func.delta,
-        "minimizers": [
-            {"index": i + 1, **{key: column[i] for key, column in columns.items()}}
-            for i in range(func.num_minima)
+        "schema": SCHEMA,
+        "class_params": params_to_dict(loaded.params),
+        "function_type": loaded.function_type,
+        "functions": [
+            {
+                "nf": func.nf,
+                "delta": func.delta,
+                **{key: getattr(func.minima, name).tolist() for key, name in _MINIMA_KEYS.items()},
+            }
+            for func in loaded.functions
         ],
-        "global": {
-            "value": func.params.global_value,
-            "num_global_minima": func.glob.num_global_minima,
-            "gm_index": func.glob.gm_index.tolist(),
-        },
     }
 
 
@@ -121,15 +132,10 @@ def export_class(params: ClassParams, function_type: str, path) -> LoadedClass:
     _require_family(function_type)
     functions = [generate(params, nf) for nf in range(1, FUNCTIONS_PER_CLASS + 1)]
     loaded = LoadedClass(params=params, functions=functions, function_type=function_type)
-    document = {
-        "class_params": params_to_dict(params),
-        "function_type": function_type,
-        "functions": [_function_entry(func) for func in functions],
-    }
+    # one dumps call without indent runs the C encoder; json.dump to a file never does
+    text = json.dumps(_document(loaded), separators=(",", ":")) + "\n"
     path = Path(path)
-    with open(path, "w") as fh:
-        json.dump(document, fh, indent=2)
-        fh.write("\n")
+    path.write_text(text)
     summary_path_for(path).write_text(_summary_text(loaded))
     return loaded
 
@@ -186,20 +192,26 @@ def params_from_dict(data: dict) -> ClassParams:
     return ClassParams(dim=dim, num_minima=num_minima, **values)
 
 
-def _function_from_entry(entry, params: ClassParams, position: int) -> GeneratedFunction:
+def _function_from_entry(
+    entry, params: ClassParams, position: int, schema: int
+) -> GeneratedFunction:
     where = f"functions[{position}]"
     m = params.num_minima
     nf = read_numbers(entry, "nf", where, kind=int).item()
     if nf != position + 1:
         raise NotebookError(f"{where} has nf={nf}, expected {position + 1}")
-    rows = entry.get("minimizers")
-    if type(rows) is not list or len(rows) != m or not all(type(row) is dict for row in rows):
-        raise NotebookError(f"{where}.minimizers must be an array of {m} objects")
-    # a missing key reads as null, which read_numbers rejects
-    columns = {key: [row.get(key) for row in rows] for key in ("index", *_MINIMA_KEYS, "w")}
-    rows_where = f"{where}.minimizers[*]"
+    columns, columns_where = entry, where
+    if schema == 1:  # gather the per-minimizer rows into the schema 2 columns
+        rows = entry.get("minimizers")
+        if type(rows) is not list or len(rows) != m or not all(type(row) is dict for row in rows):
+            raise NotebookError(f"{where}.minimizers must be an array of {m} objects")
+        # a missing key reads as null, which read_numbers rejects
+        columns = {key: [row.get(key) for row in rows] for key in ("index", *_MINIMA_KEYS, "w")}
+        columns_where = f"{where}.minimizers[*]"
     table = {
-        field: read_numbers(columns, key, rows_where, (m, params.dim) if key == "coords" else (m,))
+        field: read_numbers(
+            columns, key, columns_where, (m, params.dim) if key == "coords" else (m,)
+        )
         for key, field in _MINIMA_KEYS.items()
     }
     func = GeneratedFunction(
@@ -211,30 +223,36 @@ def _function_from_entry(entry, params: ClassParams, position: int) -> Generated
     problems = ground_truth_problems(func)
     if problems:
         raise NotebookError(f"{where} violates ground-truth invariants: " + "; ".join(problems))
-    glob, glob_where = entry.get("global"), f"{where}.global"
-    for data, at, key, shape, kind, derived in (  # each stored copy of what the record derives
-        (columns, rows_where, "index", (m,), int, np.arange(1, m + 1)),
-        (columns, rows_where, "w", (m,), float, func.minima.w_rho),
-        (glob, glob_where, "value", (), float, params.global_value),
-        (glob, glob_where, "num_global_minima", (), int, func.glob.num_global_minima),
-        (glob, glob_where, "gm_index", (m,), int, func.glob.gm_index),
-    ):
-        if not np.array_equal(read_numbers(data, key, at, shape, kind), derived):
-            raise NotebookError(
-                f"{at}.{key} must be {np.asarray(derived).tolist()}, as the record derives"
-            )
+    if schema == 1:  # each stored copy of what the record derives must equal it
+        glob, glob_where = entry.get("global"), f"{where}.global"
+        for data, at, key, shape, kind, derived in (
+            (columns, columns_where, "index", (m,), int, np.arange(1, m + 1)),
+            (columns, columns_where, "w", (m,), float, func.minima.w_rho),
+            (glob, glob_where, "value", (), float, params.global_value),
+            (glob, glob_where, "num_global_minima", (), int, func.glob.num_global_minima),
+            (glob, glob_where, "gm_index", (m,), int, func.glob.gm_index),
+        ):
+            if not np.array_equal(read_numbers(data, key, at, shape, kind), derived):
+                raise NotebookError(
+                    f"{at}.{key} must be {np.asarray(derived).tolist()}, as the record derives"
+                )
     return func
 
 
 def load_class(path) -> LoadedClass:
-    """Read and re-validate a notebook; the stored ground truth is
-    authoritative (the random stream is not re-run)."""
+    """Read and re-validate a notebook of either schema; the stored ground
+    truth is authoritative (the random stream is not re-run)."""
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise NotebookError(f"cannot read notebook: {exc}") from exc
     if type(document) is not dict:
         raise NotebookError("notebook root must be an object")
+    schema = document.get("schema", 1)  # schema 1 has no schema key
+    if "schema" in document and (type(schema) is not int or schema != SCHEMA):
+        raise NotebookError(
+            f"schema must be {SCHEMA}, or absent for schema 1, got {json.dumps(schema)}"
+        )
     params = params_from_dict(document.get("class_params"))
     errors = check(params)
     if errors:
@@ -245,7 +263,7 @@ def load_class(path) -> LoadedClass:
     entries = document.get("functions")
     if type(entries) is not list or len(entries) != FUNCTIONS_PER_CLASS:
         raise NotebookError(f"notebook must list {FUNCTIONS_PER_CLASS} functions")
-    functions = [_function_from_entry(entry, params, i) for i, entry in enumerate(entries)]
+    functions = [_function_from_entry(entry, params, i, schema) for i, entry in enumerate(entries)]
     return LoadedClass(params=params, functions=functions, function_type=function_type)
 
 

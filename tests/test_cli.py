@@ -1,11 +1,19 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from basingen import load_class
 from basingen.cli import main
+
+from notebook_v1 import write_v1
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +100,7 @@ def test_gen_is_byte_identical(tmp_path, cli_notebook, capsys):
 # sha256 of `gen --type d --out c.json`'s notebook, summary and stdout; they
 # rest on the platform assumption of test_generator's PINNED_FIELD_DIGESTS
 PINNED_GEN_DIGESTS = {
-    "c.json": "8cf86512e33d3269d89af9929d12ca481df02e9d341fe90a4d563e1b7f7e3b0b",
+    "c.json": "7b827c41c2d56b3759b81c071fefb669f047100392e51a65c6c94be1a5a61c7e",
     "c.txt": "541cc9f87cd1cd6f20192b6961be1288ce8f17fbfd2cd9cb0742c5fd7d864bef",
     "stdout": "c4bf7fb031eadea9f029c1b0a0eba7df72e06a3d72290b3484ce9af59318f5d0",
 }
@@ -106,6 +114,29 @@ def test_gen_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     data["stdout"] = out.encode()
     digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in data.items()}
     assert digests == PINNED_GEN_DIGESTS
+
+
+# sha256 of the same class's schema 1 notebook, as `gen` wrote it before schema 2
+PINNED_V1_DIGEST = "8cf86512e33d3269d89af9929d12ca481df02e9d341fe90a4d563e1b7f7e3b0b"
+
+
+def test_schema1_reference_writer_has_the_pinned_bytes(cli_notebook, tmp_path):
+    # the records load_class reads from the schema 2 file write schema 1's bytes
+    v1 = write_v1(load_class(cli_notebook), tmp_path / "c.json")
+    assert hashlib.sha256(v1.read_bytes()).hexdigest() == PINNED_V1_DIGEST
+
+
+@pytest.mark.parametrize("module", ["basingen", "basingen.cli"])
+def test_module_form_runs_the_cli(tmp_path, module):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", module, "gen", "--type", "d", "--out", "c.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("wrote c.json (100 functions) and c.txt")
+    assert (tmp_path / "c.json").exists() and (tmp_path / "c.txt").exists()
 
 
 def test_gen_rejects_bad_params(tmp_path, capsys):
@@ -237,16 +268,19 @@ def test_eval_missing_notebook(tmp_path, capsys):
 
 
 def test_eval_malformed_notebook_is_notebook_error(cli_notebook, tmp_path, capsys):
-    document = json.loads(cli_notebook.read_text())
-    document["functions"][4]["minimizers"][0]["coords"][0] = "a"
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(document))
-    code, out, err = run(
-        capsys, ["eval", "--notebook", str(bad), "--nf", "5", "--point=0,0"]
-    )
-    assert code == 1
-    assert "notebook error" in err
-    assert "Traceback" not in err
+    v1 = json.loads(write_v1(load_class(cli_notebook), tmp_path / "v1.json").read_text())
+    v1["functions"][4]["minimizers"][0]["coords"][0] = "a"
+    v2 = json.loads(cli_notebook.read_text())
+    v2["functions"][4]["coords"][0][0] = "a"
+    for document, where in ((v1, "functions[4].minimizers[*].coords"), (v2, "functions[4].coords")):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        code, out, err = run(
+            capsys, ["eval", "--notebook", str(bad), "--nf", "5", "--point=0,0"]
+        )
+        assert code == 1
+        assert "notebook error" in err and where in err
+        assert "Traceback" not in err
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from basingen.generator import (
     place_vertex_and_global,
 )
 from basingen.evaluate import FAMILIES, d2_gradient, d2_hessian, d_gradient, eval_many, evaluate
-from basingen.notebook import _function_entry
+from basingen.notebook import LoadedClass, _document
 from basingen.params import PRECISION, radius_weights
 from basingen.rng import LaggedFibonacci
 from audit_reference import ground_truth_problems as reference_problems
@@ -138,7 +138,8 @@ def test_numpy_integer_function_numbers(params2, func9):
         func = generate(params2, kind(9))
         assert type(func.nf) is int
         assert stored_fields(func) == stored_fields(func9)
-        assert json.dumps(_function_entry(func)) == json.dumps(_function_entry(func9))
+        notebooks = [json.dumps(_document(LoadedClass(params2, [f], "d"))) for f in (func, func9)]
+        assert notebooks[0] == notebooks[1]
     assert [generate(params2, nf).nf for nf in np.arange(1, 4)] == [1, 2, 3]
     with pytest.raises(ParameterError) as exc:
         generate(params2, True)

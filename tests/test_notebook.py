@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 
@@ -23,20 +24,37 @@ from basingen import (
 from basingen.notebook import summary_path_for
 
 from conftest import sized_class
+from notebook_v1 import write_v1
 
 
 @pytest.fixture(scope="module")
-def notebook_path(tmp_path_factory, params2):
+def notebook_path(tmp_path_factory, params2, default_class):
+    """The default 2-D class's `d` notebook in schema 1, from the reference writer."""
+    path = tmp_path_factory.mktemp("nb") / "class_d_v1.json"
+    return write_v1(LoadedClass(params2, default_class, "d"), path)
+
+
+@pytest.fixture(scope="module")
+def notebook2_path(tmp_path_factory, params2):
+    """The default 2-D class's `d` notebook as `export_class` writes it (schema 2)."""
     path = tmp_path_factory.mktemp("nb") / "class_d.json"
     export_class(params2, "d", path)
     return path
 
 
-def test_export_writes_100_functions(notebook_path):
-    document = json.loads(notebook_path.read_text())
+def test_export_writes_100_functions(notebook2_path):
+    text = notebook2_path.read_text()
+    document = json.loads(text)
+    assert list(document) == ["schema", "class_params", "function_type", "functions"]
+    assert document["schema"] == 2
     assert document["function_type"] == "d"
     assert len(document["functions"]) == 100
     assert [e["nf"] for e in document["functions"]] == list(range(1, 101))
+    assert all(
+        list(e) == ["nf", "delta", "coords", "f", "rho", "peak"] for e in document["functions"]
+    )
+    # compact: one line, no whitespace between tokens
+    assert text == json.dumps(document, separators=(",", ":")) + "\n"
 
 
 def test_every_entry_has_the_class_global_value(notebook_path):
@@ -44,8 +62,8 @@ def test_every_entry_has_the_class_global_value(notebook_path):
     assert all(e["global"]["value"] == -1.0 for e in document["functions"])
 
 
-def test_summary_written_alongside(notebook_path):
-    summary = summary_path_for(notebook_path)
+def test_summary_written_alongside(notebook2_path):
+    summary = summary_path_for(notebook2_path)
     assert summary.exists()
     text = summary.read_text()
     assert "function type: d" in text
@@ -61,13 +79,18 @@ def test_export_is_reproducible(tmp_path, params2):
 
 
 def test_round_trip_reproduces_ground_truth(
-    notebook_path, params2, default_class, pinned_classes, tmp_path
+    notebook_path, notebook2_path, params2, default_class, pinned_classes, tmp_path
 ):
-    path5 = tmp_path / "class_5d30.json"
-    export_class(sized_class(5, 30), "d2", path5)
+    # schema 2 as exported, and schema 1 byte for byte as export_class wrote it before
+    params5 = sized_class(5, 30)
+    path5, path5_v1 = tmp_path / "class_5d30.json", tmp_path / "class_5d30_v1.json"
+    export_class(params5, "d2", path5)
+    write_v1(LoadedClass(params5, pinned_classes[5, 30], "d2"), path5_v1)
     for path, params, family, generated in (
+        (notebook2_path, params2, "d", default_class),
+        (path5, params5, "d2", pinned_classes[5, 30]),
         (notebook_path, params2, "d", default_class),
-        (path5, sized_class(5, 30), "d2", pinned_classes[5, 30]),
+        (path5_v1, params5, "d2", pinned_classes[5, 30]),
     ):
         loaded = load_class(path)
         assert loaded.function_type == family
@@ -103,11 +126,11 @@ def test_export_returns_the_class_load_reads(tmp_path, params2, default_class):
         assert_same_record(written, restored)
 
 
-def test_round_trip_evaluations_bitwise(notebook_path, default_class):
-    loaded = load_class(notebook_path)
+def test_round_trip_evaluations_bitwise(notebook_path, notebook2_path, default_class):
     rng = np.random.default_rng(31)
     points = rng.uniform(-1.0, 1.0, size=(200, 2))
-    for nf in (1, 9, 100):
+    schemas = [load_class(path) for path in (notebook_path, notebook2_path)]
+    for loaded, nf in itertools.product(schemas, (1, 9, 100)):
         original = default_class[nf - 1]
         restored = loaded.functions[nf - 1]
         for x in points:
@@ -116,11 +139,12 @@ def test_round_trip_evaluations_bitwise(notebook_path, default_class):
             assert eval_d2(original, x) == eval_d2(restored, x)
 
 
-def test_truncated_file_is_rejected(tmp_path, notebook_path):
+def test_truncated_file_is_rejected(tmp_path, notebook_path, notebook2_path):
     broken = tmp_path / "broken.json"
-    broken.write_text(notebook_path.read_text()[:5000])
-    with pytest.raises(NotebookError):
-        load_class(broken)
+    for path in (notebook_path, notebook2_path):
+        broken.write_text(path.read_text()[:5000])
+        with pytest.raises(NotebookError):
+            load_class(broken)
 
 
 def test_missing_file_is_reported(tmp_path):
@@ -319,6 +343,74 @@ def test_class_radius_must_be_the_global_ball_radius(tmp_path, notebook_path):
         load_class(bad)
 
 
+def _delete(*path):
+    """Edit giving the notebook bytes with the key at `path` removed."""
+
+    def edit(document):
+        target = document
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        return json.dumps(document).encode()
+
+    return edit
+
+
+# schema 2 variants of the malformed cases, and the error's path; function
+# 5's columns are functions[4].coords, .f, .rho and .peak
+SCHEMA2_MALFORMED = {
+    "coord_string": (_set(*_F4, "coords", 3, 0, value="a"), "functions[4].coords"),
+    "coord_nan": (_set(*_F4, "coords", 3, 0, value=float("nan")), "must be finite"),
+    "coord_nested": (_set(*_F4, "coords", 3, 0, value=[0.1]), "functions[4].coords"),
+    "coords_short_row": (_set(*_F4, "coords", 3, value=[0.1]), "functions[4].coords"),
+    "coords_flat": (_set(*_F4, "coords", value=[0.1] * 20), "functions[4].coords"),
+    "f_short": (_set(*_F4, "f", value=[-1.0] * 9), "functions[4].f"),
+    "rho_missing": (_delete(*_F4, "rho"), "functions[4] must be an object with key 'rho'"),
+    "peak_null": (_set(*_F4, "peak", value=None), "functions[4].peak"),
+    "nf_wrong": (_set(*_F4, "nf", value=7), "functions[4] has nf=7"),
+    "nf_bool": (_set(*_F4, "nf", value=True), "functions[4].nf"),
+    "delta_bool": (_set(*_F4, "delta", value=True), "functions[4].delta"),
+    "peak_bool": (_set(*_F4, "peak", 2, value=True), "functions[4].peak"),
+    "f_400_digits": (_set(*_F4, "f", 3, literal=_BIG), "functions[4].f"),
+    "global_rho": (
+        _set(*_F4, "rho", 1, value=0.2),
+        "functions[4] violates ground-truth invariants: global attraction radius 0.2 != class "
+        "radius 0.3333333333333333",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SCHEMA2_MALFORMED)
+def test_malformed_schema2_value_is_rejected(tmp_path, notebook2_path, case):
+    edit, message = SCHEMA2_MALFORMED[case]
+    bad = tmp_path / "malformed.json"
+    bad.write_bytes(edit(json.loads(notebook2_path.read_text())))
+    with pytest.raises(NotebookError, match=re.escape(message)):
+        load_class(bad)
+
+
+# the key, where present, must be the JSON integer 2; schema 1 has no key
+@pytest.mark.parametrize("schema", [3, "2", True, None, 2.0, 1], ids=repr)
+def test_unknown_schema_is_rejected(tmp_path, notebook_path, notebook2_path, schema):
+    for path in (notebook_path, notebook2_path):
+        document = json.loads(path.read_text())
+        document["schema"] = schema
+        bad = tmp_path / "schema.json"
+        bad.write_text(json.dumps(document))
+        with pytest.raises(NotebookError, match="schema"):
+            load_class(bad)
+
+
+def test_schema1_layout_needs_no_schema_key(tmp_path, notebook2_path):
+    # a schema 2 document without its key is read as schema 1, and has no rows
+    document = json.loads(notebook2_path.read_text())
+    del document["schema"]
+    bad = tmp_path / "unmarked.json"
+    bad.write_text(json.dumps(document))
+    with pytest.raises(NotebookError, match=re.escape("functions[0].minimizers")):
+        load_class(bad)
+
+
 def test_params_from_dict_raises_notebook_errors(params2):
     data = params_to_dict(params2)
     data["dim"] = "2"
@@ -326,13 +418,14 @@ def test_params_from_dict_raises_notebook_errors(params2):
         params_from_dict(data)
 
 
-def test_wrong_function_count_is_rejected(tmp_path, notebook_path):
-    document = json.loads(notebook_path.read_text())
-    document["functions"] = document["functions"][:50]
-    bad = tmp_path / "halved.json"
-    bad.write_text(json.dumps(document))
-    with pytest.raises(NotebookError):
-        load_class(bad)
+def test_wrong_function_count_is_rejected(tmp_path, notebook_path, notebook2_path):
+    for path in (notebook_path, notebook2_path):
+        document = json.loads(path.read_text())
+        document["functions"] = document["functions"][:50]
+        bad = tmp_path / "halved.json"
+        bad.write_text(json.dumps(document))
+        with pytest.raises(NotebookError):
+            load_class(bad)
 
 
 def test_unknown_family_rejected(params2, tmp_path):
