@@ -28,7 +28,8 @@ derivatives also agree there, and for "d2" the second derivatives too.
 
 Every evaluator reads one read-only plan per record and family
 (``_plan``), built on first use and kept on the record: the balls'
-geometry, shared by all families, and the family's coefficients.
+geometry, shared by all families, and the family's coefficients.  A
+scalar query reads it once, for the ball lookup and the basin kernel.
 
 Failures are reported as typed exceptions rather than a sentinel value;
 the command-line front end converts them back to a sentinel for textual
@@ -38,6 +39,7 @@ compatibility with sentinel-style tooling.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -93,9 +95,9 @@ def _in_box(func: GeneratedFunction, points: np.ndarray) -> np.ndarray:
     return (func.lower <= points) & (points <= func.upper)
 
 
-def _require_feasible(func: GeneratedFunction, points: np.ndarray) -> None:
-    """Box test shared by the scalar and batch paths; NaN fails it."""
-    if not np.logical_and.reduce(_in_box(func, points), axis=None):
+def _require_feasible(inside: bool) -> None:
+    """Raise unless the box test (where NaN fails) passed."""
+    if not inside:
         raise OutOfDomainError("a query point lies outside the admissible box or is NaN")
 
 
@@ -118,27 +120,29 @@ def _feasible_point(func: GeneratedFunction, x) -> np.ndarray:
         raise ValueError(
             f"expected a point of length {func.dim}, got shape {point.shape}"
         )
-    _require_feasible(func, point)
+    coords, params = point.tolist(), func.params
+    _require_feasible(  # _in_box's predicate on Python floats, in fewer calls
+        all(map(operator.le, params.domain_left, coords))
+        and all(map(operator.le, coords, params.domain_right))
+    )
     return point
 
 
-def _locate_row(func: GeneratedFunction, point: np.ndarray):
-    """0-based minimizer row whose ball contains `point` (0, the vertex
-    row, when no ball does) and the squared distance to that row's
-    center.  Balls are disjoint; on exact tangency the lowest row wins."""
-    diffs = func.minima.local_min - point
+def _locate_row(func: GeneratedFunction, point: np.ndarray, plan: _Plan):
+    """0-based minimizer row whose ball contains `point` (0, the vertex row, when no
+    ball does), the squared distance to its center and `point` minus the center.
+    Balls are disjoint; on exact tangency the lowest row, argmax's first, wins."""
+    diffs = point - func.minima.local_min
     dist_sq = np.einsum("ij,ij->i", diffs, diffs)
-    inside = dist_sq[1:] <= _plan(func).rho_sq
-    first = int(inside.argmax())
-    row = first + 1 if inside[first] else 0
-    return row, float(dist_sq[row])
+    row = int((dist_sq <= plan.bounds).argmax())
+    return row, float(dist_sq[row]), diffs[row]
 
 
 def locate_ball(func: GeneratedFunction, x):
     """Public ball lookup: (1-based minimizer index >= 2, distance to its
     center) when `x` lies in an attraction ball, else None.  A point
     outside the box, or with a NaN coordinate, raises OutOfDomainError."""
-    row, dist_sq = _locate_row(func, _feasible_point(func, x))
+    row, dist_sq, _ = _locate_row(func, _feasible_point(func, x), _plan(func))
     if row == 0:
         return None
     return row + 1, math.sqrt(dist_sq)
@@ -181,7 +185,7 @@ class _Plan(NamedTuple):
     """Read-only tables of one record: its balls (rows 2..m), shared by
     every family, and one family's coefficients of A and C per ball."""
 
-    rho_sq: np.ndarray  # rho_i^2
+    bounds: np.ndarray  # -1, which no squared distance passes, then rho_i^2
     axes: np.ndarray  # T - M_i
     keys: np.ndarray  # |T - M_i|^2 - rho_i^2
     eye: np.ndarray  # the (dim, dim) identity
@@ -189,6 +193,7 @@ class _Plan(NamedTuple):
     spread: float  # max rho_i^2
     coef_a: np.ndarray | None = None
     coef_c: np.ndarray | None = None
+    coefs: tuple | None = None  # (A, C) of each ball, as Python floats
 
 
 def _plan(func: GeneratedFunction, family: str | None = None) -> _Plan:
@@ -197,15 +202,15 @@ def _plan(func: GeneratedFunction, family: str | None = None) -> _Plan:
     plan = func._plans.get(family)
     if plan is None:
         if family is None:
-            rho_sq = func.minima.rho[1:] ** 2
+            bounds = np.append(-1.0, func.minima.rho[1:] ** 2)
             axes = func.vertex - func.minima.local_min[1:]
             axes_sq = np.einsum("ij,ij->i", axes, axes)
-            tables = map(_read_only, (rho_sq, axes, axes_sq - rho_sq, np.eye(func.dim)))
-            plan = _Plan(*tables, math.sqrt(float(axes_sq.max())), float(rho_sq.max()))
+            tables = map(_read_only, (bounds, axes, axes_sq - bounds[1:], np.eye(func.dim)))
+            plan = _Plan(*tables, math.sqrt(float(axes_sq.max())), float(bounds.max()))
         else:
             coefs = [_coefficients(func, row, family) for row in range(1, func.num_minima)]
             coef_a, coef_c = (_read_only(np.array(c)) for c in zip(*coefs))
-            plan = _plan(func)._replace(coef_a=coef_a, coef_c=coef_c)
+            plan = _plan(func)._replace(coef_a=coef_a, coef_c=coef_c, coefs=tuple(coefs))
         func._plans[family] = plan
     return plan
 
@@ -229,18 +234,22 @@ def _basin(
 ):
     """Value (order 0), gradient (1) or Hessian (2) of the basin
     polynomial of `row` at `point`, at distance `r` from its center,
-    whether or not `point` is in its ball.  Within ``PRECISION`` of the
-    minimizer: f_min, a zero gradient and delta * I."""
-    plan = _plan(func, family)
+    whether or not `point` is in its ball."""
+    return _kernel(func, _plan(func, family), row, point - func.minima.local_min[row], r, order)
+
+
+def _kernel(func: GeneratedFunction, plan: _Plan, row: int, d: np.ndarray, r: float, order: int):
+    """`_basin` given the family's plan and ``d = point - M_row``; within
+    ``PRECISION`` of M_row: f_min, a zero gradient and delta * I."""
     if r < PRECISION:
         if order == 0:
             return float(func.minima.f[row])
         return np.zeros(func.dim) if order == 1 else func.delta * plan.eye
-    d = point - func.minima.local_min[row]
     a = plan.axes[row - 1]
     c = float(np.einsum("i,i->", d, a))
-    a0, a1, a2 = _horner(plan.coef_a[row - 1].tolist(), r, order)
-    c0, c1, c2 = _horner(plan.coef_c[row - 1].tolist(), r, order)
+    coef_a, coef_c = plan.coefs[row - 1]
+    a0, a1, a2 = _horner(coef_a, r, order)
+    c0, c1, c2 = _horner(coef_c, r, order)
     if order == 0:
         return a0 + c * c0
     u = d / r
@@ -255,12 +264,13 @@ def _basin(
 def _at(func: GeneratedFunction, x, family: str, order: int):
     """Value (order 0), gradient (1) or Hessian (2) of `family` at `x`."""
     point = _feasible_point(func, x)
-    row, dist_sq = _locate_row(func, point)
+    plan = _plan(func, family)
+    row, dist_sq, d = _locate_row(func, point, plan)
     if row:
-        return _basin(func, row, point, math.sqrt(dist_sq), family, order)
+        return _kernel(func, plan, row, d, math.sqrt(dist_sq), order)
     if order == 0:
         return dist_sq + func.params.paraboloid_min
-    return 2.0 * (point - func.vertex) if order == 1 else 2.0 * _plan(func).eye
+    return 2.0 * d if order == 1 else 2.0 * plan.eye  # d = point - T, as row 0 is T
 
 
 def _derivative(func: GeneratedFunction, x, family: str, order: int) -> np.ndarray:
@@ -312,7 +322,7 @@ def eval_many(func: GeneratedFunction, family: str, points) -> np.ndarray:
     pts = np.ascontiguousarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != func.dim:
         raise ValueError(f"expected an (n, {func.dim}) array, got shape {pts.shape}")
-    _require_feasible(func, pts)
+    _require_feasible(np.logical_and.reduce(_in_box(func, pts), axis=None))
 
     table = func.minima
     centers = table.local_min[1:]
@@ -357,7 +367,7 @@ def eval_many(func: GeneratedFunction, family: str, points) -> np.ndarray:
         # point holds its lowest row, which wins on exact tangency
         d = block[point] - centers[row]
         dist_sq = np.einsum("ij,ij->i", d, d)
-        hit = np.flatnonzero(dist_sq <= plan.rho_sq[row])
+        hit = np.flatnonzero(dist_sq <= plan.bounds[1:][row])
         first = np.ones(len(hit), dtype=bool)
         first[1:] = point[hit[1:]] != point[hit[:-1]]
         keep = hit[first]

@@ -107,8 +107,13 @@ def _is_size(value) -> bool:
 
 
 def _as_float(value):
-    """A real number other than a bool (numpy scalar, Fraction, int) as a float; else `value`."""
-    return value if isinstance(value, bool) or not isinstance(value, numbers.Real) else float(value)
+    """A real number other than a bool (numpy scalar, Fraction, int) as a
+    float, ±inf when too large for one; else `value`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return value
+    with contextlib.suppress(OverflowError):
+        return float(value)
+    return math.inf if value > 0 else -math.inf
 
 
 def _require_count(name: str, value, minimum: int) -> int:

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from basingen import (
     d2_hessian,
     d_deriv,
     d_gradient,
+    default_params,
     eval_d,
     eval_d2,
     eval_many,
@@ -24,7 +27,7 @@ from basingen import (
     generate,
     locate_ball,
 )
-from basingen.evaluate import _CHUNK_CELLS, _basin, _plan
+from basingen.evaluate import _CHUNK_CELLS, _basin, _in_box, _plan, evaluate
 from basingen.params import PRECISION
 
 import eval_reference
@@ -598,6 +601,90 @@ def test_results_do_not_depend_on_which_path_builds_the_plan(params2, func5):
         for key in scalar_first:
             assert np.array_equal(scalar_first[key], batch_first[key]), (seed, key)
             assert not np.isnan(scalar_first[key]).any()
+
+
+def _bits(result):
+    """`result` in a form whose equality is equality of bits."""
+    if isinstance(result, tuple):
+        return tuple(map(_bits, result))
+    if isinstance(result, (float, np.ndarray)):
+        arr = np.asarray(result)
+        return type(result), arr.dtype, arr.shape, arr.tobytes()
+    return result
+
+
+EVERY_SCALAR_ROUTINE = {
+    **SCALAR_ROUTINES,
+    "evaluate d2": lambda func, x: evaluate(func, x, "d2"),
+    "locate_ball": locate_ball,
+    "d_deriv": lambda func, x: d_deriv(func, func.dim, x),
+    "d2_deriv1": lambda func, x: d2_deriv1(func, 1, x),
+    "d2_deriv2": lambda func, x: d2_deriv2(func, 1, func.dim, x),
+}
+
+
+def test_scalar_box_test_matches_in_box():
+    # a box with a 0.0 bound, whose ball 3 crosses the bound y = -1
+    params = dataclasses.replace(
+        default_params(2), domain_left=(0.0, -1.0), global_dist=0.3, global_radius=0.1
+    )
+    func = generate(params, 4)
+    assert func.minima.local_min[2, 1] - func.minima.rho[2] < -1.0
+    bases = [0.5 * (func.lower + func.upper), *func.minima.local_min[1:]]
+    points = []
+    for k in range(func.dim):
+        edges = [-0.0, np.inf, -np.inf, np.nan]
+        for bound in (func.lower[k], func.upper[k]):
+            edges += [bound, np.nextafter(bound, np.inf), np.nextafter(bound, -np.inf)]
+        for base, edge in itertools.product(bases, edges):
+            point = base.copy()
+            point[k] = edge
+            points.append(point)
+    whole = [[0, 0], [0, -1], [1, 1], [1, -2], [-1, 0], [2, 0], [0, 2], [1, 0]]
+    spellings = [*whole, *map(tuple, whole)]
+    for point in points:
+        spellings += [point.tolist(), tuple(point.tolist()), point.astype(np.float32)]
+    inside = 0
+    for x in spellings:
+        as_float64 = np.asarray(x, dtype=float)
+        feasible = bool(_in_box(func, as_float64).all())
+        inside += feasible
+        for name, routine in EVERY_SCALAR_ROUTINE.items():
+            if feasible:
+                assert _bits(routine(func, x)) == _bits(routine(func, as_float64)), (name, x)
+            else:
+                with pytest.raises((OutOfDomainError, DerivEvalError)):
+                    routine(func, x)
+    assert 0 < inside < len(spellings)
+    assert sum(locate_ball(func, x) is not None for x in points if _in_box(func, x).all()) > 0
+
+
+def test_scalar_query_reads_the_plan_once(func5, monkeypatch):
+    evaluate_module = importlib.import_module("basingen.evaluate")
+    counts = {"plan": 0, "einsum": 0}
+    plan, einsum = evaluate_module._plan, np.einsum
+    for family in EVALUATORS:
+        plan(func5, family)  # built, so only lookups are counted
+
+    def counting(name, inner):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(evaluate_module, "_plan", counting("plan", plan))
+    monkeypatch.setattr(evaluate_module.np, "einsum", counting("einsum", einsum))
+    x = points_inside_ball(func5, 3, 1, seed=2)[0]
+    for routine, point, einsums in (
+        (eval_d2, x, 2),
+        (d2_gradient, x, 2),
+        (d2_hessian, x, 2),
+        (eval_nd, func5.vertex, 1),
+    ):
+        counts.update(plan=0, einsum=0)
+        routine(func5, point)
+        assert counts == {"plan": 1, "einsum": einsums}, routine.__name__
 
 
 def test_batch_rejects_infeasible(func9):

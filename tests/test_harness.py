@@ -1,6 +1,7 @@
 import hashlib
 import json
 from dataclasses import asdict, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,7 +43,18 @@ def test_budget_zero_rejected(params2):
         run_solver(params2, "d", oracle_solver, budget=0)
 
 
-@pytest.mark.parametrize("value_tol", [float("nan"), float("inf"), -1e-3])
+@pytest.mark.parametrize(
+    "value_tol",
+    [
+        float("nan"),
+        float("inf"),
+        -1e-3,
+        # reals too large for a float, which are ±inf
+        pytest.param(10**400, id="10**400"),
+        pytest.param(Fraction(10**400, 3), id="10**400/3"),
+        pytest.param(-(10**400), id="-10**400"),
+    ],
+)
 def test_bad_value_tol_rejected_before_generation(params2, monkeypatch, value_tol):
     monkeypatch.setattr(harness, "generate", None)  # a call would raise TypeError
     with pytest.raises(ValueError, match="value_tol"):
@@ -117,6 +129,8 @@ def test_objective_checks_its_arguments(func9):
         ("value_tol", ("d", 10, "0.1")),
         ("value_tol", ("d", 10, None)),
         ("value_tol", ("d", 10, True)),
+        ("value_tol", ("d", 10, 10**400)),
+        ("value_tol", ("d", 10, Fraction(-(10**400), 3))),
     ]
     for text, args in bad:
         with pytest.raises(ValueError, match=text):
@@ -308,6 +322,23 @@ def test_nd_multistart_report_bytes_are_pinned(tmp_path, params2):
         for suffix in PINNED_ND_MULTISTART_DIGESTS
     }
     assert digests == PINNED_ND_MULTISTART_DIGESTS
+
+
+# the gradient descent of make_multistart on "d", through d_gradient
+PINNED_D_MULTISTART_DIGESTS = {
+    ".json": "736ffe30e06767ff1ee7397e0eb208716d9b0b70c7b6f035041e41152ad79e16",
+    ".csv": "ca6330520a6d8888c86bec9e07068ac4d3c2f987b50a223bd11a8dfcba57caf3",
+}
+
+
+def test_d_multistart_report_bytes_are_pinned(tmp_path, params2):
+    report = run_solver(params2, "d", make_multistart(3, 20, 5), 200)
+    write_report(report, tmp_path / "multistart.json")
+    digests = {
+        suffix: hashlib.sha256((tmp_path / f"multistart{suffix}").read_bytes()).hexdigest()
+        for suffix in PINNED_D_MULTISTART_DIGESTS
+    }
+    assert digests == PINNED_D_MULTISTART_DIGESTS
 
 
 # --------------------------------------------------------------------------

@@ -244,6 +244,36 @@ def test_non_integer_sizes_are_parameter_errors(change, code):
     assert code in exc.value.codes
 
 
+HUGE = 10**400  # a real number too large for a float
+
+
+@pytest.mark.parametrize(
+    "name, value, code",
+    [
+        ("global_value", -HUGE, ErrorCode.GLOBAL_MIN_VALUE),
+        ("global_value", Fraction(-HUGE, 3), ErrorCode.GLOBAL_MIN_VALUE),
+        ("paraboloid_min", HUGE, ErrorCode.GLOBAL_MIN_VALUE),
+        ("global_dist", Fraction(HUGE, 3), ErrorCode.GLOBAL_DIST),
+        ("global_radius", HUGE, ErrorCode.GLOBAL_RADIUS),
+        ("delta_max", HUGE, ErrorCode.TUNING),
+        ("gap", Fraction(HUGE, 7), ErrorCode.TUNING),
+        ("domain_left", (-HUGE, -1.0), ErrorCode.BOUNDARY),
+        ("domain_right", (1.0, HUGE), ErrorCode.BOUNDARY),
+    ],
+    ids=lambda v: v if isinstance(v, str) else getattr(v, "value", type(v).__name__),
+)
+def test_reals_too_large_for_a_float_are_stored_as_inf(name, value, code):
+    p = dataclasses.replace(default_params(2), **{name: value})
+    stored = getattr(p, name)
+    for given, kept in zip(value, stored) if name.startswith("domain_") else [(value, stored)]:
+        assert type(kept) is float
+        assert kept == (given if abs(given) < 2 else math.inf if given > 0 else -math.inf)
+    assert code in codes(check(p))
+    with pytest.raises(ParameterError) as exc:
+        generate(p, 1)
+    assert code in exc.value.codes
+
+
 def test_any_minimizer_count_is_a_plain_replace():
     p = dataclasses.replace(default_params(2), num_minima=30)
     assert all(generate(p, nf).num_minima == 30 for nf in range(1, 101))
