@@ -52,6 +52,7 @@ FAMILIES = ("nd", "d", "d2")
 # entries per eval_many chunk: its (rows, m - 1) power-score matrix and
 # its (rows, dim) blocks stay near 2 MB whatever m and dim are
 _CHUNK_CELLS = 1 << 18
+_EPS = np.finfo(float).eps
 
 
 class EvaluationError(Exception):
@@ -308,12 +309,14 @@ def eval_many(func: GeneratedFunction, family: str, points) -> np.ndarray:
     Per chunk of points, one matrix product gives each point's power
     score against every ball (the power diagram of the balls),
     ``|x - M_j|^2 - rho_j^2`` expanded about the vertex ``T`` as
-    ``|M_j - T|^2 - rho_j^2 - 2 (x - T).(M_j - T) + |x - T|^2``.  The
-    scores only pick candidates: every (point, ball) pair scoring within
-    a proven rounding bound of 0 is confirmed with the scalar lookup's
-    exact test, and the lowest confirmed row wins.  The basin kernel then
-    runs once over all points in balls, with coefficients gathered per
-    point and the scalar path's operations, all read from the plan.
+    ``|M_j - T|^2 - rho_j^2 - 2 (x - T).(M_j - T) + |x - T|^2``; the last
+    term moves to the threshold side, so a pair is a candidate when the
+    rest is at most ``tau - |x - T|^2``, with ``tau`` a proven rounding
+    bound.  The candidates, found as flat row-major indices of the score
+    matrix, are confirmed with the scalar lookup's exact test, and the
+    lowest confirmed row wins.  The basin kernel then runs once over all
+    points in balls, with coefficients gathered per point and the scalar
+    path's operations, all read from the plan.
     """
     _require_family(family)
     _require_function(func)
@@ -331,23 +334,27 @@ def eval_many(func: GeneratedFunction, family: str, points) -> np.ndarray:
     # M' = fl(M - T) = -axes, so that they do not grow with the box's
     # offset.  Rounding bound (u = eps / 2, gamma_n = n u / (1 - n u),
     # P = (|x'| + |M'|)^2 + rho^2, which bounds |M'|^2, 2|x'||M'|, |x'|^2,
-    # rho^2, |x - M|^2 and every partial result below, up to 1 + O(u)):
+    # rho^2, |x - M|^2, tau and every partial result below, up to 1 + O(u)):
     # - translating moves |x - M|^2 by at most 2u P;
-    # - the computed score fl(fl(key + 2 fl(x'.axes)) + fl(|x'|^2)), with
-    #   key = fl(fl(|M'|^2) - fl(rho^2)), is off from |x' - M'|^2 - rho^2
-    #   by at most gamma_dim P for the three sums of products (any
-    #   summation order, with or without FMA) and rho^2, and by
-    #   u (1 + gamma_dim) P for each of the three additions;
+    # - the computed score fl(key + fl(2x'.axes)), with key =
+    #   fl(fl(|M'|^2) - fl(rho^2)), plus sq = fl(|x'|^2), is off from
+    #   |x' - M'|^2 - rho^2 by at most gamma_dim P for the three sums of
+    #   products (any summation order, with or without FMA; doubling x'
+    #   is exact) and rho^2, and by u (1 + gamma_dim) P for each of the
+    #   two additions;
+    # - the threshold fl(tau - sq) is off from tau - sq by at most u P;
     # - a pair passes the exact test when fl(sum fl(x_k - M_k)^2) <=
     #   fl(rho^2); the left side is within gamma_(dim+2) |x - M|^2 of
     #   the true value, so a pass means |x - M|^2 - rho^2 <=
     #   (gamma_(dim+2) + u) P.
-    # So every passing pair scores at most (2 dim + 8) u P (1 + O(dim u))
-    # = (dim + 4) eps P (1 + O(dim u)).  tau is twice that, with P taken
-    # at the largest |M'| and rho; the factor 2 also covers the rounding
-    # of tau itself (relative error below (dim + 6) u).  So no hit is
-    # missed; a near miss only costs a confirmation.
-    scale = 2.0 * (func.dim + 4) * np.finfo(float).eps
+    # So every passing pair scores within tau - sq if tau >= (2 dim + 8)
+    # u P (1 + O(dim u)) = (dim + 4) eps P (1 + O(dim u)).  tau is twice
+    # that, with P taken at the largest |M'| and rho; the factor 2 also
+    # covers the rounding of tau itself (relative error below (dim + 6) u).
+    # Underflow adds at most dim 2^-1074 per score, and the class check
+    # keeps tau far above that.  So no hit is missed; a near miss only
+    # costs a confirmation.
+    scale = 2.0 * (func.dim + 4) * _EPS
 
     values = np.empty(len(pts))
     step = max(1, _CHUNK_CELLS // max(len(centers), func.dim))
@@ -357,14 +364,13 @@ def eval_many(func: GeneratedFunction, family: str, points) -> np.ndarray:
         sq = np.einsum("ij,ij->i", diffs, diffs)
         out = sq + func.params.paraboloid_min
         tau = scale * ((np.sqrt(sq) + plan.reach) ** 2 + plan.spread)
-        score = diffs @ plan.axes.T
-        score *= 2.0
+        score = (2.0 * diffs) @ plan.axes.T
         score += plan.keys
-        score += sq[:, None]
-        point, row = np.nonzero(score <= tau[:, None])
-        # the exact test of the scalar lookup; pairs come ordered by
-        # point, then row, so the first confirmed pair of each run of one
-        # point holds its lowest row, which wins on exact tangency
+        point, row = np.divmod(np.flatnonzero(score <= (tau - sq)[:, None]), len(centers))
+        # the exact test of the scalar lookup; flat indices are row-major,
+        # so pairs come ordered by point, then row, and the first confirmed
+        # pair of each run of one point holds its lowest row, which wins on
+        # exact tangency
         d = block[point] - centers[row]
         dist_sq = np.einsum("ij,ij->i", d, d)
         hit = np.flatnonzero(dist_sq <= plan.bounds[1:][row])

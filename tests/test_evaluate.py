@@ -485,6 +485,41 @@ def test_batch_exact_at_chunk_edges(func20):
         assert_batch_exact(func20, points, ("d2",))
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        small_class(2, 2),
+        small_class(20, 3),
+        small_class(3, 20, domain_left=(1e6,) * 3, domain_right=(1e6 + 2.0,) * 3),
+    ],
+    ids=["one-ball", "dim-above-balls", "offset-box"],
+)
+def test_batch_exact_on_edge_records(params):
+    """One ball, so the flat candidate index splits by 1; more coordinates
+    than balls, so chunks are sized by dim; a box far from 0, so the scores
+    depend on translating about T."""
+    func = generate(params, 2)
+    rng = np.random.default_rng(41)
+    edges = lookup_edge_points(func, seed=13)
+    uniform = func.lower + (func.upper - func.lower) * rng.random((200, func.dim))
+    assert_batch_exact(func, np.concatenate([edges, uniform]))
+    found = [locate_ball(func, x) for x in edges]
+    assert any(hit is None for hit in found) and any(hit is not None for hit in found)
+
+
+def test_batch_exact_across_a_chunk_sized_by_dim():
+    func = generate(small_class(20, 3), 2)
+    chunk = _CHUNK_CELLS // func.dim
+    assert chunk < _CHUNK_CELLS // (func.num_minima - 1)
+    rng = np.random.default_rng(43)
+    edges = lookup_edge_points(func, seed=17)
+    filler = func.lower + (func.upper - func.lower) * rng.random((chunk, func.dim))
+    # the edge points straddle the first chunk's last row
+    cut = chunk - len(edges) // 2
+    points = np.concatenate([filler[:cut], edges, filler[cut:cut + 10]])
+    assert_batch_exact(func, points)
+
+
 def tangent_function():
     """Record whose balls 2 and 3 touch at (0.5, 0), exactly in binary;
     their basin values there differ in the last bits for every family."""
