@@ -230,18 +230,10 @@ def _horner(coef, r, order: int = 0):
     return p, dp, 2.0 * half_ddp
 
 
-def _basin(
-    func: GeneratedFunction, row: int, point: np.ndarray, r: float, family: str, order: int = 0
-):
-    """Value (order 0), gradient (1) or Hessian (2) of the basin
-    polynomial of `row` at `point`, at distance `r` from its center,
-    whether or not `point` is in its ball."""
-    return _kernel(func, _plan(func, family), row, point - func.minima.local_min[row], r, order)
-
-
 def _kernel(func: GeneratedFunction, plan: _Plan, row: int, d: np.ndarray, r: float, order: int):
-    """`_basin` given the family's plan and ``d = point - M_row``; within
-    ``PRECISION`` of M_row: f_min, a zero gradient and delta * I."""
+    """Value (order 0), gradient (1) or Hessian (2) of the basin polynomial
+    of `row`, from the family's plan, at ``d = point - M_row``, ``r = |d|``,
+    in or out of the ball; within ``PRECISION`` of M_row: f_min, 0, delta * I."""
     if r < PRECISION:
         if order == 0:
             return float(func.minima.f[row])

@@ -6,11 +6,13 @@ the analytic derivative formulas they verify.  Stencils are kept
 lies on one side of every basin boundary, where the blended definition
 is smooth enough for the difference quotient to be a valid oracle at the
 stated tolerance (smoothness ACROSS the boundaries is verified
-separately by the branch-agreement tests).
+separately by the branch-agreement tests).  ``basin`` is not an oracle
+but the library's own basin kernel, for one ball chosen by the caller.
 """
 
 import numpy as np
 
+from basingen.evaluate import _kernel, _plan
 from basingen.params import PRECISION, radius_weights
 
 
@@ -148,6 +150,13 @@ def _quintic_kernel(r, s, rho, bridge, f_min, delta):
     b4 = (16.0 / rho**3) * s - (15.0 / rho**4) * bridge - (3.0 / rho**2) * curv
     b3 = -(12.0 / rho**2) * s + (10.0 / rho**3) * bridge + (3.0 / rho) * curv
     return ((b5 * r + b4) * r + b3) * r**3 + 0.5 * delta * r * r + f_min
+
+
+def basin(func, row, point, r, family, order=0):
+    """Value (order 0), gradient (1) or Hessian (2) of the library's basin
+    polynomial of `row` at `point`, at distance `r` from its center,
+    whether or not `point` is in its ball."""
+    return _kernel(func, _plan(func, family), row, point - func.minima.local_min[row], r, order)
 
 
 def reference_basin_value(func, row, x, family):

@@ -34,10 +34,16 @@ from basingen import (
     load_class,
 )
 from basingen.cli import main
-from basingen.evaluate import _basin
 
 from conftest import random_unit_vectors
-from fdtools import fd_gradient, fd_hessian, hessian_step, reference_paraboloid, sample_pure_points
+from fdtools import (
+    basin,
+    fd_gradient,
+    fd_hessian,
+    hessian_step,
+    reference_paraboloid,
+    sample_pure_points,
+)
 from test_evaluate import nd_witness
 
 
@@ -146,7 +152,7 @@ def test_c04_boundary_continuity():
                     g = reference_paraboloid(func, xb)
                     bound = 1e-9 * max(1.0, abs(g))
                     for family in ("nd", "d", "d2"):
-                        assert abs(_basin(func, row, xb, rho, family) - g) <= bound
+                        assert abs(basin(func, row, xb, rho, family) - g) <= bound
 
     _run(4, "boundary continuity for all three families", body)
 
@@ -214,11 +220,11 @@ def test_c06_smoothness_across_boundaries(default_class):
                 for u in directions:
                     xb = center + rho * u
                     outer = 2.0 * (xb - func.vertex)
-                    inner_d = _basin(func, row, xb, rho, "d", 1)
-                    inner_d2 = _basin(func, row, xb, rho, "d2", 1)
+                    inner_d = basin(func, row, xb, rho, "d", 1)
+                    inner_d2 = basin(func, row, xb, rho, "d2", 1)
                     assert np.max(np.abs(inner_d - outer)) <= 1e-8
                     assert np.max(np.abs(inner_d2 - outer)) <= 1e-8
-                    hess = _basin(func, row, xb, rho, "d2", 2)
+                    hess = basin(func, row, xb, rho, "d2", 2)
                     assert np.max(np.abs(hess - 2.0 * np.eye(func.dim))) <= 1e-6
         for func in default_class:
             assert nd_witness(func, h=1e-7), f"no kink witness for nf={func.nf}"

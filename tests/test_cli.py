@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -86,9 +88,12 @@ def test_gen_writes_notebook_and_summary(cli_notebook, capsys):
 
 def test_gen_prints_global_minimizers(tmp_path, capsys):
     path = tmp_path / "nb.json"
-    code, out, err = run(capsys, ["gen", "--type", "d", "--out", str(path)])
-    assert code == 0
-    assert out.count("global minimizer") >= 100
+    # the default gap is the global radius; a gap of 0 lies below it
+    for flags, gap in (([], 1.0 / 3.0), (["--gap", "0"], 0.0)):
+        code, out, err = run(capsys, ["gen", "--type", "d", *flags, "--out", str(path)])
+        assert code == 0
+        assert out.count("global minimizer") >= 100
+        assert json.loads(path.read_text())["class_params"]["gap"] == gap
 
 
 def test_gen_is_byte_identical(tmp_path, cli_notebook, capsys):
@@ -130,13 +135,20 @@ def test_schema1_reference_writer_has_the_pinned_bytes(cli_notebook, tmp_path):
 def test_module_form_runs_the_cli(tmp_path, module):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run(
-        [sys.executable, "-m", module, "gen", "--type", "d", "--out", "c.json"],
-        cwd=tmp_path, env=env, capture_output=True, text=True,
-    )
+
+    def gen(*flags, out):
+        argv = [sys.executable, "-m", module, "gen", "--type", "d", *flags, "--out", out]
+        return subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+
+    done = gen(out="c.json")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("wrote c.json (100 functions) and c.txt")
     assert (tmp_path / "c.json").exists() and (tmp_path / "c.txt").exists()
+    # main's return code is the process's exit status
+    done = gen("--delta-max", "-1", out="x.json")
+    assert done.returncode == 1
+    assert "TuningError" in done.stderr and "Traceback" not in done.stderr
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_gen_rejects_bad_params(tmp_path, capsys):
@@ -147,10 +159,18 @@ def test_gen_rejects_bad_params(tmp_path, capsys):
         # magnitudes whose basin depths are lost in rounding
         (["--paraboloid-min", "1e16"], "GlobalMinValueError"),
         (["--domain-left=-1e16,-1e16", "--domain-right=1e16,1e16"], "BoundaryError"),
+        # magnitudes that overflow double precision, refused by check
+        (
+            ["--domain-left=-1e160,-1e160", "--domain-right=1e160,1e160",
+             "--global-dist", "6e159", "--global-radius", "3e159"],
+            "BoundaryError",
+        ),
+        (["--global-radius", "1e-70", "--gap", "0.3"], "GlobalRadiusError"),
     ):
         code, out, err = run(capsys, ["gen", "--type", "d", *flags, "--out", str(path)])
         assert code == 1
         assert code_name in err
+        assert "Traceback" not in err
         assert not path.exists()
         assert not path.with_suffix(".txt").exists()
 
@@ -270,9 +290,18 @@ def test_eval_missing_notebook(tmp_path, capsys):
 def test_eval_malformed_notebook_is_notebook_error(cli_notebook, tmp_path, capsys):
     v1 = json.loads(write_v1(load_class(cli_notebook), tmp_path / "v1.json").read_text())
     v1["functions"][4]["minimizers"][0]["coords"][0] = "a"
-    v2 = json.loads(cli_notebook.read_text())
-    v2["functions"][4]["coords"][0][0] = "a"
-    for document, where in ((v1, "functions[4].minimizers[*].coords"), (v2, "functions[4].coords")):
+    cases = [(v1, "functions[4].minimizers[*].coords")]
+    for keys, value, where in (
+        (("functions", 4, "coords", 0, 0), "a", "functions[4].coords"),
+        (("functions", 4, "coords", 0, 0), float("nan"), "functions[4]"),
+        (("functions", 4, "rho", 1), 0.2, "functions[4]"),
+        (("class_params", "global_radius"), 0.2, "class radius 0.2"),
+    ):
+        v2 = json.loads(cli_notebook.read_text())
+        *parents, last = keys
+        functools.reduce(operator.getitem, parents, v2)[last] = value
+        cases.append((v2, where))
+    for document, where in cases:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(document))
         code, out, err = run(

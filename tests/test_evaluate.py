@@ -27,12 +27,13 @@ from basingen import (
     generate,
     locate_ball,
 )
-from basingen.evaluate import _CHUNK_CELLS, _basin, _in_box, _plan, evaluate
+from basingen.evaluate import _CHUNK_CELLS, _in_box, _plan, evaluate
 from basingen.params import PRECISION
 
 import eval_reference
 from conftest import random_unit_vectors, sized_class, small_class
 from fdtools import (
+    basin,
     fd_gradient,
     fd_hessian,
     hessian_step,
@@ -166,7 +167,7 @@ def test_boundary_identity_all_families(func9):
             xb = center + rho * u
             g = reference_paraboloid(func9, xb)
             for family in EVALUATORS:
-                branch = _basin(func9, row, xb, rho, family)
+                branch = basin(func9, row, xb, rho, family)
                 assert abs(branch - g) <= 1e-9 * max(1.0, abs(g))
 
 
@@ -177,7 +178,7 @@ def test_basin_kernel_matches_reference(func9, func5):
                 r = float(np.linalg.norm(x - func.minima.local_min[row]))
                 for family in EVALUATORS:
                     expected = reference_basin_value(func, row, x, family)
-                    value = _basin(func, row, x, r, family)
+                    value = basin(func, row, x, r, family)
                     assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected)), family
 
 
@@ -339,9 +340,9 @@ def test_smooth_branch_agreement_on_boundaries(func9):
         for u in directions:
             xb = center + rho * u
             outer_grad = 2.0 * (xb - func9.vertex)
-            assert np.max(np.abs(_basin(func9, row, xb, rho, "d", 1) - outer_grad)) <= 1e-8
-            assert np.max(np.abs(_basin(func9, row, xb, rho, "d2", 1) - outer_grad)) <= 1e-8
-            assert np.max(np.abs(_basin(func9, row, xb, rho, "d2", 2) - 2.0 * np.eye(2))) <= 1e-6
+            assert np.max(np.abs(basin(func9, row, xb, rho, "d", 1) - outer_grad)) <= 1e-8
+            assert np.max(np.abs(basin(func9, row, xb, rho, "d2", 1) - outer_grad)) <= 1e-8
+            assert np.max(np.abs(basin(func9, row, xb, rho, "d2", 2) - 2.0 * np.eye(2))) <= 1e-6
 
 
 def test_nd_kinks_on_boundaries(default_class):
@@ -550,8 +551,8 @@ def test_lowest_row_wins_on_tangency():
     point = np.array([0.5, 0.0])
     assert locate_ball(func, point) == (2, 0.25)
     for family, evaluator in EVALUATORS.items():
-        lowest = _basin(func, 1, point, 0.25, family)
-        assert lowest != _basin(func, 2, point, 0.25, family)
+        lowest = basin(func, 1, point, 0.25, family)
+        assert lowest != basin(func, 2, point, 0.25, family)
         assert evaluator(func, point) == lowest
         assert eval_many(func, family, point[None]).tolist() == [lowest]
         assert eval_reference.eval_many(func, family, point[None]).tolist() == [lowest]
