@@ -251,12 +251,23 @@ def place_local_minimizers(
             clear[row] = not np.linalg.norm(offsets[row]) < min_gap
         clear &= ((block > inner) & (block < outer)).all(axis=1)
         misses += rows
-        for row in clear.nonzero()[0].tolist():
-            diffs = points[:placed] - block[row]
-            if np.einsum("ij,ij->i", diffs, diffs).min() > PRECISION**2:
-                points[placed] = block[row]
-                placed += 1
-                misses = rows - 1 - row
+        candidates = clear.nonzero()[0]
+        # a squared distance is at least its first term, so first coordinates
+        # more than 2 PRECISION apart keep every pair over PRECISION apart
+        # (rounding is far below the factor 4): the exact test below would
+        # accept every clear row, in order
+        firsts = np.sort(np.concatenate([points[:placed, 0], block[candidates, 0]]))
+        if len(candidates) and (np.diff(firsts) > 2.0 * PRECISION).all():
+            points[placed : placed + len(candidates)] = block[candidates]
+            placed += len(candidates)
+            misses = rows - 1 - int(candidates[-1])
+        else:
+            for row in candidates.tolist():
+                diffs = points[:placed] - block[row]
+                if np.einsum("ij,ij->i", diffs, diffs).min() > PRECISION**2:
+                    points[placed] = block[row]
+                    placed += 1
+                    misses = rows - 1 - row
         if misses == RETRY_BUDGET:
             raise ParameterError(
                 ValidationError(
@@ -270,13 +281,17 @@ def place_local_minimizers(
 
 def _distance_matrix(points: np.ndarray) -> np.ndarray:
     """Pairwise distances, inf on the diagonal, as einsum row sums in blocks
-    of about _DISTANCE_BLOCK doubles (the whole (m, m, dim) is 40 MB at 20-D/500)."""
+    of at most _DISTANCE_BLOCK doubles.  Each block of rows is summed from
+    its first row's column on and mirrored below the diagonal, which is
+    exact: (a - b)**2 == (b - a)**2."""
     count, dim = points.shape
     dists = np.empty((count, count))
     step = max(1, _DISTANCE_BLOCK // (count * dim))
     for start in range(0, count, step):
-        diffs = points - points[start : start + step, None]
-        np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs), out=dists[start : start + step])
+        stop = start + step
+        diffs = points[start:] - points[start:stop, None]
+        np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs), out=dists[start:stop, start:])
+        dists[stop:, start:stop] = dists[start:stop, stop:].T
     np.fill_diagonal(dists, np.inf)
     return dists
 
@@ -311,7 +326,10 @@ def compute_minima_values(
     The draws are one block: a radius word, then a depth word, per row."""
     vertex = local_min[VERTEX_ROW]
     # T is outside every other ball, so the boundary minimum is closed-form;
-    # row by row for the bits of np.linalg.norm and of libm pow in scalar ** 2
+    # row by row for the bits of np.linalg.norm and of libm pow in scalar ** 2.
+    # Each point - vertex is a fresh 1-D array: BLAS ddot's bits depend on
+    # how its operands lie in memory, and row views of one difference matrix
+    # change them under OpenBLAS's Prescott kernel
     dists = [math.sqrt(d.dot(d)) for d in (point - vertex for point in local_min[2:])]
     boundary_min = np.array([(dist - r) ** 2 for dist, r in zip(dists, rho[2:].tolist())])
     boundary_min += params.paraboloid_min

@@ -20,9 +20,11 @@ Only this module knows the JSON layout: :func:`params_to_dict` and
 and :func:`load_class` read it, every value through :func:`read_numbers`.
 Any failure to read is a :class:`NotebookError` naming the bad value's
 path, and so is a schema 1 stored copy that differs from what the
-record derives.  :func:`export_class` and :func:`load_class` both return
-a :class:`LoadedClass` of records; the text summary is formatted from
-them.
+record derives.  A class value that every record contradicts alike is
+named by its ``class_params`` key; any other contradiction names the
+first function whose audit fails.  :func:`export_class` and
+:func:`load_class` both return a :class:`LoadedClass` of records; the
+text summary is formatted from them.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ import numpy as np
 from .evaluate import FAMILIES, _require_family, eval_many
 from .generator import (
     FUNCTIONS_PER_CLASS,
+    GLOBAL_ROW,
+    VERTEX_ROW,
     GeneratedFunction,
     MinimaTable,
     generate,
@@ -194,7 +198,9 @@ def params_from_dict(data: dict) -> ClassParams:
 
 def _function_from_entry(
     entry, params: ClassParams, position: int, schema: int
-) -> GeneratedFunction:
+) -> tuple[GeneratedFunction, dict]:
+    """The record stored at ``functions[position]``, not yet audited, and
+    the columns its minimizer table was read from."""
     where = f"functions[{position}]"
     m = params.num_minima
     nf = read_numbers(entry, "nf", where, kind=int).item()
@@ -220,15 +226,24 @@ def _function_from_entry(
         minima=MinimaTable(**table),
         delta=read_numbers(entry, "delta", where).item(),
     )
+    return func, columns
+
+
+def _audit_entry(func: GeneratedFunction, entry, columns: dict, schema: int) -> None:
+    """Audit the record read from `entry` and, in schema 1, compare each
+    stored copy of what the record derives with it."""
+    where = f"functions[{func.nf - 1}]"
     problems = ground_truth_problems(func)
     if problems:
         raise NotebookError(f"{where} violates ground-truth invariants: " + "; ".join(problems))
     if schema == 1:  # each stored copy of what the record derives must equal it
+        m = func.num_minima
+        columns_where = f"{where}.minimizers[*]"
         glob, glob_where = entry.get("global"), f"{where}.global"
         for data, at, key, shape, kind, derived in (
             (columns, columns_where, "index", (m,), int, np.arange(1, m + 1)),
             (columns, columns_where, "w", (m,), float, func.minima.w_rho),
-            (glob, glob_where, "value", (), float, params.global_value),
+            (glob, glob_where, "value", (), float, func.params.global_value),
             (glob, glob_where, "num_global_minima", (), int, func.glob.num_global_minima),
             (glob, glob_where, "gm_index", (m,), int, func.glob.gm_index),
         ):
@@ -236,7 +251,27 @@ def _function_from_entry(
                 raise NotebookError(
                     f"{at}.{key} must be {np.asarray(derived).tolist()}, as the record derives"
                 )
-    return func
+
+
+# class value -> the minimizer column and row that store it, and the audit's
+# names for the two; an edited class value contradicts every record alike
+_CLASS_VALUES = {
+    "paraboloid_min": ("f", VERTEX_ROW, "vertex value", "paraboloid minimum"),
+    "global_value": ("f", GLOBAL_ROW, "global minimizer value", "class value"),
+    "global_radius": ("rho", GLOBAL_ROW, "global attraction radius", "class radius"),
+}
+
+
+def _require_class_values(params: ClassParams, functions: list[GeneratedFunction]) -> None:
+    """Name the class value that every record contradicts with one value."""
+    for key, (field, row, stored_name, class_name) in _CLASS_VALUES.items():
+        stored = {float(getattr(func.minima, field)[row]) for func in functions}
+        value = getattr(params, key)
+        if len(stored) == 1 and stored != {value}:
+            raise NotebookError(
+                f"class_params.{key} disagrees with every function: "
+                f"{stored_name} {stored.pop()!r} != {class_name} {value!r}"
+            )
 
 
 def load_class(path) -> LoadedClass:
@@ -263,7 +298,11 @@ def load_class(path) -> LoadedClass:
     entries = document.get("functions")
     if type(entries) is not list or len(entries) != FUNCTIONS_PER_CLASS:
         raise NotebookError(f"notebook must list {FUNCTIONS_PER_CLASS} functions")
-    functions = [_function_from_entry(entry, params, i, schema) for i, entry in enumerate(entries)]
+    decoded = [_function_from_entry(entry, params, i, schema) for i, entry in enumerate(entries)]
+    functions = [func for func, _ in decoded]
+    _require_class_values(params, functions)
+    for entry, (func, columns) in zip(entries, decoded):
+        _audit_entry(func, entry, columns, schema)
     return LoadedClass(params=params, functions=functions, function_type=function_type)
 
 

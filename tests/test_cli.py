@@ -295,7 +295,14 @@ def test_eval_malformed_notebook_is_notebook_error(cli_notebook, tmp_path, capsy
         (("functions", 4, "coords", 0, 0), "a", "functions[4].coords"),
         (("functions", 4, "coords", 0, 0), float("nan"), "functions[4]"),
         (("functions", 4, "rho", 1), 0.2, "functions[4]"),
-        (("class_params", "global_radius"), 0.2, "class radius 0.2"),
+        (
+            ("class_params", "global_radius"),
+            0.2,
+            "class_params.global_radius disagrees with every function: "
+            "global attraction radius 0.3333333333333333 != class radius 0.2",
+        ),
+        (("class_params", "global_value"), -2.0, "class_params.global_value"),
+        (("class_params", "paraboloid_min"), 0.5, "class_params.paraboloid_min"),
     ):
         v2 = json.loads(cli_notebook.read_text())
         *parents, last = keys

@@ -36,7 +36,7 @@ from basingen.params import PRECISION, radius_weights
 from basingen.rng import LaggedFibonacci
 from audit_reference import ground_truth_problems as reference_problems
 from conftest import sized_class, small_class
-from fdtools import reference_radii
+from fdtools import _distances_from, reference_radii
 
 
 def records_equal(a, b):
@@ -505,6 +505,22 @@ def test_radii_match_per_row_reference(pinned_classes):
         rho = compute_radii(local_min, func.params)
         assert np.array_equal(rho, reference_radii(local_min, func.params))
         assert np.array_equal(rho, func.minima.rho)
+
+
+# (count, dim): 2 points; count * dim one below, at and one above the block
+# size, where the block holds one row; 10-D/100 in blocks of 32 rows and a
+# last block of 4; 20-D/500 in blocks of 3 rows
+DISTANCE_SHAPES = [(2, 2), (151, 217), (128, 256), (331, 99), (100, 10), (500, 20)]
+
+
+@pytest.mark.parametrize("count, dim", DISTANCE_SHAPES, ids=map(str, DISTANCE_SHAPES))
+def test_distance_matrix_matches_per_row_reference(count, dim):
+    points = np.random.default_rng(count * dim).uniform(-1.0, 1.0, (count, dim))
+    dists = generator._distance_matrix(points)
+    assert np.array_equal(dists, dists.T)
+    assert np.all(np.diagonal(dists) == np.inf)
+    for row in range(count):
+        assert np.array_equal(dists[row], _distances_from(points, row))
 
 
 def test_balls_disjoint_across_class(default_class):

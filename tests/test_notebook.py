@@ -333,14 +333,20 @@ def test_stored_copies_must_equal_the_derived_data(tmp_path, notebook_path, case
 
 
 def test_class_radius_must_be_the_global_ball_radius(tmp_path, notebook_path):
-    document = json.loads(notebook_path.read_text())
-    document["class_params"]["global_radius"] = 0.2
-    bad = tmp_path / "radius.json"
-    bad.write_text(json.dumps(document))
-    expected = "functions[0] violates ground-truth invariants: global attraction radius "
-    expected += "0.3333333333333333 != class radius 0.2"
-    with pytest.raises(NotebookError, match=re.escape(expected)):
-        load_class(bad)
+    # every record keeps its value, so the class value is named, and before
+    # schema 1's global.value copies are compared with it
+    for key, value, contradiction in (
+        ("global_radius", 0.2, "global attraction radius 0.3333333333333333 != class radius 0.2"),
+        ("global_value", -2.0, "global minimizer value -1.0 != class value -2.0"),
+        ("paraboloid_min", 0.5, "vertex value 0.0 != paraboloid minimum 0.5"),
+    ):
+        document = json.loads(notebook_path.read_text())
+        document["class_params"][key] = value
+        bad = tmp_path / "class_value.json"
+        bad.write_text(json.dumps(document))
+        expected = f"class_params.{key} disagrees with every function: {contradiction}"
+        with pytest.raises(NotebookError, match=re.escape(expected)):
+            load_class(bad)
 
 
 def _delete(*path):

@@ -11,7 +11,7 @@ import pytest
 import placement_reference as reference
 from basingen import generator
 from basingen.generator import compute_radii, function_seed, place_vertex_and_global
-from basingen.params import ParameterError
+from basingen.params import PRECISION, ParameterError
 from basingen.rng import LaggedFibonacci
 from conftest import sized_class, small_class
 
@@ -153,3 +153,49 @@ def test_zero_depth_word_is_redrawn_like_reference(func5, zeros):
     assert delta == params.delta_max * reference._positive_uniform(ref)
     assert lib.uniform() == ref.uniform()
     assert lib.position == ref.position
+
+
+class WordStream:
+    """A stream that serves the given words in order, through `uniform()`
+    and `uniforms(count)` alike."""
+
+    def __init__(self, words):
+        self._words = list(words)
+        self.position = 0
+
+    def uniform(self):
+        self.position += 1
+        return self._words[self.position - 1]
+
+    def uniforms(self, count):
+        return np.array([self.uniform() for _ in range(count)], dtype=float)
+
+
+# on [0, 1]^2 a word is the coordinate it draws; minimizers 3..6 come in a
+# block of 4 rows, then a block of the rows still needed
+P = PRECISION
+SCREEN_BLOCKS = {
+    "near-the-vertex": [(0.25 + P / 2, 0.25), (0.2, 0.8), (0.5, 0.7), (0.8, 0.9), (0.1, 0.5)],
+    "near-an-earlier-row": [(0.2, 0.8), (0.2, 0.8 + P / 3), (0.5, 0.7), (0.8, 0.9), (0.1, 0.5)],
+    # 4P - 2P is exactly 2P, the screen's threshold
+    "2P-apart-in-coordinate-0": [(2 * P, 0.2), (4 * P, 0.8), (0.5, 0.7), (0.8, 0.9)],
+    "near-in-coordinate-0-only": [(0.3, 0.2), (0.3 + P / 2, 0.8), (0.5, 0.7), (0.8, 0.9)],
+}
+
+
+@pytest.mark.parametrize("rows", SCREEN_BLOCKS.values(), ids=SCREEN_BLOCKS.keys())
+def test_near_pairs_in_a_block_are_placed_like_reference(rows):
+    # blocks with a pair whose first coordinates lie within 2 PRECISION,
+    # which the exact distance test decides
+    params = small_class(
+        num_minima=6, global_dist=0.3, global_radius=0.1, gap=0.05,
+        domain_left=(0.0, 0.0), domain_right=(1.0, 1.0),
+    )
+    vertex, global_min = np.array([0.25, 0.25]), np.array([0.55, 0.25])
+    spare = [0.9, 0.1, 0.1, 0.9]  # read only by a placement that rejects too many rows
+    words = [w for row in rows for w in row] + spare
+    lib, ref = WordStream(words), WordStream(words)
+    others = generator.place_local_minimizers(params, vertex, global_min, lib)
+    expected = reference.place_local_minimizers(params, vertex, global_min, ref)
+    assert np.array_equal(others, expected)
+    assert lib.position == ref.position == 2 * len(rows)
