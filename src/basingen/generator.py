@@ -293,24 +293,53 @@ def _distance_matrix(points: np.ndarray) -> np.ndarray:
         np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs), out=dists[start:stop, start:])
         dists[stop:, start:stop] = dists[start:stop, stop:].T
     np.fill_diagonal(dists, np.inf)
-    return dists
+    return _read_only(dists)
+
+
+def _strict_upper(count: int) -> np.ndarray:
+    """Read-only mask of the pairs (i, j) of a distance matrix with j > i."""
+    index = np.arange(count)
+    return _read_only(index[:, None] < index)
 
 
 def compute_radii(local_min: np.ndarray, params: ClassParams) -> np.ndarray:
-    """Attraction radii: the global ball keeps its user radius; every
+    """Attraction radii of the minimizers `local_min` (rows as in the
+    generator), from a distance matrix computed afresh; `generate` hands
+    its own matrix, which has the same bits, to `_expanded_radii`."""
+    dists = _distance_matrix(local_min)
+    return _expanded_radii(dists, _strict_upper(len(dists)), params)
+
+
+def _expanded_radii(dists: np.ndarray, upper: np.ndarray, params: ClassParams) -> np.ndarray:
+    """Attraction radii from the distance matrix `dists` and its mask
+    `upper` of pairs j > i: the global ball keeps its user radius; every
     other ball starts at half the distance to its nearest neighbour,
     capped for rows 3..m at tangency with the global ball (which half the
     distance crosses when the gap is below the global radius), is then
     expanded (ascending row order) up to tangency with the current radii,
-    and finally shrunk by the weight coefficients."""
-    dists = _distance_matrix(local_min)
-    rho = 0.5 * dists.min(axis=1)
-    rho[GLOBAL_ROW] = params.global_radius
-    rho[2:] = np.minimum(rho[2:], dists[GLOBAL_ROW, 2:] - params.global_radius)
-    for i in (VERTEX_ROW, *range(2, local_min.shape[0])):
-        rho[i] = max(rho[i], (dists[i] - rho).min())
-    rho *= radius_weights(len(rho))
-    return rho
+    and finally shrunk by the weight coefficients.
+
+    In ascending order, ball i expands to max(start_i, min_j (d_ij - rho_j))
+    with the balls j < i already expanded and the balls j > i still at
+    their start.  That is the fixed point of one all-rows pass, found by
+    repeating the pass until it changes nothing: pass k leaves balls
+    0..k-1 final, so m passes suffice.  ``np.fmax`` keeps the start
+    radius where a gap is NaN (inf - inf), as ``max(start_i, nan)`` does."""
+    start = 0.5 * dists.min(axis=1)
+    start[GLOBAL_ROW] = params.global_radius
+    start[2:] = np.minimum(start[2:], dists[GLOBAL_ROW, 2:] - params.global_radius)
+    # column i holds ball i's gaps d_ij - rho_j: those below the diagonal
+    # stay at the later balls' start radii, those above are redone per pass
+    gaps = dists - start[:, None]
+    gaps[:, GLOBAL_ROW] = -np.inf  # holds the global ball at its radius
+    rho = np.fmax(start, gaps.min(axis=0))
+    for _ in range(len(rho)):
+        np.subtract(dists, rho[:, None], out=gaps, where=upper)
+        expanded = np.fmax(start, gaps.min(axis=0))
+        if (expanded == rho).all():
+            break
+        rho = expanded
+    return rho * radius_weights(len(rho))
 
 
 def compute_minima_values(
@@ -385,7 +414,9 @@ def generate(params: ClassParams, nf: int) -> GeneratedFunction:
     vertex, global_min = place_vertex_and_global(params, rng)
     others = place_local_minimizers(params, vertex, global_min, rng)
     local_min = np.vstack([vertex[None, :], global_min[None, :], others])
-    rho = compute_radii(local_min, params)
+    dists = _distance_matrix(local_min)
+    upper = _strict_upper(len(dists))
+    rho = _expanded_radii(dists, upper, params)
     values, peaks = compute_minima_values(local_min, rho, params, rng)
     delta = params.delta_max * _positive_uniform(rng)
     func = GeneratedFunction(
@@ -394,9 +425,9 @@ def generate(params: ClassParams, nf: int) -> GeneratedFunction:
         minima=MinimaTable(local_min=local_min, f=values, rho=rho, peak=peaks),
         delta=delta,
     )
-    problems = ground_truth_problems(func)
+    problems = _field_problems(func) or _audit(func, dists, upper)
     if problems:
-        fault = _lost_magnitude(func, problems)
+        fault = _lost_magnitude(func, problems, dists)
         if fault:
             raise ParameterError(fault)
         raise RuntimeError(
@@ -405,14 +436,16 @@ def generate(params: ClassParams, nf: int) -> GeneratedFunction:
     return func
 
 
-def _lost_magnitude(func: GeneratedFunction, problems: list[str]) -> ValidationError | None:
+def _lost_magnitude(
+    func: GeneratedFunction, problems: list[str], dists: np.ndarray
+) -> ValidationError | None:
     """The class's fault behind the audit's `problems` when rounding lost a
-    quantity, by two audit rules on the audit's own distances; None for a
-    generator bug.  Exact arithmetic keeps the vertex ball off the global
-    ball, and each value between the global value and its boundary minimum."""
+    quantity, by two audit rules on the distance matrix `dists` the audit
+    read; None for a generator bug.  Exact arithmetic keeps the vertex
+    ball off the global ball, and each value between the global value and
+    its boundary minimum."""
     params, table = func.params, func.minima
     t = params.paraboloid_min
-    dists = _distance_matrix(table.local_min)
     apart = float(dists[VERTEX_ROW, GLOBAL_ROW])
     boundary_min = (dists[VERTEX_ROW, 2:] - table.rho[2:]) ** 2 + t
     lost = (table.f[2:] >= boundary_min) | (table.f[2:] < params.global_value - PRECISION)
@@ -439,17 +472,25 @@ def ground_truth_problems(func: GeneratedFunction) -> list[str]:
 
     Returns human-readable descriptions of all violations (empty when the
     record is consistent).  A field of the wrong shape or with a
-    non-finite entry is reported alone.  Used both as a post-generation
-    self-check and to validate loaded notebooks, so the distances are
-    computed afresh from the record.  The stored fields are audited; the
-    global list and the radius weights are derived from them and need no
-    audit (the notebook loader compares a notebook's copies with them).
+    non-finite entry is reported alone.  The distances are computed
+    afresh from the record, as for a loaded notebook; `generate` runs the
+    same rules (`_field_problems`, `_audit`) on its own distance matrix,
+    which has the same bits.  The stored fields are audited; the global list
+    and the radius weights are derived from them and need no audit (the
+    notebook loader compares a notebook's copies with them).
     """
+    problems = _field_problems(func)
+    if problems:
+        return problems
+    dists = _distance_matrix(func.minima.local_min)
+    return _audit(func, dists, _strict_upper(len(dists)))
+
+
+def _field_problems(func: GeneratedFunction) -> list[str]:
+    """The first field of the wrong shape or with a non-finite entry."""
     params = func.params
     table = func.minima
-    eps = PRECISION
     count = params.num_minima
-
     if table.local_min.shape != (count, params.dim):
         return [
             f"minimizer table has shape {table.local_min.shape}, "
@@ -461,7 +502,16 @@ def ground_truth_problems(func: GeneratedFunction) -> list[str]:
     for name in ("local_min", "f", "rho", "peak"):
         if not np.all(np.isfinite(getattr(table, name))):
             return [f"field {name} must be finite"]
+    return []
 
+
+def _audit(func: GeneratedFunction, dists: np.ndarray, upper: np.ndarray) -> list[str]:
+    """The rules of `ground_truth_problems` on a record with well-shaped
+    finite fields, its distance matrix `dists` and the mask `upper` of
+    pairs j > i."""
+    params = func.params
+    table = func.minima
+    eps = PRECISION
     problems: list[str] = []
     if not _is_interior(table.local_min, func.lower, func.upper, eps):
         problems.append("some minimizer is not interior to the domain")
@@ -489,11 +539,13 @@ def ground_truth_problems(func: GeneratedFunction) -> list[str]:
         problems.append("basin depths for minimizers 1 and 2 must be stored as 0")
 
     # row i is reported when it breaks a rule with some later row j > i
-    dists = _distance_matrix(table.local_min)
     reach = np.add.outer(table.rho, table.rho)
     reach -= eps
-    coincide = np.triu(dists <= eps, 1).any(axis=1)
-    overlap = np.triu(dists < reach, 1).any(axis=1)
+    close = dists <= eps
+    close &= upper
+    meet = dists < reach
+    meet &= upper
+    coincide, overlap = close.any(axis=1), meet.any(axis=1)
     for i in np.flatnonzero(coincide | overlap):
         if coincide[i]:
             problems.append(f"minimizers {i + 1} and a later one coincide")

@@ -12,12 +12,15 @@ from basingen import (
     ParameterError,
     check,
     default_params,
+    export_class,
     function_seed,
     generate,
     ground_truth_problems,
+    load_class,
 )
 from basingen import generator
 from basingen.generator import (
+    FUNCTIONS_PER_CLASS,
     GLOBAL_ROW,
     VERTEX_ROW,
     GeneratedFunction,
@@ -435,14 +438,14 @@ def test_large_magnitudes_refuse_or_evaluate_finitely(params):
 
 def test_broken_record_at_normal_scale_stays_internal(monkeypatch):
     # only lost magnitudes are the caller's fault; a generator bug is not
-    compute_radii = generator.compute_radii
+    expanded_radii = generator._expanded_radii
 
-    def overlapping(local_min, params):
-        rho = compute_radii(local_min, params)
+    def overlapping(dists, upper, params):
+        rho = expanded_radii(dists, upper, params)
         rho[2:] *= 3.0
         return rho
 
-    monkeypatch.setattr(generator, "compute_radii", overlapping)
+    monkeypatch.setattr(generator, "_expanded_radii", overlapping)
     with pytest.raises(RuntimeError, match="internal error.*overlaps a later ball"):
         generate(default_params(2), 1)
 
@@ -450,7 +453,7 @@ def test_broken_record_at_normal_scale_stays_internal(monkeypatch):
 def test_only_the_audit_refuses_a_record(monkeypatch):
     # the audit refuses every function of paraboloid-1e16 (its depths are
     # lost in rounding); with the audit silenced, construction returns one
-    monkeypatch.setattr(generator, "ground_truth_problems", lambda func: [])
+    monkeypatch.setattr(generator, "_audit", lambda func, dists, upper: [])
     func = generate(dataclasses.replace(default_params(2), paraboloid_min=1e16), 1)
     assert isinstance(func, GeneratedFunction)
 
@@ -467,7 +470,7 @@ def test_lost_magnitude_balls_meet(apart, global_dist, code):
     table = MinimaTable(points, f=[0.0, -1.0], rho=compute_radii(points, p), peak=[0.0, 0.0])
     func = GeneratedFunction(params=p, nf=1, minima=table, delta=1.0)
     problems = ground_truth_problems(func)
-    fault = generator._lost_magnitude(func, problems)
+    fault = generator._lost_magnitude(func, problems, generator._distance_matrix(points))
     assert problems and fault.code == code
     assert "too close for their attraction balls" in fault.detail
 
@@ -521,6 +524,83 @@ def test_distance_matrix_matches_per_row_reference(count, dim):
     assert np.all(np.diagonal(dists) == np.inf)
     for row in range(count):
         assert np.array_equal(dists[row], _distances_from(points, row))
+
+
+def test_radii_expand_in_ascending_order():
+    # collinear points whose gaps double: each ball's expansion sets the
+    # next one's, so the result differs from expanding every ball at once
+    # against the start radii, and a pass that reads the previous pass's
+    # radii below the diagonal takes one pass per link of the chain
+    xs = np.concatenate([[0.0], np.cumsum(2.0 ** np.arange(8))])
+    points = np.zeros((len(xs) + 1, 2))
+    points[VERTEX_ROW, 0] = xs[0]
+    points[GLOBAL_ROW, 0] = -1e3
+    points[2:, 0] = xs[1:]
+    count = len(points)
+    p = small_class(num_minima=count, global_radius=1.0)
+    rho = compute_radii(points, p)
+    assert np.array_equal(rho, reference_radii(points, p))
+
+    dists = np.array([_distances_from(points, row) for row in range(count)])
+    start = 0.5 * dists.min(axis=1)
+    start[GLOBAL_ROW] = p.global_radius
+    start[2:] = np.minimum(start[2:], dists[GLOBAL_ROW, 2:] - p.global_radius)
+    weights = radius_weights(count)
+    at_once = np.maximum(start, (dists - start).min(axis=1))
+    at_once[GLOBAL_ROW] = p.global_radius
+    assert not np.array_equal(at_once * weights, rho)
+
+    later = np.triu(np.ones((count, count), dtype=bool), 1)
+    current = start
+    for passes in range(1, count + 1):
+        current = np.maximum(start, np.where(later, dists - start, dists - current).min(axis=1))
+        current[GLOBAL_ROW] = p.global_radius
+        if np.array_equal(current * weights, rho):
+            break
+    assert np.array_equal(current * weights, rho) and passes >= 5
+
+
+def test_radii_terminate_on_non_finite_distances():
+    # distances overflow to inf and gaps become inf - inf; `check` keeps
+    # `generate` from such a box, but `compute_radii` must still return
+    points = np.array(
+        [[0.0, 0.0], [1e200, 0.0], [-1e200, 0.0], [0.0, 1e200], [0.5, 0.0], [1e200, 1.0]]
+    )
+    p = small_class(num_minima=len(points), global_radius=0.25)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = compute_radii(points, p)
+        expected = reference_radii(points, p)
+    assert not np.isfinite(expected).all()
+    assert np.array_equal(rho, expected, equal_nan=True)
+
+
+def test_one_distance_matrix_per_record(monkeypatch, pinned_classes, tmp_path):
+    matrices, audits = [], []
+    distance_matrix, audit = generator._distance_matrix, generator._audit
+
+    def counted(points):
+        matrices.append(distance_matrix(points))
+        return matrices[-1]
+
+    def recorded(func, dists, upper):
+        audits.append(audit(func, dists, upper))
+        return audits[-1]
+
+    monkeypatch.setattr(generator, "_distance_matrix", counted)
+    monkeypatch.setattr(generator, "_audit", recorded)
+    for funcs in pinned_classes.values():
+        for func in funcs:
+            matrices.clear()
+            audits.clear()
+            assert records_equal(generate(func.params, func.nf), func)
+            assert len(matrices) == 1 and not matrices[0].flags.writeable
+            assert audits == [[]] and ground_truth_problems(func) == []
+
+    path = tmp_path / "class.json"
+    export_class(default_params(2), "d", path)
+    matrices.clear()
+    load_class(path)
+    assert len(matrices) == FUNCTIONS_PER_CLASS
 
 
 def test_balls_disjoint_across_class(default_class):
