@@ -30,7 +30,6 @@ from .rng import MODULUS, LaggedFibonacci
 
 FUNCTIONS_PER_CLASS = 100
 RETRY_BUDGET = 10_000
-_GAP_MARGIN = 1e-9  # relative; far wider than a summation-order difference at dim <= 100
 _DISTANCE_BLOCK = 1 << 15  # doubles per block of distance rows (256 KB)
 
 VERTEX_ROW = 0  # minimizer 1: paraboloid vertex T
@@ -225,7 +224,7 @@ def place_local_minimizers(
 ) -> np.ndarray:
     """Rejection-sample minimizers 3..m: uniform over the box interior,
     pairwise distinct, and clear of the global attraction ball by the
-    configured gap.  Returns an (m - 2, dim) array.  Candidates come in
+    configured gap, in the audit's einsum norm.  Returns an (m - 2, dim) array.  Candidates come in
     blocks of min(still needed, retries left) rows, all of which a
     one-at-a-time loop would draw, so its points and stream position hold."""
     lower = np.array(params.domain_left)
@@ -244,11 +243,7 @@ def place_local_minimizers(
         rows = min(count - placed, RETRY_BUDGET - misses)
         block = lower + span * rng.uniforms(rows * params.dim).reshape(rows, params.dim)
         offsets = block - global_min
-        norms = np.sqrt(np.einsum("ij,ij->i", offsets, offsets))
-        clear = norms >= min_gap
-        # rows near the gap: np.linalg.norm's dot may round apart from einsum
-        for row in (np.abs(norms - min_gap) <= _GAP_MARGIN * min_gap).nonzero()[0]:
-            clear[row] = not np.linalg.norm(offsets[row]) < min_gap
+        clear = np.sqrt(np.einsum("ij,ij->i", offsets, offsets)) >= min_gap
         clear &= ((block > inner) & (block < outer)).all(axis=1)
         misses += rows
         candidates = clear.nonzero()[0]
@@ -451,11 +446,9 @@ def _lost_magnitude(
     lost = (table.f[2:] >= boundary_min) | (table.f[2:] < params.global_value - PRECISION)
     large = "is too large in magnitude"
     if apart <= PRECISION or apart < table.rho[VERTEX_ROW] + table.rho[GLOBAL_ROW] - PRECISION:
-        near = params.global_dist <= PRECISION
-        code = ErrorCode.GLOBAL_DIST if near else ErrorCode.BOUNDARY
-        fault = f"global_dist is within the precision {PRECISION!r}" if near else f"the box {large}"
+        code = ErrorCode.BOUNDARY
         cause = f"the vertex and the global minimizer lie {apart!r} apart, too close for their "
-        cause += f"attraction balls: {fault}"
+        cause += f"attraction balls: the box {large}"
     elif lost.any():
         row = int(np.argmax(lost))
         box = boundary_min[row] - t > abs(t)

@@ -221,12 +221,13 @@ def check(params: ClassParams) -> list[ValidationError]:
         )
     if domain_ok:
         half_side = 0.5 * min((hi - lo for lo, hi in zip(left, right)), default=0.0)
-        if not 0.0 < real(params.global_dist) < half_side:
+        # minimizers within the precision of each other coincide
+        if not PRECISION < real(params.global_dist) < half_side:
             errors.append(
                 ValidationError(
                     ErrorCode.GLOBAL_DIST,
-                    f"global-minimizer distance must satisfy 0 < dist < {half_side} "
-                    f"(half the smallest domain side), got {params.global_dist!r}",
+                    f"global-minimizer distance must satisfy {PRECISION} (the precision) < dist"
+                    f" < {half_side} (half the smallest domain side), got {params.global_dist!r}",
                 )
             )
     if not 0.0 < real(params.global_radius) <= 0.5 * real(params.global_dist):

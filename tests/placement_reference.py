@@ -3,7 +3,10 @@
 ``place_local_minimizers`` and ``compute_minima_values``, with the
 helpers they call, exactly as ``basingen.generator`` wrote them before
 generation moved to block draws: one ``uniform()`` call per coordinate
-and per value draw, one candidate tested at a time.  They share no code
+and per value draw, one candidate tested at a time.  Only the gap test
+is re-spelled: it takes the ``einsum`` norm that the library's gap rule
+uses, not ``np.linalg.norm``, whose BLAS dot rounds by the CPU's kernel.
+They share no code
 with the library beyond the stream they read and the error types they
 raise, so the library's minimizers, values and stream position can be
 compared with them bit for bit.
@@ -63,7 +66,8 @@ def place_local_minimizers(
             diffs = points[:placed] - candidate
             if np.min(np.einsum("ij,ij->i", diffs, diffs)) <= PRECISION**2:
                 continue
-            if np.linalg.norm(candidate - global_min) < min_gap:
+            offset = candidate - global_min
+            if np.sqrt(np.einsum("i,i->", offset, offset)) < min_gap:
                 continue
             points[placed] = candidate
             placed += 1

@@ -334,8 +334,10 @@ BOUNDARY, VALUES, DIST = (ErrorCode.BOUNDARY,), (ErrorCode.GLOBAL_MIN_VALUE,), (
     ],
 )
 def test_unrepresentable_magnitudes_are_parameter_errors(params, expected):
-    # each of these ended in RuntimeError: the audit found the lost quantity
+    # each of these ended in RuntimeError: the audit found the lost quantity;
+    # check refuses a global_dist within the precision before any draw
     assert _class_outcomes(params) == expected
+    assert tuple(e.code for e in check(params)) == (DIST if expected == {DIST: 100} else ())
 
 
 # all 100 records of each class, as test_generation_pinned_bit_for_bit
@@ -460,11 +462,12 @@ def test_only_the_audit_refuses_a_record(monkeypatch):
 
 @pytest.mark.parametrize(
     "apart, global_dist, code",
-    [(0.6, 2.0 / 3.0, ErrorCode.BOUNDARY), (0.0, 1e-11, ErrorCode.GLOBAL_DIST)],
+    # a global_dist within the precision is check's GLOBAL_DIST (test_params.py)
+    [(0.6, 2.0 / 3.0, ErrorCode.BOUNDARY)],
 )
 def test_lost_magnitude_balls_meet(apart, global_dist, code):
     # 0.6 apart, the vertex ball (0.99 * 0.3) meets the global ball (1/3):
-    # rounding moved the global minimizer; 0 apart, global_dist is too small
+    # rounding moved the global minimizer
     p = small_class(num_minima=2, global_dist=global_dist, global_radius=global_dist / 2)
     points = np.array([[0.0, 0.0], [apart, 0.0]])
     table = MinimaTable(points, f=[0.0, -1.0], rho=compute_radii(points, p), peak=[0.0, 0.0])

@@ -94,6 +94,18 @@ def test_check_reports_global_dist():
     assert ErrorCode.GLOBAL_DIST in codes(check(p))
 
 
+@pytest.mark.parametrize(
+    "global_dist, ok",
+    [(PRECISION, False), (1e-11, False), (np.nextafter(PRECISION, np.inf), True), (1.5e-10, True)],
+)
+def test_check_requires_global_dist_above_the_precision(global_dist, ok):
+    # within the precision the vertex and the global minimizer coincide
+    p = dataclasses.replace(
+        default_params(2), global_dist=float(global_dist), global_radius=float(global_dist) / 2
+    )
+    assert codes(check(p)) == (set() if ok else {ErrorCode.GLOBAL_DIST})
+
+
 def test_check_reports_global_radius():
     p = dataclasses.replace(default_params(2), global_radius=0.4)
     # 0.4 > 0.5 * (2/3)

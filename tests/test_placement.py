@@ -85,11 +85,16 @@ def test_infeasible_gap_fails_like_reference(num_minima, gap):
     assert next_three(lib) == next_three(ref)
 
 
-def test_candidate_on_the_gap_threshold_matches_reference():
-    # placement reads global_radius + gap only as the threshold on
-    # np.linalg.norm(candidate - x*); put it exactly on a candidate's norm
-    # and one ulp above, for a candidate whose einsum norm rounds
-    # differently where this platform's BLAS makes one
+def _no_blas_norm(*args, **kwargs):
+    raise AssertionError("placement called np.linalg.norm")
+
+
+def test_candidate_on_the_gap_threshold_matches_reference(monkeypatch):
+    # placement reads global_radius + gap only as the threshold on the
+    # einsum norm of candidate - x*; put it exactly on a candidate's norm
+    # and one ulp above, for a candidate whose np.linalg.norm rounds
+    # differently where this platform's BLAS makes one.  The library must
+    # decide the gap without np.linalg.norm
     base = small_class(dim=5, num_minima=12, gap=0.0)
     rng = LaggedFibonacci(function_seed(base, 1))
     vertex, global_min = place_vertex_and_global(base, rng)
@@ -99,11 +104,13 @@ def test_candidate_on_the_gap_threshold_matches_reference():
     norms = np.array([np.linalg.norm(offset) for offset in offsets])
     einsum_norms = np.sqrt(np.einsum("ij,ij->i", offsets, offsets))
     row = int(np.argmax(norms != einsum_norms))
-    for threshold in (norms[row], np.nextafter(norms[row], np.inf)):
+    for threshold in (einsum_norms[row], np.nextafter(einsum_norms[row], np.inf)):
         params = dataclasses.replace(base, global_radius=float(threshold))
         lib, ref = copy.deepcopy(rng), copy.deepcopy(rng)
-        others = generator.place_local_minimizers(params, vertex, global_min, lib)
         expected = reference.place_local_minimizers(params, vertex, global_min, ref)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "norm", _no_blas_norm)
+            others = generator.place_local_minimizers(params, vertex, global_min, lib)
         assert np.array_equal(others, expected)
         assert next_three(lib) == next_three(ref)
 
