@@ -5,10 +5,10 @@ ground-truth notebook), ``eval`` (evaluate a function, gradient, or
 Hessian from a notebook), ``grid`` (export a 2-D surface grid as CSV),
 and ``bench`` (run a built-in solver over a class).
 
-Exit codes: 0 on success, 1 on domain or validation failures, 2 on usage
-errors.  Failed evaluations print the sentinel value 1e100 so text-level
-consumers of sentinel-style tooling keep working; the library itself
-raises typed errors instead.
+Exit codes: 0 on success, 1 on domain or validation failures and when a
+class is too large for memory, 2 on usage errors.  Failed evaluations
+print the sentinel value 1e100 so text-level consumers of sentinel-style
+tooling keep working; the library itself raises typed errors instead.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from .params import (
 )
 
 SENTINEL_VALUE = 1e100
+# points per axis of `grid`: 2048**2 rows are about 250 MB of CSV
+MAX_GRID_RES = 2048
 
 
 def _fmt(value) -> str:
@@ -47,13 +49,17 @@ def _parse_vector(text: str, flag: str) -> tuple[float, ...]:
         )
 
 
-def _int_at_least(minimum: int):
-    """argparse type for an integer no smaller than `minimum`."""
+def _bounded_int(minimum: int, maximum: int | None = None):
+    """argparse type for an integer no smaller than `minimum` and, when
+    `maximum` is given, no larger than it."""
+    bound = f"must be at least {minimum}"
+    if maximum is not None:
+        bound += f" and at most {maximum}"
 
     def integer(text: str) -> int:
         value = int(text)  # argparse reports a ValueError as "invalid integer value"
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if value < minimum or (maximum is not None and value > maximum):
+            raise argparse.ArgumentTypeError(f"{bound}, got {value}")
         return value
 
     return integer
@@ -262,7 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--notebook", required=True)
     p_grid.add_argument("--nf", type=int, required=True)
     p_grid.add_argument("--type", choices=FAMILIES, default=None)
-    p_grid.add_argument("--res", type=_int_at_least(2), default=101, help="points per axis")
+    p_grid.add_argument(
+        "--res", type=_bounded_int(2, MAX_GRID_RES), default=101,
+        help=f"points per axis, 2..{MAX_GRID_RES} (default 101)",
+    )
     p_grid.add_argument("--out", required=True, help="CSV path")
     p_grid.set_defaults(handler=cmd_grid)
 
@@ -273,10 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--solver", choices=("multistart", "random", "oracle"), default="multistart"
     )
     p_bench.add_argument(
-        "--budget", type=_int_at_least(1), default=1000,
+        "--budget", type=_bounded_int(1), default=1000,
         help="evaluations per function (default 1000)",
     )
-    p_bench.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_bench.add_argument("--seed", type=_bounded_int(0), default=0)
     p_bench.add_argument("--out", required=True, help="report path (JSON)")
     p_bench.set_defaults(handler=cmd_bench)
 
@@ -301,6 +310,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"memory error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -153,13 +153,12 @@ def locate_ball(func: GeneratedFunction, x):
 # the basin kernel: f = A(r) + c * C(r)
 
 
-def _coefficients(func: GeneratedFunction, row: int, family: str):
+def _coefficients(func: GeneratedFunction, row: int, family: str, b: float):
     """Coefficients of A and C, lowest power first, for basin `row` of
-    `family`.  B is the bridge constant ||T - M||^2 + t - f_min that makes
+    `family`.  `b` is the bridge constant ||T - M||^2 + t - f_min that makes
     the polynomial meet the paraboloid on the ball boundary."""
     f_min = float(func.minima.f[row])
     rho = float(func.minima.rho[row])
-    b = float(func.bridge[row])
     if family == "nd":
         return (f_min, 0.0, 1.0 + b / rho**2), (0.0, -2.0 / rho)
     if family == "d":
@@ -209,9 +208,12 @@ def _plan(func: GeneratedFunction, family: str | None = None) -> _Plan:
             tables = map(_read_only, (bounds, axes, axes_sq - bounds[1:], np.eye(func.dim)))
             plan = _Plan(*tables, math.sqrt(float(axes_sq.max())), float(bounds.max()))
         else:
-            coefs = [_coefficients(func, row, family) for row in range(1, func.num_minima)]
+            geometry = _plan(func)
+            axes_sq = np.einsum("ij,ij->i", geometry.axes, geometry.axes)
+            bridge = (axes_sq + func.params.paraboloid_min - func.minima.f[1:]).tolist()
+            coefs = [_coefficients(func, row, family, b) for row, b in enumerate(bridge, 1)]
             coef_a, coef_c = (_read_only(np.array(c)) for c in zip(*coefs))
-            plan = _plan(func)._replace(coef_a=coef_a, coef_c=coef_c, coefs=tuple(coefs))
+            plan = geometry._replace(coef_a=coef_a, coef_c=coef_c, coefs=tuple(coefs))
         func._plans[family] = plan
     return plan
 

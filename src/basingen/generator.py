@@ -130,14 +130,6 @@ class GeneratedFunction:
         return _read_only(np.array(self.params.domain_right))
 
     @cached_property
-    def bridge(self) -> np.ndarray:
-        """Per-minimizer constant ||T - M_i||^2 + t - f_i coupling each
-        basin polynomial to the paraboloid."""
-        diffs = self.minima.local_min - self.vertex
-        lifted = np.einsum("ij,ij->i", diffs, diffs) + self.params.paraboloid_min
-        return _read_only(lifted - self.minima.f)
-
-    @cached_property
     def _plans(self) -> dict:
         """Evaluation plans by family, filled by ``basingen.evaluate``."""
         return {}
@@ -297,17 +289,9 @@ def _strict_upper(count: int) -> np.ndarray:
     return _read_only(index[:, None] < index)
 
 
-def compute_radii(local_min: np.ndarray, params: ClassParams) -> np.ndarray:
-    """Attraction radii of the minimizers `local_min` (rows as in the
-    generator), from a distance matrix computed afresh; `generate` hands
-    its own matrix, which has the same bits, to `_expanded_radii`."""
-    dists = _distance_matrix(local_min)
-    return _expanded_radii(dists, _strict_upper(len(dists)), params)
-
-
-def _expanded_radii(dists: np.ndarray, upper: np.ndarray, params: ClassParams) -> np.ndarray:
-    """Attraction radii from the distance matrix `dists` and its mask
-    `upper` of pairs j > i: the global ball keeps its user radius; every
+def compute_radii(dists: np.ndarray, params: ClassParams) -> np.ndarray:
+    """Attraction radii from the distance matrix `dists` of the minimizers
+    (rows as in the generator): the global ball keeps its user radius; every
     other ball starts at half the distance to its nearest neighbour,
     capped for rows 3..m at tangency with the global ball (which half the
     distance crosses when the gap is below the global radius), is then
@@ -328,6 +312,7 @@ def _expanded_radii(dists: np.ndarray, upper: np.ndarray, params: ClassParams) -
     gaps = dists - start[:, None]
     gaps[:, GLOBAL_ROW] = -np.inf  # holds the global ball at its radius
     rho = np.fmax(start, gaps.min(axis=0))
+    upper = _strict_upper(len(rho))
     for _ in range(len(rho)):
         np.subtract(dists, rho[:, None], out=gaps, where=upper)
         expanded = np.fmax(start, gaps.min(axis=0))
@@ -410,8 +395,7 @@ def generate(params: ClassParams, nf: int) -> GeneratedFunction:
     others = place_local_minimizers(params, vertex, global_min, rng)
     local_min = np.vstack([vertex[None, :], global_min[None, :], others])
     dists = _distance_matrix(local_min)
-    upper = _strict_upper(len(dists))
-    rho = _expanded_radii(dists, upper, params)
+    rho = compute_radii(dists, params)
     values, peaks = compute_minima_values(local_min, rho, params, rng)
     delta = params.delta_max * _positive_uniform(rng)
     func = GeneratedFunction(
@@ -420,7 +404,7 @@ def generate(params: ClassParams, nf: int) -> GeneratedFunction:
         minima=MinimaTable(local_min=local_min, f=values, rho=rho, peak=peaks),
         delta=delta,
     )
-    problems = _field_problems(func) or _audit(func, dists, upper)
+    problems = ground_truth_problems(func, dists)
     if problems:
         fault = _lost_magnitude(func, problems, dists)
         if fault:
@@ -460,27 +444,18 @@ def _lost_magnitude(
     return ValidationError(code, f"{cause} ({'; '.join(problems)})")
 
 
-def ground_truth_problems(func: GeneratedFunction) -> list[str]:
+def ground_truth_problems(func: GeneratedFunction, dists: np.ndarray | None = None) -> list[str]:
     """Audit a ground-truth record against every structural invariant.
 
     Returns human-readable descriptions of all violations (empty when the
     record is consistent).  A field of the wrong shape or with a
-    non-finite entry is reported alone.  The distances are computed
-    afresh from the record, as for a loaded notebook; `generate` runs the
-    same rules (`_field_problems`, `_audit`) on its own distance matrix,
-    which has the same bits.  The stored fields are audited; the global list
-    and the radius weights are derived from them and need no audit (the
-    notebook loader compares a notebook's copies with them).
+    non-finite entry is reported alone.  `dists` is the distance matrix
+    of the record's minimizers: `generate` passes the one it built, and
+    without it (as for a loaded notebook) the matrix is computed afresh
+    from the record, with the same bits.  The stored fields are audited;
+    the global list and the radius weights are derived from them and need
+    no audit (the notebook loader compares a notebook's copies with them).
     """
-    problems = _field_problems(func)
-    if problems:
-        return problems
-    dists = _distance_matrix(func.minima.local_min)
-    return _audit(func, dists, _strict_upper(len(dists)))
-
-
-def _field_problems(func: GeneratedFunction) -> list[str]:
-    """The first field of the wrong shape or with a non-finite entry."""
     params = func.params
     table = func.minima
     count = params.num_minima
@@ -495,15 +470,9 @@ def _field_problems(func: GeneratedFunction) -> list[str]:
     for name in ("local_min", "f", "rho", "peak"):
         if not np.all(np.isfinite(getattr(table, name))):
             return [f"field {name} must be finite"]
-    return []
+    if dists is None:
+        dists = _distance_matrix(table.local_min)
 
-
-def _audit(func: GeneratedFunction, dists: np.ndarray, upper: np.ndarray) -> list[str]:
-    """The rules of `ground_truth_problems` on a record with well-shaped
-    finite fields, its distance matrix `dists` and the mask `upper` of
-    pairs j > i."""
-    params = func.params
-    table = func.minima
     eps = PRECISION
     problems: list[str] = []
     if not _is_interior(table.local_min, func.lower, func.upper, eps):
@@ -532,6 +501,7 @@ def _audit(func: GeneratedFunction, dists: np.ndarray, upper: np.ndarray) -> lis
         problems.append("basin depths for minimizers 1 and 2 must be stored as 0")
 
     # row i is reported when it breaks a rule with some later row j > i
+    upper = _strict_upper(count)
     reach = np.add.outer(table.rho, table.rho)
     reach -= eps
     close = dists <= eps

@@ -11,7 +11,7 @@ for bit.
 
 import numpy as np
 
-from basingen.evaluate import _coefficients, _horner
+from basingen.evaluate import _horner, _plan
 from basingen.params import PRECISION
 
 BATCH_CHUNK = 1 << 16
@@ -37,7 +37,7 @@ def eval_many(func, family, points):
                 continue
             r = np.sqrt(dist_sq[mask])
             c = np.einsum("ij,j->i", d[mask], func.vertex - center)
-            coef_a, coef_c = _coefficients(func, row, family)
+            coef_a, coef_c = _plan(func, family).coefs[row - 1]
             branch = _horner(coef_a, r)[0] + c * _horner(coef_c, r)[0]
             out[mask] = np.where(r < PRECISION, float(table.f[row]), branch)
         values[start : start + BATCH_CHUNK] = out

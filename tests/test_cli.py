@@ -413,9 +413,10 @@ def test_bench_rejects_non_positive_budget(tmp_path, capsys, budget):
     [
         ["grid", "--notebook", "{notebook}", "--nf", "1", "--res", "1"],
         ["grid", "--notebook", "{notebook}", "--nf", "1", "--res", "0"],
+        ["grid", "--notebook", "{notebook}", "--nf", "1", "--res", "2049"],
         ["bench", "--type", "nd", "--solver", "random", "--seed", "-1"],
     ],
-    ids=["res=1", "res=0", "seed=-1"],
+    ids=["res=1", "res=0", "res=2049", "seed=-1"],
 )
 def test_out_of_range_integer_flag_is_usage_error(cli_notebook, tmp_path, capsys, argv):
     out_path = tmp_path / "out.json"
@@ -423,6 +424,20 @@ def test_out_of_range_integer_flag_is_usage_error(cli_notebook, tmp_path, capsys
     code, out, err = run(capsys, argv)
     assert code == 2
     assert "must be at least" in err
+    assert "Traceback" not in err
+    assert not out_path.exists()
+    assert not out_path.with_suffix(".csv").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "bench"])
+def test_class_too_large_for_memory_is_a_memory_error(tmp_path, capsys, command):
+    # `check` accepts 10**17 minimizers; their table (1.39 EiB) fails to
+    # allocate at once, whatever the overcommit setting
+    out_path = tmp_path / "out.json"
+    argv = [command, "--type", "d", "--minima", "100000000000000000", "--out", str(out_path)]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert err.startswith("memory error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not out_path.exists()
     assert not out_path.with_suffix(".csv").exists()

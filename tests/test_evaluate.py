@@ -569,9 +569,9 @@ def test_plan_is_built_once_per_record_and_family(params2, monkeypatch):
     calls = []
     coefficients = evaluate_module._coefficients
 
-    def counting(func, row, family):
+    def counting(func, row, family, bridge):
         calls.append((row, family))
-        return coefficients(func, row, family)
+        return coefficients(func, row, family, bridge)
 
     monkeypatch.setattr(evaluate_module, "_coefficients", counting)
     func = generate(params2, 9)

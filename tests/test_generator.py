@@ -440,14 +440,14 @@ def test_large_magnitudes_refuse_or_evaluate_finitely(params):
 
 def test_broken_record_at_normal_scale_stays_internal(monkeypatch):
     # only lost magnitudes are the caller's fault; a generator bug is not
-    expanded_radii = generator._expanded_radii
+    radii = generator.compute_radii
 
-    def overlapping(dists, upper, params):
-        rho = expanded_radii(dists, upper, params)
+    def overlapping(dists, params):
+        rho = radii(dists, params)
         rho[2:] *= 3.0
         return rho
 
-    monkeypatch.setattr(generator, "_expanded_radii", overlapping)
+    monkeypatch.setattr(generator, "compute_radii", overlapping)
     with pytest.raises(RuntimeError, match="internal error.*overlaps a later ball"):
         generate(default_params(2), 1)
 
@@ -455,7 +455,7 @@ def test_broken_record_at_normal_scale_stays_internal(monkeypatch):
 def test_only_the_audit_refuses_a_record(monkeypatch):
     # the audit refuses every function of paraboloid-1e16 (its depths are
     # lost in rounding); with the audit silenced, construction returns one
-    monkeypatch.setattr(generator, "_audit", lambda func, dists, upper: [])
+    monkeypatch.setattr(generator, "ground_truth_problems", lambda func, dists: [])
     func = generate(dataclasses.replace(default_params(2), paraboloid_min=1e16), 1)
     assert isinstance(func, GeneratedFunction)
 
@@ -470,7 +470,8 @@ def test_lost_magnitude_balls_meet(apart, global_dist, code):
     # rounding moved the global minimizer
     p = small_class(num_minima=2, global_dist=global_dist, global_radius=global_dist / 2)
     points = np.array([[0.0, 0.0], [apart, 0.0]])
-    table = MinimaTable(points, f=[0.0, -1.0], rho=compute_radii(points, p), peak=[0.0, 0.0])
+    rho = compute_radii(generator._distance_matrix(points), p)
+    table = MinimaTable(points, f=[0.0, -1.0], rho=rho, peak=[0.0, 0.0])
     func = GeneratedFunction(params=p, nf=1, minima=table, delta=1.0)
     problems = ground_truth_problems(func)
     fault = generator._lost_magnitude(func, problems, generator._distance_matrix(points))
@@ -487,7 +488,7 @@ def test_radii_hand_trace_tight():
     # ball starts at 1/3, cannot expand, and is weighted to 0.33
     p = small_class(num_minima=2)
     points = np.array([[0.0, 0.0], [2.0 / 3.0, 0.0]])
-    rho = compute_radii(points, p)
+    rho = compute_radii(generator._distance_matrix(points), p)
     assert rho[VERTEX_ROW] == pytest.approx(0.33)
     assert rho[GLOBAL_ROW] == pytest.approx(1.0 / 3.0)
 
@@ -497,7 +498,7 @@ def test_radii_hand_trace_expanding():
     # 2/3 - 0.2 = 7/15 before weighting
     p = small_class(num_minima=2, global_radius=0.2)
     points = np.array([[0.0, 0.0], [2.0 / 3.0, 0.0]])
-    rho = compute_radii(points, p)
+    rho = compute_radii(generator._distance_matrix(points), p)
     assert rho[VERTEX_ROW] == pytest.approx(0.99 * 7.0 / 15.0)
     assert rho[GLOBAL_ROW] == pytest.approx(0.2)
 
@@ -508,7 +509,7 @@ def test_radii_match_per_row_reference(pinned_classes):
     functions += [generate(large, nf) for nf in (1, 2, 3)]
     for func in functions:
         local_min = func.minima.local_min
-        rho = compute_radii(local_min, func.params)
+        rho = compute_radii(generator._distance_matrix(local_min), func.params)
         assert np.array_equal(rho, reference_radii(local_min, func.params))
         assert np.array_equal(rho, func.minima.rho)
 
@@ -541,7 +542,7 @@ def test_radii_expand_in_ascending_order():
     points[2:, 0] = xs[1:]
     count = len(points)
     p = small_class(num_minima=count, global_radius=1.0)
-    rho = compute_radii(points, p)
+    rho = compute_radii(generator._distance_matrix(points), p)
     assert np.array_equal(rho, reference_radii(points, p))
 
     dists = np.array([_distances_from(points, row) for row in range(count)])
@@ -571,33 +572,44 @@ def test_radii_terminate_on_non_finite_distances():
     )
     p = small_class(num_minima=len(points), global_radius=0.25)
     with np.errstate(over="ignore", invalid="ignore"):
-        rho = compute_radii(points, p)
+        rho = compute_radii(generator._distance_matrix(points), p)
         expected = reference_radii(points, p)
     assert not np.isfinite(expected).all()
     assert np.array_equal(rho, expected, equal_nan=True)
 
 
 def test_one_distance_matrix_per_record(monkeypatch, pinned_classes, tmp_path):
-    matrices, audits = [], []
-    distance_matrix, audit = generator._distance_matrix, generator._audit
+    matrices, audits, read = [], [], []
+    distance_matrix = generator._distance_matrix
+    radii, audit = generator.compute_radii, generator.ground_truth_problems
 
     def counted(points):
         matrices.append(distance_matrix(points))
         return matrices[-1]
 
-    def recorded(func, dists, upper):
-        audits.append(audit(func, dists, upper))
+    def read_by_radii(dists, params):
+        read.append(("radii", dists))
+        return radii(dists, params)
+
+    def recorded(func, dists=None):
+        read.append(("audit", dists))
+        audits.append(audit(func, dists))
         return audits[-1]
 
     monkeypatch.setattr(generator, "_distance_matrix", counted)
-    monkeypatch.setattr(generator, "_audit", recorded)
+    monkeypatch.setattr(generator, "compute_radii", read_by_radii)
+    monkeypatch.setattr(generator, "ground_truth_problems", recorded)
     for funcs in pinned_classes.values():
         for func in funcs:
             matrices.clear()
             audits.clear()
+            read.clear()
             assert records_equal(generate(func.params, func.nf), func)
             assert len(matrices) == 1 and not matrices[0].flags.writeable
             assert audits == [[]] and ground_truth_problems(func) == []
+            # one audit per record, on the very matrix the radii read
+            assert [stage for stage, _ in read] == ["radii", "audit"]
+            assert all(dists is matrices[0] for _, dists in read)
 
     path = tmp_path / "class.json"
     export_class(default_params(2), "d", path)
@@ -799,6 +811,16 @@ AUDIT_CASES = [
 )
 def test_audit_rule_by_rule(func9, changes, expected):
     assert ground_truth_problems(tamper(func9, **changes(func9.minima))) == expected
+
+
+def test_audit_on_a_passed_matrix_matches_a_fresh_one(pinned_classes, func9):
+    # `generate` passes its own distance matrix; a loaded notebook's is built
+    # afresh from the record
+    functions = [func for funcs in pinned_classes.values() for func in funcs]
+    functions += [tamper(func9, **changes(func9.minima)) for _, changes, _ in AUDIT_CASES]
+    for func in functions:
+        dists = generator._distance_matrix(func.minima.local_min)
+        assert ground_truth_problems(func, dists) == ground_truth_problems(func)
 
 
 def _coinciding_pair(func, rng):

@@ -37,7 +37,7 @@ def stage_mismatches(params, nf):
     if not np.array_equal(others, expected) or next_three(lib) != next_three(ref):
         mismatches.append(("placement", nf))
     local_min = np.vstack([vertex[None, :], global_min[None, :], expected])
-    rho = compute_radii(local_min, params)
+    rho = compute_radii(generator._distance_matrix(local_min), params)
     values, peaks = generator.compute_minima_values(local_min, rho, params, lib)
     ref_values, ref_peaks = reference.compute_minima_values(local_min, rho, params, ref)
     same = np.array_equal(values, ref_values) and np.array_equal(peaks, ref_peaks)
