@@ -32,7 +32,8 @@ from .params import (
 )
 
 SENTINEL_VALUE = 1e100
-# points per axis of `grid`: 2048**2 rows are about 250 MB of CSV
+# points per axis of `grid`: it bounds the file, as 2048**2 rows are about
+# 250 MB of CSV; memory does not grow with it, as write_grid streams blocks
 MAX_GRID_RES = 2048
 
 

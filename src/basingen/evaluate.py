@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .generator import GeneratedFunction, _read_only
+from .generator import GeneratedFunction, _einsum, _read_only
 from .params import PRECISION, ErrorCode, _is_size
 
 FAMILIES = ("nd", "d", "d2")
@@ -134,9 +134,9 @@ def _locate_row(func: GeneratedFunction, point: np.ndarray, plan: _Plan):
     ball does), the squared distance to its center and `point` minus the center.
     Balls are disjoint; on exact tangency the lowest row, argmax's first, wins."""
     diffs = point - func.minima.local_min
-    dist_sq = np.einsum("ij,ij->i", diffs, diffs)
+    dist_sq = _einsum("ij,ij->i", diffs, diffs)
     row = int((dist_sq <= plan.bounds).argmax())
-    return row, float(dist_sq[row]), diffs[row]
+    return row, dist_sq.item(row), diffs[row]
 
 
 def locate_ball(func: GeneratedFunction, x):
@@ -204,12 +204,12 @@ def _plan(func: GeneratedFunction, family: str | None = None) -> _Plan:
         if family is None:
             bounds = np.append(-1.0, func.minima.rho[1:] ** 2)
             axes = func.vertex - func.minima.local_min[1:]
-            axes_sq = np.einsum("ij,ij->i", axes, axes)
+            axes_sq = _einsum("ij,ij->i", axes, axes)
             tables = map(_read_only, (bounds, axes, axes_sq - bounds[1:], np.eye(func.dim)))
             plan = _Plan(*tables, math.sqrt(float(axes_sq.max())), float(bounds.max()))
         else:
             geometry = _plan(func)
-            axes_sq = np.einsum("ij,ij->i", geometry.axes, geometry.axes)
+            axes_sq = _einsum("ij,ij->i", geometry.axes, geometry.axes)
             bridge = (axes_sq + func.params.paraboloid_min - func.minima.f[1:]).tolist()
             coefs = [_coefficients(func, row, family, b) for row, b in enumerate(bridge, 1)]
             coef_a, coef_c = (_read_only(np.array(c)) for c in zip(*coefs))
@@ -241,7 +241,7 @@ def _kernel(func: GeneratedFunction, plan: _Plan, row: int, d: np.ndarray, r: fl
             return float(func.minima.f[row])
         return np.zeros(func.dim) if order == 1 else func.delta * plan.eye
     a = plan.axes[row - 1]
-    c = float(np.einsum("i,i->", d, a))
+    c = float(_einsum("i,i->", d, a))
     coef_a, coef_c = plan.coefs[row - 1]
     a0, a1, a2 = _horner(coef_a, r, order)
     c0, c1, c2 = _horner(coef_c, r, order)
@@ -355,7 +355,7 @@ def eval_many(func: GeneratedFunction, family: str, points) -> np.ndarray:
     for start in range(0, len(pts), step):
         block = pts[start : start + step]
         diffs = block - func.vertex
-        sq = np.einsum("ij,ij->i", diffs, diffs)
+        sq = _einsum("ij,ij->i", diffs, diffs)
         out = sq + func.params.paraboloid_min
         tau = scale * ((np.sqrt(sq) + plan.reach) ** 2 + plan.spread)
         score = (2.0 * diffs) @ plan.axes.T
@@ -366,14 +366,14 @@ def eval_many(func: GeneratedFunction, family: str, points) -> np.ndarray:
         # pair of each run of one point holds its lowest row, which wins on
         # exact tangency
         d = block[point] - centers[row]
-        dist_sq = np.einsum("ij,ij->i", d, d)
+        dist_sq = _einsum("ij,ij->i", d, d)
         hit = np.flatnonzero(dist_sq <= plan.bounds[1:][row])
         first = np.ones(len(hit), dtype=bool)
         first[1:] = point[hit[1:]] != point[hit[:-1]]
         keep = hit[first]
         point, row, d, dist_sq = point[keep], row[keep], d[keep], dist_sq[keep]
         r = np.sqrt(dist_sq)
-        c = np.einsum("ij,ij->i", d, plan.axes[row])
+        c = _einsum("ij,ij->i", d, plan.axes[row])
         branch = _horner(plan.coef_a[row].T, r)[0] + c * _horner(plan.coef_c[row].T, r)[0]
         out[point] = np.where(r < PRECISION, table.f[1:][row], branch)
         values[start : start + step] = out

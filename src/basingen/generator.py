@@ -22,6 +22,14 @@ from functools import cached_property
 
 import numpy as np
 
+# _einsum is the C function that numpy's einsum forwards to when optimize is
+# False: the same sums, without the Python layer of array-function dispatch
+# (about 1 us a call).  Every einsum of the package is spelled through it
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum as _einsum
+
 from .params import (
     PRECISION, ClassParams, ErrorCode, ParameterError, ValidationError, _is_size, check,
     radius_weights,
@@ -235,7 +243,7 @@ def place_local_minimizers(
         rows = min(count - placed, RETRY_BUDGET - misses)
         block = lower + span * rng.uniforms(rows * params.dim).reshape(rows, params.dim)
         offsets = block - global_min
-        clear = np.sqrt(np.einsum("ij,ij->i", offsets, offsets)) >= min_gap
+        clear = np.sqrt(_einsum("ij,ij->i", offsets, offsets)) >= min_gap
         clear &= ((block > inner) & (block < outer)).all(axis=1)
         misses += rows
         candidates = clear.nonzero()[0]
@@ -251,7 +259,7 @@ def place_local_minimizers(
         else:
             for row in candidates.tolist():
                 diffs = points[:placed] - block[row]
-                if np.einsum("ij,ij->i", diffs, diffs).min() > PRECISION**2:
+                if _einsum("ij,ij->i", diffs, diffs).min() > PRECISION**2:
                     points[placed] = block[row]
                     placed += 1
                     misses = rows - 1 - row
@@ -277,7 +285,7 @@ def _distance_matrix(points: np.ndarray) -> np.ndarray:
     for start in range(0, count, step):
         stop = start + step
         diffs = points[start:] - points[start:stop, None]
-        np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs), out=dists[start:stop, start:])
+        np.sqrt(_einsum("ijk,ijk->ij", diffs, diffs), out=dists[start:stop, start:])
         dists[stop:, start:stop] = dists[start:stop, stop:].T
     np.fill_diagonal(dists, np.inf)
     return _read_only(dists)

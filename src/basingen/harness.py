@@ -55,7 +55,7 @@ from .evaluate import (
     eval_many,
     evaluate,
 )
-from .generator import FUNCTIONS_PER_CLASS, GeneratedFunction, generate
+from .generator import FUNCTIONS_PER_CLASS, GeneratedFunction, _einsum, generate
 from .notebook import summary_path_for
 from .params import ClassParams, ParameterError, _as_float, _require_count, check
 
@@ -132,8 +132,8 @@ class BudgetedObjective:
 
     def _hits_global_ball(self, point: np.ndarray) -> bool:
         diffs = self._global_points - point
-        dist = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-        return bool(np.any(dist <= self._radius))
+        dist = np.sqrt(_einsum("ij,ij->i", diffs, diffs))
+        return bool((dist <= self._radius).any())
 
     def value(self, x) -> float:
         """Objective value; +inf for infeasible queries (still charged)."""
@@ -322,19 +322,24 @@ def _descend(objective: BudgetedObjective, x: np.ndarray, steps: int) -> None:
     stays local; exploration is the restarts' job."""
     reach = 0.25 * float((objective.upper - objective.lower).min())
     fx = objective.value(x)
-    if not np.isfinite(fx):
+    if not math.isfinite(fx):
         return
     for _ in range(steps):
         grad = objective.gradient(x)
         if grad is None:
             return
-        gnorm = float(np.linalg.norm(grad))
+        # np.linalg.norm's own spelling for a 1-D float vector: one BLAS ddot
+        gnorm = math.sqrt(grad.dot(grad))
         if gnorm < 1e-12:
             return
         step = min(1.0, reach / gnorm)
         improved = False
         while step * gnorm > 1e-13:
-            candidate = np.minimum(np.maximum(x - step * grad, objective.lower), objective.upper)
+            # np.maximum, then np.minimum, as always: np.clip keeps a signed
+            # zero at a bound (see _coordinate_search), so a best point could change
+            candidate = x - step * grad
+            np.maximum(candidate, objective.lower, out=candidate)
+            np.minimum(candidate, objective.upper, out=candidate)
             fc = objective.value(candidate)
             if fc < fx:
                 x, fx = candidate, fc

@@ -74,6 +74,9 @@ SCHEMA = 2
 # JSON key of each stored minimizer column -> its MinimaTable field, in export order
 _MINIMA_KEYS = {"coords": "local_min", "f": "f", "rho": "rho", "peak": "peak"}
 
+# points per write_grid block: its arrays and row lists stay near 2 MB
+_GRID_POINTS = 1 << 14
+
 
 def params_to_dict(params: ClassParams) -> dict:
     """JSON-ready mapping with the fixed key set of the class schema: one
@@ -310,9 +313,9 @@ def load_class(path) -> LoadedClass:
 # surface grids
 
 
-def grid_samples(func: GeneratedFunction, family: str, resolution: int) -> np.ndarray:
-    """Uniform lattice over a 2-D domain, endpoints included: an
-    (resolution**2, 3) array of (x1, x2, value) rows, x1-major."""
+def _grid_axes(func: GeneratedFunction, resolution: int):
+    """The x1 and x2 sample points of a surface grid, endpoints included,
+    after checking that `func` is 2-D and `resolution` an integer >= 2."""
     if func.dim != 2:
         raise ParameterError(
             ValidationError(
@@ -321,20 +324,37 @@ def grid_samples(func: GeneratedFunction, family: str, resolution: int) -> np.nd
             )
         )
     resolution = _require_count("resolution", resolution, 2)
-    xs = np.linspace(func.lower[0], func.upper[0], resolution)
-    ys = np.linspace(func.lower[1], func.upper[1], resolution)
+    return [np.linspace(func.lower[i], func.upper[i], resolution) for i in (0, 1)]
+
+
+def _grid_rows(func: GeneratedFunction, family: str, xs: np.ndarray, ys: np.ndarray):
+    """(x1, x2, value) rows of the lattice xs by ys, x1-major."""
     g1, g2 = np.meshgrid(xs, ys, indexing="ij")
     points = np.column_stack([g1.ravel(), g2.ravel()])
     values = eval_many(func, family, points)
     return np.column_stack([points, values])
 
 
+def grid_samples(func: GeneratedFunction, family: str, resolution: int) -> np.ndarray:
+    """Uniform lattice over a 2-D domain, endpoints included: an
+    (resolution**2, 3) array of (x1, x2, value) rows, x1-major."""
+    return _grid_rows(func, family, *_grid_axes(func, resolution))
+
+
 def write_grid(path, func: GeneratedFunction, family: str, resolution: int) -> int:
-    """Write the grid as CSV with header ``x1,x2,f``; returns the row count."""
-    rows = grid_samples(func, family, resolution)
-    lines = ["x1,x2,f"]
-    lines.extend(
-        f"{float(a)!r},{float(b)!r},{float(v)!r}" for a, b, v in rows
-    )
-    Path(path).write_text("\n".join(lines) + "\n")
-    return len(rows)
+    """Write the grid as CSV with header ``x1,x2,f``; returns the row count.
+
+    Blocks of x1-rows, about _GRID_POINTS points each, are evaluated and
+    written in turn, so memory does not grow with the grid; as no point's
+    value depends on the others of its call, the bytes are those of one
+    call over the whole grid.  A bad family, dimension or resolution
+    raises before the file is opened."""
+    _require_family(family)
+    xs, ys = _grid_axes(func, resolution)
+    step = max(1, _GRID_POINTS // len(ys))
+    with open(path, "w") as fh:
+        fh.write("x1,x2,f\n")
+        for start in range(0, len(xs), step):
+            rows = _grid_rows(func, family, xs[start : start + step], ys)
+            fh.writelines(f"{a!r},{b!r},{v!r}\n" for a, b, v in rows.tolist())
+    return len(xs) * len(ys)

@@ -28,6 +28,7 @@ from basingen import (
     locate_ball,
 )
 from basingen.evaluate import _CHUNK_CELLS, _in_box, _plan, evaluate
+from basingen.generator import _einsum
 from basingen.params import PRECISION
 
 import eval_reference
@@ -698,7 +699,7 @@ def test_scalar_box_test_matches_in_box():
 def test_scalar_query_reads_the_plan_once(func5, monkeypatch):
     evaluate_module = importlib.import_module("basingen.evaluate")
     counts = {"plan": 0, "einsum": 0}
-    plan, einsum = evaluate_module._plan, np.einsum
+    plan, einsum = evaluate_module._plan, evaluate_module._einsum
     for family in EVALUATORS:
         plan(func5, family)  # built, so only lookups are counted
 
@@ -710,7 +711,7 @@ def test_scalar_query_reads_the_plan_once(func5, monkeypatch):
         return call
 
     monkeypatch.setattr(evaluate_module, "_plan", counting("plan", plan))
-    monkeypatch.setattr(evaluate_module.np, "einsum", counting("einsum", einsum))
+    monkeypatch.setattr(evaluate_module, "_einsum", counting("einsum", einsum))
     x = points_inside_ball(func5, 3, 1, seed=2)[0]
     for routine, point, einsums in (
         (eval_d2, x, 2),
@@ -721,6 +722,36 @@ def test_scalar_query_reads_the_plan_once(func5, monkeypatch):
         counts.update(plan=0, einsum=0)
         routine(func5, point)
         assert counts == {"plan": 1, "einsum": einsums}, routine.__name__
+
+
+def test_einsum_alias_is_the_c_function_numpy_einsum_calls():
+    # np.einsum dispatches to einsumfunc.einsum, which calls the c_einsum of
+    # its module globals when optimize is False; so on numpy 1.x and 2.x
+    implementation = getattr(np.einsum, "_implementation", np.einsum)
+    einsumfunc = importlib.import_module(implementation.__module__)
+    assert _einsum is implementation.__globals__["c_einsum"]
+    assert _einsum is einsumfunc.c_einsum
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 10, 20])
+def test_einsum_alias_equals_np_einsum_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    for scale in (1.0, 1e-3, 1e150, 1e-160):
+        a = scale * rng.standard_normal((13, dim))
+        b = scale * rng.standard_normal((13, dim))
+        cube = a[:4] - b[:, None]  # as the distance matrix's blocks
+        strided = np.asfortranarray(a)[::2]
+        for subscripts, operands in (
+            ("ij,ij->i", (a, b)),
+            ("ij,ij->i", (a, a)),
+            ("ij,ij->i", (strided, strided)),
+            ("i,i->", (a[0], b[0])),
+            ("i,i->", (a[:, 0], a[:, 0])),
+            ("ijk,ijk->ij", (cube, cube)),
+        ):
+            assert _bits(_einsum(subscripts, *operands)) == _bits(
+                np.einsum(subscripts, *operands)
+            ), (subscripts, scale)
 
 
 def test_batch_rejects_infeasible(func9):

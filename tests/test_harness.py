@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import struct
 from dataclasses import asdict, replace
 from fractions import Fraction
 
@@ -503,3 +505,19 @@ def test_random_search_matches_scalar_reference(tmp_path, params2, family, budge
         assert (tmp_path / f"batched{suffix}").read_bytes() == (
             tmp_path / f"scalar{suffix}"
         ).read_bytes()
+
+
+@pytest.mark.parametrize("dim", range(1, 21))
+def test_descent_step_length_is_np_linalg_norm(dim):
+    # _descend spells the gradient norm as np.linalg.norm computes it for a
+    # 1-D float vector, sqrt(g.dot(g)): the same ddot, so the same bits
+    rng = np.random.default_rng(dim)
+    gradients = [scale * rng.standard_normal(dim) for scale in (1.0, 1e-3, 1e200, 1e-170, 1e-320)]
+    gradients += [np.zeros(dim), np.full(dim, np.nan), np.where(np.arange(dim) == 0, np.nan, 1.0)]
+    for grad in gradients:
+        with np.errstate(over="ignore"):  # 1e200 squared: both give inf
+            ours, numpys = math.sqrt(grad.dot(grad)), float(np.linalg.norm(grad))
+        if math.isnan(numpys):
+            assert math.isnan(ours)
+        else:
+            assert struct.pack("<d", ours) == struct.pack("<d", numpys), grad

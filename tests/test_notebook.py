@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from basingen import (
     default_params,
     eval_d,
     eval_d2,
+    eval_many,
     eval_nd,
     export_class,
     generate,
@@ -21,6 +23,7 @@ from basingen import (
     params_to_dict,
     write_grid,
 )
+from basingen import notebook
 from basingen.notebook import summary_path_for
 
 from conftest import sized_class
@@ -511,3 +514,60 @@ def test_write_grid_csv(tmp_path, func9):
     assert len(lines) == 122
     first = lines[1].split(",")
     assert float(first[0]) == -1.0 and float(first[1]) == -1.0
+
+
+def _joined_grid_csv(func, family, resolution):
+    """The CSV text of the writer that built every line of the grid and
+    joined them before writing: the reference for the block writer."""
+    xs = np.linspace(func.lower[0], func.upper[0], resolution)
+    ys = np.linspace(func.lower[1], func.upper[1], resolution)
+    g1, g2 = np.meshgrid(xs, ys, indexing="ij")
+    points = np.column_stack([g1.ravel(), g2.ravel()])
+    rows = np.column_stack([points, eval_many(func, family, points)])
+    lines = ["x1,x2,f"]
+    lines.extend(f"{float(a)!r},{float(b)!r},{float(v)!r}" for a, b, v in rows)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("family", ["nd", "d", "d2"])
+@pytest.mark.parametrize(
+    "block, resolution",
+    # None keeps _GRID_POINTS: one block at 2 and at 128, 4 blocks of 64
+    # x1-rows at 256, 5 of 54 and one of 30 at 300; the small blocks give
+    # 3 + 3 + 1 rows at 7, 4 + 4 at 8 and one row per block at 5
+    [(None, 2), (None, 128), (None, 256), (None, 300), (21, 7), (32, 8), (3, 5)],
+)
+def test_write_grid_blocks_write_the_joined_bytes(tmp_path, func9, monkeypatch, family, block, resolution):
+    if block is not None:
+        monkeypatch.setattr(notebook, "_GRID_POINTS", block)
+    path = tmp_path / "surface.csv"
+    assert write_grid(path, func9, family, resolution) == resolution**2
+    assert path.read_bytes() == _joined_grid_csv(func9, family, resolution).encode()
+
+
+def test_write_grid_memory_stays_below_the_file_size(tmp_path, func9):
+    # the joined writer held every line and their join, about 3 times the
+    # file; a block holds about 2 MB whatever the resolution
+    path = tmp_path / "surface.csv"
+    tracemalloc.start()
+    try:
+        write_grid(path, func9, "d2", 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 10**7
+    assert peak < size / 2
+
+
+def test_refused_grid_writes_no_file(tmp_path, func9):
+    path = tmp_path / "surface.csv"
+    func3 = generate(default_params(3), 1)
+    for func, family, resolution, error in (
+        (func9, "smooth", 11, ValueError),
+        (func9, "d", 1, ValueError),
+        (func3, "d", 11, ParameterError),
+    ):
+        with pytest.raises(error):
+            write_grid(path, func, family, resolution)
+        assert not path.exists()
