@@ -7,24 +7,21 @@ depths) and its curvature parameter.  Floats survive the round trip
 exactly, so a loaded class evaluates bit-for-bit like the generated one,
 without re-running the random stream.
 
-:func:`export_class` writes schema 2: ``"schema": 2`` and one JSON list
-per column per function, encoded compactly in one ``json.dumps`` call.
-:func:`load_class` also reads schema 1, the layout without a ``schema``
-key that stores one object per minimizer row plus copies of what the
-record derives (``index``, ``w``, ``global``); its rows are gathered
-into the same columns, so both schemas share one path after decoding,
-and its stored copies are compared with the derived values.
+:func:`export_class` writes ``"schema": 2`` and one JSON list per column
+per function, encoded compactly in one ``json.dumps`` call, and
+:func:`load_class` reads that layout only.  A file of any other schema,
+or without a ``schema`` key, is re-made with ``basingen gen`` from its
+``class_params``.
 
 Only this module knows the JSON layout: :func:`params_to_dict` and
 ``_document`` write it; :func:`params_from_dict`, ``_function_from_entry``
 and :func:`load_class` read it, every value through :func:`read_numbers`.
 Any failure to read is a :class:`NotebookError` naming the bad value's
-path, and so is a schema 1 stored copy that differs from what the
-record derives.  A class value that every record contradicts alike is
-named by its ``class_params`` key; any other contradiction names the
-first function whose audit fails.  :func:`export_class` and
-:func:`load_class` both return a :class:`LoadedClass` of records; the
-text summary is formatted from them.
+path.  A class value that every record contradicts alike is named by its
+``class_params`` key; any other contradiction names the first function
+whose audit fails.  :func:`export_class` and :func:`load_class` both
+return a :class:`LoadedClass` of records; the text summary is formatted
+from them.
 """
 
 from __future__ import annotations
@@ -47,14 +44,12 @@ from .generator import (
     ground_truth_problems,
 )
 from .params import (
-    PRECISION,
     ClassParams,
     ErrorCode,
     ParameterError,
     ValidationError,
     _require_count,
     check,
-    radius_weights,
 )
 
 
@@ -68,7 +63,7 @@ class LoadedClass(NamedTuple):
     function_type: str
 
 
-# the schema export_class writes; a document without a "schema" key is schema 1
+# the schema export_class writes and load_class reads
 SCHEMA = 2
 
 # JSON key of each stored minimizer column -> its MinimaTable field, in export order
@@ -188,72 +183,29 @@ def params_from_dict(data: dict) -> ClassParams:
         return read_numbers(data, key, "class_params", shape, kind).tolist()
 
     dim, num_minima = read("dim", kind=int), read("num_minima", kind=int)
-    # keys from when these were settable load at the fixed values only
-    if "precision" in data and read("precision") != PRECISION:
-        raise NotebookError(f"class_params.precision must be {PRECISION}, got {data['precision']}")
-    if "weights" in data and read("weights", (num_minima,)) != radius_weights(num_minima).tolist():
-        raise NotebookError("class_params.weights must be 0.99, and 1.0 for minimizer 2")
     shapes = {"domain_left": (dim,), "domain_right": (dim,)}
     rest = fields(ClassParams)[2:]  # every field after dim and num_minima
     values = {f.name: read(f.name, shapes.get(f.name, ())) for f in rest}
     return ClassParams(dim=dim, num_minima=num_minima, **values)
 
 
-def _function_from_entry(
-    entry, params: ClassParams, position: int, schema: int
-) -> tuple[GeneratedFunction, dict]:
-    """The record stored at ``functions[position]``, not yet audited, and
-    the columns its minimizer table was read from."""
+def _function_from_entry(entry, params: ClassParams, position: int) -> GeneratedFunction:
+    """The record stored at ``functions[position]``, not yet audited."""
     where = f"functions[{position}]"
     m = params.num_minima
     nf = read_numbers(entry, "nf", where, kind=int).item()
     if nf != position + 1:
         raise NotebookError(f"{where} has nf={nf}, expected {position + 1}")
-    columns, columns_where = entry, where
-    if schema == 1:  # gather the per-minimizer rows into the schema 2 columns
-        rows = entry.get("minimizers")
-        if type(rows) is not list or len(rows) != m or not all(type(row) is dict for row in rows):
-            raise NotebookError(f"{where}.minimizers must be an array of {m} objects")
-        # a missing key reads as null, which read_numbers rejects
-        columns = {key: [row.get(key) for row in rows] for key in ("index", *_MINIMA_KEYS, "w")}
-        columns_where = f"{where}.minimizers[*]"
     table = {
-        field: read_numbers(
-            columns, key, columns_where, (m, params.dim) if key == "coords" else (m,)
-        )
+        field: read_numbers(entry, key, where, (m, params.dim) if key == "coords" else (m,))
         for key, field in _MINIMA_KEYS.items()
     }
-    func = GeneratedFunction(
+    return GeneratedFunction(
         params=params,
         nf=nf,
         minima=MinimaTable(**table),
         delta=read_numbers(entry, "delta", where).item(),
     )
-    return func, columns
-
-
-def _audit_entry(func: GeneratedFunction, entry, columns: dict, schema: int) -> None:
-    """Audit the record read from `entry` and, in schema 1, compare each
-    stored copy of what the record derives with it."""
-    where = f"functions[{func.nf - 1}]"
-    problems = ground_truth_problems(func)
-    if problems:
-        raise NotebookError(f"{where} violates ground-truth invariants: " + "; ".join(problems))
-    if schema == 1:  # each stored copy of what the record derives must equal it
-        m = func.num_minima
-        columns_where = f"{where}.minimizers[*]"
-        glob, glob_where = entry.get("global"), f"{where}.global"
-        for data, at, key, shape, kind, derived in (
-            (columns, columns_where, "index", (m,), int, np.arange(1, m + 1)),
-            (columns, columns_where, "w", (m,), float, func.minima.w_rho),
-            (glob, glob_where, "value", (), float, func.params.global_value),
-            (glob, glob_where, "num_global_minima", (), int, func.glob.num_global_minima),
-            (glob, glob_where, "gm_index", (m,), int, func.glob.gm_index),
-        ):
-            if not np.array_equal(read_numbers(data, key, at, shape, kind), derived):
-                raise NotebookError(
-                    f"{at}.{key} must be {np.asarray(derived).tolist()}, as the record derives"
-                )
 
 
 # class value -> the minimizer column and row that store it, and the audit's
@@ -278,18 +230,20 @@ def _require_class_values(params: ClassParams, functions: list[GeneratedFunction
 
 
 def load_class(path) -> LoadedClass:
-    """Read and re-validate a notebook of either schema; the stored ground
-    truth is authoritative (the random stream is not re-run)."""
+    """Read and re-validate a schema 2 notebook; the stored ground truth is
+    authoritative (the random stream is not re-run)."""
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise NotebookError(f"cannot read notebook: {exc}") from exc
     if type(document) is not dict:
         raise NotebookError("notebook root must be an object")
-    schema = document.get("schema", 1)  # schema 1 has no schema key
-    if "schema" in document and (type(schema) is not int or schema != SCHEMA):
+    schema = document.get("schema")
+    if type(schema) is not int or schema != SCHEMA:
+        found = json.dumps(schema) if "schema" in document else "no schema key"
         raise NotebookError(
-            f"schema must be {SCHEMA}, or absent for schema 1, got {json.dumps(schema)}"
+            f"schema must be {SCHEMA}, got {found}; "
+            "re-make the file with `basingen gen` from its class_params"
         )
     params = params_from_dict(document.get("class_params"))
     errors = check(params)
@@ -301,11 +255,14 @@ def load_class(path) -> LoadedClass:
     entries = document.get("functions")
     if type(entries) is not list or len(entries) != FUNCTIONS_PER_CLASS:
         raise NotebookError(f"notebook must list {FUNCTIONS_PER_CLASS} functions")
-    decoded = [_function_from_entry(entry, params, i, schema) for i, entry in enumerate(entries)]
-    functions = [func for func, _ in decoded]
+    functions = [_function_from_entry(entry, params, i) for i, entry in enumerate(entries)]
     _require_class_values(params, functions)
-    for entry, (func, columns) in zip(entries, decoded):
-        _audit_entry(func, entry, columns, schema)
+    for i, func in enumerate(functions):
+        problems = ground_truth_problems(func)
+        if problems:
+            raise NotebookError(
+                f"functions[{i}] violates ground-truth invariants: " + "; ".join(problems)
+            )
     return LoadedClass(params=params, functions=functions, function_type=function_type)
 
 

@@ -13,8 +13,6 @@ import pytest
 from basingen import load_class
 from basingen.cli import main
 
-from notebook_v1 import write_v1
-
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -119,16 +117,6 @@ def test_gen_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     data["stdout"] = out.encode()
     digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in data.items()}
     assert digests == PINNED_GEN_DIGESTS
-
-
-# sha256 of the same class's schema 1 notebook, as `gen` wrote it before schema 2
-PINNED_V1_DIGEST = "8cf86512e33d3269d89af9929d12ca481df02e9d341fe90a4d563e1b7f7e3b0b"
-
-
-def test_schema1_reference_writer_has_the_pinned_bytes(cli_notebook, tmp_path):
-    # the records load_class reads from the schema 2 file write schema 1's bytes
-    v1 = write_v1(load_class(cli_notebook), tmp_path / "c.json")
-    assert hashlib.sha256(v1.read_bytes()).hexdigest() == PINNED_V1_DIGEST
 
 
 @pytest.mark.parametrize("module", ["basingen", "basingen.cli"])
@@ -288,9 +276,9 @@ def test_eval_missing_notebook(tmp_path, capsys):
 
 
 def test_eval_malformed_notebook_is_notebook_error(cli_notebook, tmp_path, capsys):
-    v1 = json.loads(write_v1(load_class(cli_notebook), tmp_path / "v1.json").read_text())
-    v1["functions"][4]["minimizers"][0]["coords"][0] = "a"
-    cases = [(v1, "functions[4].minimizers[*].coords")]
+    unmarked = json.loads(cli_notebook.read_text())
+    del unmarked["schema"]
+    cases = [(unmarked, "schema")]
     for keys, value, where in (
         (("functions", 4, "coords", 0, 0), "a", "functions[4].coords"),
         (("functions", 4, "coords", 0, 0), float("nan"), "functions[4]"),
@@ -315,7 +303,7 @@ def test_eval_malformed_notebook_is_notebook_error(cli_notebook, tmp_path, capsy
             capsys, ["eval", "--notebook", str(bad), "--nf", "5", "--point=0,0"]
         )
         assert code == 1
-        assert "notebook error" in err and where in err
+        assert err.count("notebook error:") == 1 and where in err
         assert "Traceback" not in err
 
 

@@ -1,4 +1,3 @@
-import itertools
 import json
 import re
 import tracemalloc
@@ -27,26 +26,18 @@ from basingen import notebook
 from basingen.notebook import summary_path_for
 
 from conftest import sized_class
-from notebook_v1 import write_v1
 
 
 @pytest.fixture(scope="module")
-def notebook_path(tmp_path_factory, params2, default_class):
-    """The default 2-D class's `d` notebook in schema 1, from the reference writer."""
-    path = tmp_path_factory.mktemp("nb") / "class_d_v1.json"
-    return write_v1(LoadedClass(params2, default_class, "d"), path)
-
-
-@pytest.fixture(scope="module")
-def notebook2_path(tmp_path_factory, params2):
-    """The default 2-D class's `d` notebook as `export_class` writes it (schema 2)."""
+def notebook_path(tmp_path_factory, params2):
+    """The default 2-D class's `d` notebook as `export_class` writes it."""
     path = tmp_path_factory.mktemp("nb") / "class_d.json"
     export_class(params2, "d", path)
     return path
 
 
-def test_export_writes_100_functions(notebook2_path):
-    text = notebook2_path.read_text()
+def test_export_writes_100_functions(notebook_path):
+    text = notebook_path.read_text()
     document = json.loads(text)
     assert list(document) == ["schema", "class_params", "function_type", "functions"]
     assert document["schema"] == 2
@@ -60,13 +51,8 @@ def test_export_writes_100_functions(notebook2_path):
     assert text == json.dumps(document, separators=(",", ":")) + "\n"
 
 
-def test_every_entry_has_the_class_global_value(notebook_path):
-    document = json.loads(notebook_path.read_text())
-    assert all(e["global"]["value"] == -1.0 for e in document["functions"])
-
-
-def test_summary_written_alongside(notebook2_path):
-    summary = summary_path_for(notebook2_path)
+def test_summary_written_alongside(notebook_path):
+    summary = summary_path_for(notebook_path)
     assert summary.exists()
     text = summary.read_text()
     assert "function type: d" in text
@@ -82,18 +68,14 @@ def test_export_is_reproducible(tmp_path, params2):
 
 
 def test_round_trip_reproduces_ground_truth(
-    notebook_path, notebook2_path, params2, default_class, pinned_classes, tmp_path
+    notebook_path, params2, default_class, pinned_classes, tmp_path
 ):
-    # schema 2 as exported, and schema 1 byte for byte as export_class wrote it before
     params5 = sized_class(5, 30)
-    path5, path5_v1 = tmp_path / "class_5d30.json", tmp_path / "class_5d30_v1.json"
+    path5 = tmp_path / "class_5d30.json"
     export_class(params5, "d2", path5)
-    write_v1(LoadedClass(params5, pinned_classes[5, 30], "d2"), path5_v1)
     for path, params, family, generated in (
-        (notebook2_path, params2, "d", default_class),
-        (path5, params5, "d2", pinned_classes[5, 30]),
         (notebook_path, params2, "d", default_class),
-        (path5_v1, params5, "d2", pinned_classes[5, 30]),
+        (path5, params5, "d2", pinned_classes[5, 30]),
     ):
         loaded = load_class(path)
         assert loaded.function_type == family
@@ -129,11 +111,11 @@ def test_export_returns_the_class_load_reads(tmp_path, params2, default_class):
         assert_same_record(written, restored)
 
 
-def test_round_trip_evaluations_bitwise(notebook_path, notebook2_path, default_class):
+def test_round_trip_evaluations_bitwise(notebook_path, default_class):
     rng = np.random.default_rng(31)
     points = rng.uniform(-1.0, 1.0, size=(200, 2))
-    schemas = [load_class(path) for path in (notebook_path, notebook2_path)]
-    for loaded, nf in itertools.product(schemas, (1, 9, 100)):
+    loaded = load_class(notebook_path)
+    for nf in (1, 9, 100):
         original = default_class[nf - 1]
         restored = loaded.functions[nf - 1]
         for x in points:
@@ -142,12 +124,11 @@ def test_round_trip_evaluations_bitwise(notebook_path, notebook2_path, default_c
             assert eval_d2(original, x) == eval_d2(restored, x)
 
 
-def test_truncated_file_is_rejected(tmp_path, notebook_path, notebook2_path):
+def test_truncated_file_is_rejected(tmp_path, notebook_path):
     broken = tmp_path / "broken.json"
-    for path in (notebook_path, notebook2_path):
-        broken.write_text(path.read_text()[:5000])
-        with pytest.raises(NotebookError):
-            load_class(broken)
+    broken.write_text(notebook_path.read_text()[:5000])
+    with pytest.raises(NotebookError, match="cannot read notebook"):
+        load_class(broken)
 
 
 def test_missing_file_is_reported(tmp_path):
@@ -157,7 +138,7 @@ def test_missing_file_is_reported(tmp_path):
 
 def test_tampered_global_value_is_rejected(tmp_path, notebook_path):
     document = json.loads(notebook_path.read_text())
-    document["functions"][3]["minimizers"][1]["f"] = -0.5
+    document["functions"][3]["f"][1] = -0.5
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(document))
     with pytest.raises(NotebookError):
@@ -168,7 +149,7 @@ def test_tampered_radius_is_rejected(tmp_path, notebook_path):
     # a radius that overlaps everything, and one whose square overflows
     for nf, row, rho in ((1, 1, 5.0), (5, 4, 1e200)):
         document = json.loads(notebook_path.read_text())
-        document["functions"][nf - 1]["minimizers"][row - 1]["rho"] = rho
+        document["functions"][nf - 1]["rho"][row - 1] = rho
         bad = tmp_path / "tampered_rho.json"
         bad.write_text(json.dumps(document))
         with pytest.raises(NotebookError, match=f"attraction ball {row} overlaps"):
@@ -185,46 +166,15 @@ def test_non_finite_ground_truth_is_rejected(tmp_path, notebook_path):
     ]
     for key, value in cases:
         document = json.loads(notebook_path.read_text())
-        row = document["functions"][4]["minimizers"][6]
+        column = document["functions"][4][key]
         if key == "coords":
-            row["coords"][1] = value
+            column[6][1] = value
         else:
-            row[key] = value
+            column[6] = value
         bad = tmp_path / "non_finite.json"
         bad.write_text(json.dumps(document))
         with pytest.raises(NotebookError, match="must be finite"):
             load_class(bad)
-
-
-# class_params keys of notebooks written while precision and the radius
-# weights were settable, at the values every such notebook held
-LEGACY_KEYS = {"precision": 1e-10, "weights": [0.99, 1.0] + [0.99] * 8}
-
-
-def test_legacy_keys_load_at_the_fixed_values_only(tmp_path, notebook_path, default_class):
-    document = json.loads(notebook_path.read_text())
-    assert not LEGACY_KEYS.keys() & document["class_params"].keys()
-    document["class_params"].update(LEGACY_KEYS)
-    legacy = tmp_path / "legacy.json"
-    legacy.write_text(json.dumps(document))
-    loaded = load_class(legacy)
-    assert loaded.params == default_params(2)
-    for original, restored in zip(default_class, loaded.functions):
-        for field in ("local_min", "f", "rho", "peak", "w_rho"):
-            assert np.array_equal(getattr(original.minima, field), getattr(restored.minima, field))
-        assert original.delta == restored.delta
-    for key, value in (
-        ("precision", 1e-3),
-        ("precision", 0.5),
-        ("precision", None),
-        ("weights", [0.99, 1.0, 0.5] + [0.99] * 7),
-        ("weights", [0.99] * 10),
-        ("weights", [0.99, 1.0] + [0.99] * 7),
-    ):
-        document["class_params"].update(LEGACY_KEYS, **{key: value})
-        legacy.write_text(json.dumps(document))
-        with pytest.raises(NotebookError, match=f"class_params.{key}"):
-            load_class(legacy)
 
 
 def _set(*path, value=None, literal=None, encoding="utf-8"):
@@ -245,99 +195,11 @@ def _set(*path, value=None, literal=None, encoding="utf-8"):
 
 
 _F4 = ("functions", 4)
-_ROW = (*_F4, "minimizers", 3)
 _BIG = "1" + "0" * 399  # fits json's digit limit, not a double or an int64
-
-MALFORMED = {
-    "gm_index_fraction": _set(*_F4, "global", "gm_index", 0, value=2.5),
-    "dim_fraction": _set("class_params", "dim", value=2.7),
-    "dim_string": _set("class_params", "dim", value="2"),
-    "num_minima_fraction": _set("class_params", "num_minima", value=10.9),
-    "domain_strings": _set("class_params", "domain_left", value=["-1.0", "-1.0"]),
-    "global_value_string": _set("class_params", "global_value", value="-1"),
-    "nf_bool": _set("functions", 0, "nf", value=True),
-    "coord_string": _set(*_ROW, "coords", 0, value="a"),
-    "coord_nested": _set(*_ROW, "coords", 0, value=[0.1]),
-    "gm_index_string": _set(*_F4, "global", "gm_index", 0, value="a"),
-    "coord_400_digits": _set(*_ROW, "coords", 0, literal=_BIG),
-    "f_400_digits": _set(*_ROW, "f", literal=_BIG),
-    "global_dist_400_digits": _set("class_params", "global_dist", literal=_BIG),
-    "gm_index_400_digits": _set(*_F4, "global", "gm_index", 0, literal=_BIG),
-    "coord_5000_digits": _set(*_ROW, "coords", 0, literal="1" + "0" * 4999),
-    "not_utf8": _set("function_type", value="d\xe9", encoding="latin-1"),
-    "nested_100000_deep": _set(*_ROW, "coords", literal="[" * 100_000 + "]" * 100_000),
-    "weights_short": _set("class_params", "weights", value=[0.99] * 9),
-    "index_bool": _set("functions", 0, "minimizers", 0, "index", value=True),
-    "num_global_minima_bool": _set(*_F4, "global", "num_global_minima", value=True),
-    "precision_null": _set("class_params", "precision", value=None),
-}
-
-
-@pytest.mark.parametrize("case", MALFORMED)
-def test_malformed_value_is_rejected(tmp_path, notebook_path, case):
-    bad = tmp_path / "malformed.json"
-    bad.write_bytes(MALFORMED[case](json.loads(notebook_path.read_text())))
-    with pytest.raises(NotebookError):
-        load_class(bad)
-
-
-# a notebook's copies of what the record derives (the row indices, the
-# weights and the global value from the class, the global list from the
-# values) must equal the derived ones; the error names the copy's path.
-# Function 5 of the class has one global minimizer, minimizer 2.
-_GLOBAL = (*_F4, "global")
-_ROWS_PATH = "functions[4].minimizers[*]"
-_GLOBAL_PATH = "functions[4].global"
-_LIST = [2, 1, 3, 4, 5, 6, 7, 8, 9, 10]
-
-
-def _swapped_index(document):
-    rows = document["functions"][4]["minimizers"]
-    rows[2]["index"], rows[3]["index"] = rows[3]["index"], rows[2]["index"]
-    return json.dumps(document).encode()
-
-
-DERIVED_COPIES = {
-    "index-order": (_swapped_index, f"{_ROWS_PATH}.index"),
-    "w-length": (_set(*_ROW, "w", value=[0.99, 0.99]), f"{_ROWS_PATH}.w"),
-    "w-nan": (_set(*_ROW, "w", value=float("nan")), f"{_ROWS_PATH}.w"),
-    "weights": (_set(*_ROW, "w", value=0.5), f"{_ROWS_PATH}.w"),
-    "vertex-weight-one": (_set(*_F4, "minimizers", 0, "w", value=1.0), f"{_ROWS_PATH}.w"),
-    "global-value": (_set(*_GLOBAL, "value", value=-0.5), f"{_GLOBAL_PATH}.value"),
-    "not-permutation": (_set(*_GLOBAL, "gm_index", 1, value=2), f"{_GLOBAL_PATH}.gm_index"),
-    "count-zero": (
-        _set(*_GLOBAL, "num_global_minima", value=0), f"{_GLOBAL_PATH}.num_global_minima"
-    ),
-    "count-high": (
-        _set(*_GLOBAL, "num_global_minima", value=11), f"{_GLOBAL_PATH}.num_global_minima"
-    ),
-    "global-missing": (
-        _set(*_GLOBAL, "gm_index", value=sorted(_LIST)), f"{_GLOBAL_PATH}.gm_index"
-    ),
-    "global-extra": (
-        _set(*_GLOBAL, value=dict(value=-1.0, num_global_minima=2, gm_index=[2, 3, 1, *_LIST[3:]])),
-        f"{_GLOBAL_PATH}.num_global_minima",
-    ),
-    "groups-unsorted": (
-        _set(*_GLOBAL, "gm_index", value=[2, 1, 4, 3, *_LIST[4:]]), f"{_GLOBAL_PATH}.gm_index"
-    ),
-}
-
-
-@pytest.mark.parametrize("case", DERIVED_COPIES)
-def test_stored_copies_must_equal_the_derived_data(tmp_path, notebook_path, case):
-    edit, where = DERIVED_COPIES[case]
-    document = json.loads(notebook_path.read_text())
-    assert document["functions"][4]["global"]["gm_index"] == _LIST
-    bad = tmp_path / "derived.json"
-    bad.write_bytes(edit(document))
-    with pytest.raises(NotebookError, match=re.escape(where)):
-        load_class(bad)
 
 
 def test_class_radius_must_be_the_global_ball_radius(tmp_path, notebook_path):
-    # every record keeps its value, so the class value is named, and before
-    # schema 1's global.value copies are compared with it
+    # every record keeps its value, so the class value is named
     for key, value, contradiction in (
         ("global_radius", 0.2, "global attraction radius 0.3333333333333333 != class radius 0.2"),
         ("global_value", -2.0, "global minimizer value -1.0 != class value -2.0"),
@@ -365,8 +227,53 @@ def _delete(*path):
     return edit
 
 
-# schema 2 variants of the malformed cases, and the error's path; function
-# 5's columns are functions[4].coords, .f, .rho and .peak
+# malformed values and encodings, and the error's path: class_params
+# leaves, the raw text, and function 1's columns functions[0].coords,
+# .f and .nf
+_F0 = ("functions", 0)
+MALFORMED = {
+    "dim_fraction": (_set("class_params", "dim", value=2.7), "class_params.dim"),
+    "dim_string": (_set("class_params", "dim", value="2"), "class_params.dim"),
+    "num_minima_fraction": (
+        _set("class_params", "num_minima", value=10.9), "class_params.num_minima"
+    ),
+    "domain_strings": (
+        _set("class_params", "domain_left", value=["-1.0", "-1.0"]), "class_params.domain_left"
+    ),
+    "global_value_string": (
+        _set("class_params", "global_value", value="-1"), "class_params.global_value"
+    ),
+    "global_dist_400_digits": (
+        _set("class_params", "global_dist", literal=_BIG), "class_params.global_dist"
+    ),
+    "nf_bool": (_set(*_F0, "nf", value=True), "functions[0].nf"),
+    "coord_string": (_set(*_F0, "coords", 3, 0, value="a"), "functions[0].coords"),
+    "coord_nested": (_set(*_F0, "coords", 3, 0, value=[0.1]), "functions[0].coords"),
+    "coord_400_digits": (_set(*_F0, "coords", 3, 0, literal=_BIG), "functions[0].coords"),
+    "f_400_digits": (_set(*_F0, "f", 3, literal=_BIG), "functions[0].f"),
+    "coord_5000_digits": (
+        _set(*_F0, "coords", 3, 0, literal="1" + "0" * 4999), "cannot read notebook"
+    ),
+    "not_utf8": (
+        _set("function_type", value="d\xe9", encoding="latin-1"), "cannot read notebook"
+    ),
+    "nested_100000_deep": (
+        _set(*_F0, "coords", literal="[" * 100_000 + "]" * 100_000), "cannot read notebook"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_value_is_rejected(tmp_path, notebook_path, case):
+    edit, message = MALFORMED[case]
+    bad = tmp_path / "malformed.json"
+    bad.write_bytes(edit(json.loads(notebook_path.read_text())))
+    with pytest.raises(NotebookError, match=re.escape(message)):
+        load_class(bad)
+
+
+# malformed columns of function 5, functions[4].coords, .f, .rho and
+# .peak, and its nf and delta, and the error's path
 SCHEMA2_MALFORMED = {
     "coord_string": (_set(*_F4, "coords", 3, 0, value="a"), "functions[4].coords"),
     "coord_nan": (_set(*_F4, "coords", 3, 0, value=float("nan")), "must be finite"),
@@ -390,34 +297,33 @@ SCHEMA2_MALFORMED = {
 
 
 @pytest.mark.parametrize("case", SCHEMA2_MALFORMED)
-def test_malformed_schema2_value_is_rejected(tmp_path, notebook2_path, case):
+def test_malformed_schema2_value_is_rejected(tmp_path, notebook_path, case):
     edit, message = SCHEMA2_MALFORMED[case]
     bad = tmp_path / "malformed.json"
-    bad.write_bytes(edit(json.loads(notebook2_path.read_text())))
+    bad.write_bytes(edit(json.loads(notebook_path.read_text())))
     with pytest.raises(NotebookError, match=re.escape(message)):
         load_class(bad)
 
 
-# the key, where present, must be the JSON integer 2; schema 1 has no key
-@pytest.mark.parametrize("schema", [3, "2", True, None, 2.0, 1], ids=repr)
-def test_unknown_schema_is_rejected(tmp_path, notebook_path, notebook2_path, schema):
-    for path in (notebook_path, notebook2_path):
-        document = json.loads(path.read_text())
+_NO_KEY = object()
+
+
+# the key must be the JSON integer 2; a file without it is refused like
+# any other, and is re-made from its class_params
+@pytest.mark.parametrize(
+    "schema", [3, "2", True, None, 2.0, 1, pytest.param(_NO_KEY, id="absent")], ids=repr
+)
+def test_unknown_schema_is_rejected(tmp_path, notebook_path, schema):
+    document = json.loads(notebook_path.read_text())
+    if schema is _NO_KEY:
+        del document["schema"]
+    else:
         document["schema"] = schema
-        bad = tmp_path / "schema.json"
-        bad.write_text(json.dumps(document))
-        with pytest.raises(NotebookError, match="schema"):
-            load_class(bad)
-
-
-def test_schema1_layout_needs_no_schema_key(tmp_path, notebook2_path):
-    # a schema 2 document without its key is read as schema 1, and has no rows
-    document = json.loads(notebook2_path.read_text())
-    del document["schema"]
-    bad = tmp_path / "unmarked.json"
+    bad = tmp_path / "schema.json"
     bad.write_text(json.dumps(document))
-    with pytest.raises(NotebookError, match=re.escape("functions[0].minimizers")):
+    with pytest.raises(NotebookError, match="schema") as raised:
         load_class(bad)
+    assert "basingen gen" in str(raised.value)
 
 
 def test_params_from_dict_raises_notebook_errors(params2):
@@ -427,14 +333,13 @@ def test_params_from_dict_raises_notebook_errors(params2):
         params_from_dict(data)
 
 
-def test_wrong_function_count_is_rejected(tmp_path, notebook_path, notebook2_path):
-    for path in (notebook_path, notebook2_path):
-        document = json.loads(path.read_text())
-        document["functions"] = document["functions"][:50]
-        bad = tmp_path / "halved.json"
-        bad.write_text(json.dumps(document))
-        with pytest.raises(NotebookError):
-            load_class(bad)
+def test_wrong_function_count_is_rejected(tmp_path, notebook_path):
+    document = json.loads(notebook_path.read_text())
+    document["functions"] = document["functions"][:50]
+    bad = tmp_path / "halved.json"
+    bad.write_text(json.dumps(document))
+    with pytest.raises(NotebookError, match="notebook must list 100 functions"):
+        load_class(bad)
 
 
 def test_unknown_family_rejected(params2, tmp_path):

@@ -30,10 +30,8 @@ from basingen import (
     load_class,
 )
 from basingen.harness import BudgetExhausted, BudgetedObjective
-from basingen.notebook import LoadedClass, _document
+from basingen.notebook import _document
 from basingen.params import PRECISION
-
-from notebook_v1 import document_v1, write_v1
 
 EVALUATORS = {"nd": eval_nd, "d": eval_d, "d2": eval_d2}
 
@@ -143,12 +141,6 @@ def notebook_text(tmp_path_factory, params2):
     return path.read_text()
 
 
-@pytest.fixture(scope="module")
-def notebook_v1_text(tmp_path_factory, params2, default_class):
-    path = tmp_path_factory.mktemp("leaf") / "class_v1.json"
-    return write_v1(LoadedClass(params2, default_class, "d2"), path).read_text()
-
-
 def _paths(node, path=()):
     """Every path into a JSON document, the root's included."""
     yield path
@@ -193,20 +185,6 @@ LEAF_VALUES = st.one_of(
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_one_leaf_edit_loads_or_is_a_notebook_error(notebook_text, tmp_path_factory, data):
-    _one_leaf_edit(notebook_text, _document, tmp_path_factory.getbasetemp(), data)
-
-
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(data=st.data())
-def test_one_leaf_edit_of_schema1_loads_or_is_a_notebook_error(
-    notebook_v1_text, tmp_path_factory, data
-):
-    _one_leaf_edit(notebook_v1_text, document_v1, tmp_path_factory.getbasetemp(), data)
-
-
-def _one_leaf_edit(notebook_text, write, tmp, data):
-    """Edit one leaf of the notebook `notebook_text`, drawn from `data`, and
-    load it; `write` gives the document of a loaded class in its schema."""
     document = json.loads(notebook_text)
     op = data.draw(st.sampled_from(["replace", "delete", "add"]))
     if op == "replace":
@@ -230,7 +208,7 @@ def _one_leaf_edit(notebook_text, write, tmp, data):
         _at(edited, path[:-1])[path[-1]] = data.draw(LEAF_VALUES)
     # the load is a NotebookError, or audit-clean records that write back as
     # the edited document, and never a RuntimeWarning
-    file = tmp / "edited.json"
+    file = tmp_path_factory.getbasetemp() / "edited.json"
     file.write_text(json.dumps(edited))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -239,7 +217,7 @@ def _one_leaf_edit(notebook_text, write, tmp, data):
         except NotebookError:
             return
     assert not any(ground_truth_problems(func) for func in loaded.functions)
-    assert _same_json(write(loaded), document if op == "add" else edited)
+    assert _same_json(_document(loaded), document if op == "add" else edited)
 
 
 
