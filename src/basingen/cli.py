@@ -14,6 +14,7 @@ tooling keep working; the library itself raises typed errors instead.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .evaluate import FAMILIES, EvaluationError, d2_gradient, d2_hessian, d_gradient, evaluate
@@ -70,11 +71,11 @@ def _add_class_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dim", type=int, default=2, help="problem dimension (default 2)")
     parser.add_argument(
         "--minima", type=int, default=DEFAULT_NUM_MINIMA,
-        help="number of local minima, vertex included (default 10)",
+        help="number of local minima, vertex included (default %(default)s)",
     )
     parser.add_argument(
         "--global-value", type=float, default=DEFAULT_GLOBAL_VALUE,
-        help="global minimum value (default -1)",
+        help="global minimum value (default %(default)s)",
     )
     parser.add_argument(
         "--global-dist", type=float, default=None,
@@ -96,11 +97,12 @@ def _add_class_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--paraboloid-min", type=float, default=DEFAULT_PARABOLOID_MIN,
-        help="paraboloid minimum value (default 0)",
+        help="paraboloid minimum value (default %(default)s)",
     )
     parser.add_argument(
         "--delta-max", type=float, default=DEFAULT_DELTA_MAX,
-        help="upper bound of the curvature draw for the d2 family (default 10)",
+        help="upper bound of the curvature draw for the d2 family "
+        "(default %(default)s)",
     )
     parser.add_argument(
         "--gap", type=float, default=None,
@@ -112,19 +114,23 @@ def _add_class_flags(parser: argparse.ArgumentParser) -> None:
 def _params_from_args(args) -> ClassParams:
     dim = args.dim
     width = min(max(dim, 1), DEFAULT_MAX_DIM + 1)  # a larger dim is for check to report
+    default_box = ((-1.0,) * width, (1.0,) * width)
     left = (
         _parse_vector(args.domain_left, "--domain-left")
         if args.domain_left is not None
-        else (-1.0,) * width
+        else default_box[0]
     )
     right = (
         _parse_vector(args.domain_right, "--domain-right")
         if args.domain_right is not None
-        else (1.0,) * width
+        else default_box[1]
     )
-    side = 0.0
-    if len(left) == len(right) and all(lo < hi for lo, hi in zip(left, right)):
-        side = min(hi - lo for lo, hi in zip(left, right))
+    # a box that check rejects gives way to the default box here, so that
+    # the default distance and radius are not reported along with it
+    box = (left, right)
+    if len(left) != len(right) or not all(0.0 < hi - lo < math.inf for lo, hi in zip(left, right)):
+        box = default_box
+    side = min(hi - lo for lo, hi in zip(*box))
     dist = args.global_dist if args.global_dist is not None else side / 3.0
     radius = args.global_radius if args.global_radius is not None else side / 6.0
     return ClassParams(
@@ -271,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--type", choices=FAMILIES, default=None)
     p_grid.add_argument(
         "--res", type=_bounded_int(2, MAX_GRID_RES), default=101,
-        help=f"points per axis, 2..{MAX_GRID_RES} (default 101)",
+        help=f"points per axis, 2..{MAX_GRID_RES} (default %(default)s)",
     )
     p_grid.add_argument("--out", required=True, help="CSV path")
     p_grid.set_defaults(handler=cmd_grid)
@@ -284,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--budget", type=_bounded_int(1), default=1000,
-        help="evaluations per function (default 1000)",
+        help="evaluations per function (default %(default)s)",
     )
     p_bench.add_argument("--seed", type=_bounded_int(0), default=0)
     p_bench.add_argument("--out", required=True, help="report path (JSON)")

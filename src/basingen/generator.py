@@ -43,6 +43,14 @@ _DISTANCE_BLOCK = 1 << 15  # doubles per block of distance rows (256 KB)
 VERTEX_ROW = 0  # minimizer 1: paraboloid vertex T
 GLOBAL_ROW = 1  # minimizer 2: user-pinned global minimizer x*
 
+# class value -> the minimizer column and row that store it, and the audit's
+# names for the two; the notebook loader names its contradictions with them
+_CLASS_VALUES = {
+    "paraboloid_min": ("f", VERTEX_ROW, "vertex value", "paraboloid minimum"),
+    "global_value": ("f", GLOBAL_ROW, "global minimizer value", "class value"),
+    "global_radius": ("rho", GLOBAL_ROW, "global attraction radius", "class radius"),
+}
+
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -462,7 +470,7 @@ def ground_truth_problems(func: GeneratedFunction, dists: np.ndarray | None = No
     without it (as for a loaded notebook) the matrix is computed afresh
     from the record, with the same bits.  The stored fields are audited;
     the global list and the radius weights are derived from them and need
-    no audit (the notebook loader compares a notebook's copies with them).
+    no audit.  The rules on the class values are those of ``_CLASS_VALUES``.
     """
     params = func.params
     table = func.minima
@@ -486,19 +494,10 @@ def ground_truth_problems(func: GeneratedFunction, dists: np.ndarray | None = No
     if not _is_interior(table.local_min, func.lower, func.upper, eps):
         problems.append("some minimizer is not interior to the domain")
 
-    t = params.paraboloid_min
-    if table.f[VERTEX_ROW] != t:
-        problems.append(f"vertex value {table.f[VERTEX_ROW]} != paraboloid minimum {t}")
-    if table.f[GLOBAL_ROW] != params.global_value:
-        problems.append(
-            f"global minimizer value {table.f[GLOBAL_ROW]} != class value "
-            f"{params.global_value}"
-        )
-    if table.rho[GLOBAL_ROW] != params.global_radius:
-        problems.append(
-            f"global attraction radius {table.rho[GLOBAL_ROW]} != class radius "
-            f"{params.global_radius}"
-        )
+    for key, (field, row, stored_name, class_name) in _CLASS_VALUES.items():
+        stored, value = getattr(table, field)[row], getattr(params, key)
+        if stored != value:
+            problems.append(f"{stored_name} {stored} != {class_name} {value}")
     if np.any(table.f < params.global_value - eps):
         problems.append("some minimum lies below the class global value")
     if np.any(table.rho <= 0.0):
@@ -526,7 +525,7 @@ def ground_truth_problems(func: GeneratedFunction, dists: np.ndarray | None = No
     if np.any(dists[GLOBAL_ROW, 2:] < params.global_radius + params.gap - eps):
         problems.append("a local minimizer intrudes on the global-ball gap")
     with np.errstate(over="ignore"):  # a huge radius gives inf; the overlap rule reports it
-        boundary_min = (dists[VERTEX_ROW, 2:] - table.rho[2:]) ** 2 + t
+        boundary_min = (dists[VERTEX_ROW, 2:] - table.rho[2:]) ** 2 + params.paraboloid_min
     if np.any(table.f[2:] >= boundary_min):
         problems.append(
             "some minimum is not below the paraboloid minimum over its "

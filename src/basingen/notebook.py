@@ -17,11 +17,12 @@ Only this module knows the JSON layout: :func:`params_to_dict` and
 ``_document`` write it; :func:`params_from_dict`, ``_function_from_entry``
 and :func:`load_class` read it, every value through :func:`read_numbers`.
 Any failure to read is a :class:`NotebookError` naming the bad value's
-path.  A class value that every record contradicts alike is named by its
-``class_params`` key; any other contradiction names the first function
-whose audit fails.  :func:`export_class` and :func:`load_class` both
-return a :class:`LoadedClass` of records; the text summary is formatted
-from them.
+path.  The audit owns the rules on the class values and their names
+(``generator._CLASS_VALUES``): a class value that every record
+contradicts alike is named by its ``class_params`` key, in the audit's
+words; any other contradiction names the first function whose audit
+fails.  :func:`export_class` and :func:`load_class` both return a
+:class:`LoadedClass` of records; the text summary is formatted from them.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ import numpy as np
 
 from .evaluate import FAMILIES, _require_family, eval_many
 from .generator import (
+    _CLASS_VALUES,
     FUNCTIONS_PER_CLASS,
-    GLOBAL_ROW,
-    VERTEX_ROW,
     GeneratedFunction,
     MinimaTable,
     generate,
@@ -206,15 +206,6 @@ def _function_from_entry(entry, params: ClassParams, position: int) -> Generated
         minima=MinimaTable(**table),
         delta=read_numbers(entry, "delta", where).item(),
     )
-
-
-# class value -> the minimizer column and row that store it, and the audit's
-# names for the two; an edited class value contradicts every record alike
-_CLASS_VALUES = {
-    "paraboloid_min": ("f", VERTEX_ROW, "vertex value", "paraboloid minimum"),
-    "global_value": ("f", GLOBAL_ROW, "global minimizer value", "class value"),
-    "global_radius": ("rho", GLOBAL_ROW, "global attraction radius", "class radius"),
-}
 
 
 def _require_class_values(params: ClassParams, functions: list[GeneratedFunction]) -> None:

@@ -197,16 +197,19 @@ def check(params: ClassParams) -> list[ValidationError]:
         return value if isinstance(value, float) else math.nan
 
     left, right = (v if type(v) is tuple else () for v in (params.domain_left, params.domain_right))
-    # a finite span implies finite bounds; _magnitude_errors keeps the
+    # an invalid dimension is reported alone, not again as a wrong box length;
+    # a finite span implies finite bounds, and _magnitude_errors keeps the
     # squared distances in the box finite
-    domain_ok = len(left) == params.dim == len(right) and all(
+    dim_ok = not any(e.code is ErrorCode.DIM for e in errors)
+    width = params.dim if dim_ok else max(len(left), 1)
+    domain_ok = len(left) == width == len(right) and all(
         real(lo) < real(hi) and math.isfinite(hi - lo) for lo, hi in zip(left, right)
     )
     if not domain_ok:
         errors.append(
             ValidationError(
                 ErrorCode.BOUNDARY,
-                f"domain bounds must be length-{params.dim} vectors with "
+                f"domain bounds must be length-{width} vectors with "
                 f"left < right componentwise and a finite span right - left",
             )
         )

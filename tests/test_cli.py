@@ -47,12 +47,25 @@ def test_check_bad_radius(capsys):
 
 
 def test_check_bad_dim(capsys):
-    # the default box is capped, so a huge dim allocates nothing
-    for dim in ("1", "2000000000000000000"):
+    # the default box is capped, so a huge dim allocates nothing; the box,
+    # which the user never gave, is not judged against the bad dim
+    for dim in ("0", "1", "200", "2000000000000000000"):
         code, out, err = run(capsys, ["check", "--dim", dim])
         assert code == 1
-        assert "DimError" in err
-        assert "Traceback" not in err
+        assert err == f"DimError: dimension must be an integer in [2, 100], got {dim}\n"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--domain-left=1,1"], ["--dim", "3", "--domain-left=-1,-1"], ["--domain-left=-inf,-inf"]],
+)
+def test_check_bad_box_is_reported_alone(capsys, flags):
+    # the default distance, radius and gap come from the default box, not
+    # from the box check rejects
+    code, out, err = run(capsys, ["check", *flags])
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("BoundaryError: ")
 
 
 def test_check_multiple_violations(capsys):
@@ -109,6 +122,7 @@ PINNED_GEN_DIGESTS = {
 }
 
 
+@pytest.mark.skylakex
 def test_gen_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, ["gen", "--type", "d", "--out", "c.json"])

@@ -119,6 +119,7 @@ def stored_fields(func):
     return {name: arr.tobytes() for name, arr in fields.items()}
 
 
+@pytest.mark.skylakex
 def test_generation_pinned_bit_for_bit(pinned_classes):
     for key, functions in pinned_classes.items():
         hashes = {name: hashlib.sha256() for name in PINNED_FIELD_DIGESTS[key]}
@@ -322,7 +323,10 @@ BOUNDARY, VALUES, DIST = (ErrorCode.BOUNDARY,), (ErrorCode.GLOBAL_MIN_VALUE,), (
         (dataclasses.replace(default_params(2), paraboloid_min=1e15), {VALUES: 22, None: 78}),
         (_square_box(-1e16, 1e16), {BOUNDARY: 100}),
         (_square_box(-1e16, 1e16, scaled=True), {BOUNDARY: 100}),
-        (_square_box(-1e13, 1e13, scaled=True), {BOUNDARY: 1, None: 99}),
+        pytest.param(
+            _square_box(-1e13, 1e13, scaled=True), {BOUNDARY: 1, None: 99},
+            marks=pytest.mark.skylakex,
+        ),
         (_square_box(1e15, 1e15 + 2.0), {BOUNDARY: 16, None: 84}),
         (_square_box(1e14, 1e14 + 2.0), {BOUNDARY: 1, None: 99}),
         (_square_box(-6.13e15, -6.13e15 + 2.0, num_minima=2), {BOUNDARY: 100}),
@@ -358,7 +362,16 @@ ANCHORS = {
 }
 
 
-@pytest.mark.parametrize("name", ANCHOR_DIGESTS)
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param("default-1e6", marks=pytest.mark.skylakex),
+        pytest.param("default-1e13", marks=pytest.mark.skylakex),
+        pytest.param("scaled-1e12", marks=pytest.mark.skylakex),
+        "narrow-1e13",
+        "paraboloid-1e14",
+    ],
+)
 def test_large_magnitudes_that_fit_still_generate(name):
     digest = hashlib.sha256()
     for nf in range(1, 101):

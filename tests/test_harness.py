@@ -292,6 +292,7 @@ PINNED_REPORT_DIGESTS = {
 }
 
 
+@pytest.mark.skylakex
 def test_report_bytes_are_pinned(tmp_path, params2):
     sweeps = {
         "oracle": ("d", oracle_solver, 3),
@@ -333,6 +334,7 @@ PINNED_D_MULTISTART_DIGESTS = {
 }
 
 
+@pytest.mark.skylakex
 def test_d_multistart_report_bytes_are_pinned(tmp_path, params2):
     report = run_solver(params2, "d", make_multistart(3, 20, 5), 200)
     write_report(report, tmp_path / "multistart.json")

@@ -130,6 +130,9 @@ def test_check_reports_dim_and_minima():
         default_params(100), dim=101, domain_left=(-1.0,) * 101, domain_right=(1.0,) * 101
     )
     assert codes(check(p)) == {ErrorCode.DIM}
+    # a box valid in its own right is not judged against an invalid dimension
+    p = dataclasses.replace(default_params(2), dim=200)
+    assert codes(check(p)) == {ErrorCode.DIM}
 
 
 def test_check_reports_boundary():
