@@ -14,8 +14,8 @@ tooling keep working; the library itself raises typed errors instead.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from dataclasses import fields
 
 from .evaluate import FAMILIES, EvaluationError, d2_gradient, d2_hessian, d_gradient, evaluate
 from .generator import FUNCTIONS_PER_CLASS, _require_function_number
@@ -25,7 +25,6 @@ from .params import (
     ClassParams,
     DEFAULT_DELTA_MAX,
     DEFAULT_GLOBAL_VALUE,
-    DEFAULT_MAX_DIM,
     DEFAULT_NUM_MINIMA,
     DEFAULT_PARABOLOID_MIN,
     ParameterError,
@@ -70,7 +69,7 @@ def _bounded_int(minimum: int, maximum: int | None = None):
 def _add_class_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dim", type=int, default=2, help="problem dimension (default 2)")
     parser.add_argument(
-        "--minima", type=int, default=DEFAULT_NUM_MINIMA,
+        "--minima", dest="num_minima", metavar="MINIMA", type=int, default=DEFAULT_NUM_MINIMA,
         help="number of local minima, vertex included (default %(default)s)",
     )
     parser.add_argument(
@@ -85,7 +84,7 @@ def _add_class_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--global-radius", type=float, default=None,
         help="attraction radius of the global minimizer "
-        "(default: smallest domain side / 6)",
+        "(default: smallest domain side / 6, or half the distance if smaller)",
     )
     parser.add_argument(
         "--domain-left", type=str, default=None, metavar="A1,A2,...",
@@ -112,39 +111,13 @@ def _add_class_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _params_from_args(args) -> ClassParams:
-    dim = args.dim
-    width = min(max(dim, 1), DEFAULT_MAX_DIM + 1)  # a larger dim is for check to report
-    default_box = ((-1.0,) * width, (1.0,) * width)
-    left = (
-        _parse_vector(args.domain_left, "--domain-left")
-        if args.domain_left is not None
-        else default_box[0]
-    )
-    right = (
-        _parse_vector(args.domain_right, "--domain-right")
-        if args.domain_right is not None
-        else default_box[1]
-    )
-    # a box that check rejects gives way to the default box here, so that
-    # the default distance and radius are not reported along with it
-    box = (left, right)
-    if len(left) != len(right) or not all(0.0 < hi - lo < math.inf for lo, hi in zip(left, right)):
-        box = default_box
-    side = min(hi - lo for lo, hi in zip(*box))
-    dist = args.global_dist if args.global_dist is not None else side / 3.0
-    radius = args.global_radius if args.global_radius is not None else side / 6.0
-    return ClassParams(
-        dim=dim,
-        num_minima=args.minima,
-        global_value=args.global_value,
-        global_dist=dist,
-        global_radius=radius,
-        domain_left=left,
-        domain_right=right,
-        paraboloid_min=args.paraboloid_min,
-        delta_max=args.delta_max,
-        gap=args.gap,
-    )
+    """Each class flag to its field, None where ClassParams fills it in; the
+    box is parsed here, so that its usage errors keep their text."""
+    values = {f.name: getattr(args, f.name) for f in fields(ClassParams)}
+    for side in ("left", "right"):
+        text = values[f"domain_{side}"]
+        values[f"domain_{side}"] = None if text is None else _parse_vector(text, f"--domain-{side}")
+    return ClassParams(**values)
 
 
 def _print_violations(errors) -> None:

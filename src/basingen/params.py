@@ -116,6 +116,27 @@ def _as_float(value):
     return math.inf if value > 0 else -math.inf
 
 
+def _real(value) -> float:
+    """`value` if a float, else NaN (a bool, str, None, array ...), which fails every test."""
+    return value if isinstance(value, float) else math.nan
+
+
+def _valid_dim(dim) -> bool:
+    return _is_size(dim) and 2 <= dim <= DEFAULT_MAX_DIM
+
+
+def _box_spans(params) -> tuple[int, list[float] | None]:
+    """The length check asks of the box, and its spans right - left when check
+    accepts it, else None.  A box is judged against a valid dimension, else
+    its own length, so a bad dimension is reported alone; a finite span implies
+    finite bounds, and _magnitude_errors keeps squared distances finite."""
+    left, right = (v if type(v) is tuple else () for v in (params.domain_left, params.domain_right))
+    width = params.dim if _valid_dim(params.dim) else max(len(left), 1)
+    spans = [hi - lo for lo, hi in zip(left, right) if _real(lo) < _real(hi)]
+    usable = len(left) == width == len(right) == len(spans) and all(map(math.isfinite, spans))
+    return width, spans if usable else None
+
+
 def _require_count(name: str, value, minimum: int) -> int:
     """`value` as a plain int, after checking it is an integer >= `minimum`."""
     if not _is_size(value) or value < minimum:
@@ -127,24 +148,30 @@ def _require_count(name: str, value, minimum: int) -> int:
 class ClassParams:
     """Immutable definition of one class of 100 test functions.
 
-    A ``gap`` of ``None`` is the global attraction radius.  Sizes are stored
-    as int and reals as float, one spelling per class; check reports the rest.
+    A field left ``None`` takes its default: the box [-1, 1] per coordinate,
+    a distance of a third of the smallest side (the default box's when check
+    rejects the box), a radius of a sixth, or of half the distance when that
+    is smaller, and a gap of the radius, or the default radius when the
+    radius is not finite and above 0.  Sizes are stored as int and reals as
+    float, one spelling per class; check reports the rest.
     """
 
     dim: int
     num_minima: int
     global_value: float
-    global_dist: float
-    global_radius: float
-    domain_left: tuple[float, ...]
-    domain_right: tuple[float, ...]
+    global_dist: float | None = None
+    global_radius: float | None = None
+    domain_left: tuple[float, ...] | None = None
+    domain_right: tuple[float, ...] | None = None
     paraboloid_min: float = DEFAULT_PARABOLOID_MIN
     delta_max: float = DEFAULT_DELTA_MAX
     gap: float | None = None
 
     def __post_init__(self):
-        if self.gap is None:
-            object.__setattr__(self, "gap", self.global_radius)
+        def default(name, value):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+
         for f in fields(self):  # sizes as int, reals as float; anything else is for check
             value = getattr(self, f.name)
             if f.name in ("dim", "num_minima"):
@@ -155,29 +182,33 @@ class ClassParams:
             else:
                 value = _as_float(value)
             object.__setattr__(self, f.name, value)
+        # a dimension that check rejects gets a capped box, so that it
+        # allocates nothing and is reported alone
+        width = min(max(self.dim, 1), DEFAULT_MAX_DIM + 1) if _is_size(self.dim) else 1
+        default("domain_left", (-1.0,) * width)
+        default("domain_right", (1.0,) * width)
+        # a box that check rejects lends the default box's side, so that
+        # the defaults below are not reported along with it
+        side = min(_box_spans(self)[1] or [2.0])
+        default("global_dist", side / 3.0)
+        half = 0.5 * _real(self.global_dist)
+        radius = min(side / 6.0, half if half > 0.0 else math.inf)
+        default("global_radius", radius)
+        given = _real(self.global_radius)
+        default("gap", given if 0.0 < given < math.inf else radius)
 
 
 def default_params(dim: int) -> ClassParams:
-    """Build the default class for `dim`: box [-1, 1]^dim, 10 minima,
-    global value -1, vertex distance side/3, attraction radius side/6.
+    """The default class for `dim`: :class:`ClassParams` with 10 minima,
+    global value -1 and every other field at its default (box
+    [-1, 1]^dim, vertex distance 2/3, attraction radius 1/3).  Raises
+    :class:`ParameterError` with every violation `check` reports.
     """
-    if not _is_size(dim) or not 2 <= dim <= DEFAULT_MAX_DIM:
-        raise ParameterError(
-            ValidationError(
-                ErrorCode.DIM,
-                f"dimension must satisfy 2 <= dim <= {DEFAULT_MAX_DIM}, got {dim!r}",
-            )
-        )
-    side = 2.0  # smallest |right - left| of the default box
-    return ClassParams(
-        dim=dim,
-        num_minima=DEFAULT_NUM_MINIMA,
-        global_value=DEFAULT_GLOBAL_VALUE,
-        global_dist=side / 3.0,
-        global_radius=side / 6.0,
-        domain_left=(-1.0,) * dim,
-        domain_right=(1.0,) * dim,
-    )
+    params = ClassParams(dim=dim, num_minima=DEFAULT_NUM_MINIMA, global_value=DEFAULT_GLOBAL_VALUE)
+    errors = check(params)
+    if errors:
+        raise ParameterError(errors)
+    return params
 
 
 def check(params: ClassParams) -> list[ValidationError]:
@@ -186,26 +217,16 @@ def check(params: ClassParams) -> list[ValidationError]:
     Pure: inspects `params` only, never raises for invalid values.
     """
     errors: list[ValidationError] = []
-    for code, name, value, top, rule in (  # a float or a bool is not a size
-        (ErrorCode.DIM, "dimension", params.dim, DEFAULT_MAX_DIM, f"in [2, {DEFAULT_MAX_DIM}]"),
-        (ErrorCode.NUM_MINIMA, "minima (vertex included)", params.num_minima, math.inf, ">= 2"),
+    dim, n = params.dim, params.num_minima
+    for code, name, value, ok, rule in (  # a float or a bool is not a size
+        (ErrorCode.DIM, "dimension", dim, _valid_dim(dim), f"in [2, {DEFAULT_MAX_DIM}]"),
+        (ErrorCode.NUM_MINIMA, "minima (vertex included)", n, _is_size(n) and n >= 2, ">= 2"),
     ):
-        if not (_is_size(value) and 2 <= value <= top):
+        if not ok:
             errors.append(ValidationError(code, f"{name} must be an integer {rule}, got {value!r}"))
 
-    def real(value) -> float:  # not a float (a bool, str, None, array ...): fails as NaN
-        return value if isinstance(value, float) else math.nan
-
-    left, right = (v if type(v) is tuple else () for v in (params.domain_left, params.domain_right))
-    # an invalid dimension is reported alone, not again as a wrong box length;
-    # a finite span implies finite bounds, and _magnitude_errors keeps the
-    # squared distances in the box finite
-    dim_ok = not any(e.code is ErrorCode.DIM for e in errors)
-    width = params.dim if dim_ok else max(len(left), 1)
-    domain_ok = len(left) == width == len(right) and all(
-        real(lo) < real(hi) and math.isfinite(hi - lo) for lo, hi in zip(left, right)
-    )
-    if not domain_ok:
+    width, spans = _box_spans(params)
+    if spans is None:
         errors.append(
             ValidationError(
                 ErrorCode.BOUNDARY,
@@ -214,7 +235,7 @@ def check(params: ClassParams) -> list[ValidationError]:
             )
         )
 
-    if not -math.inf < real(params.global_value) < real(params.paraboloid_min) < math.inf:
+    if not -math.inf < _real(params.global_value) < _real(params.paraboloid_min) < math.inf:
         errors.append(
             ValidationError(
                 ErrorCode.GLOBAL_MIN_VALUE,
@@ -222,10 +243,11 @@ def check(params: ClassParams) -> list[ValidationError]:
                 f"strictly below the finite paraboloid minimum ({params.paraboloid_min!r})",
             )
         )
-    if domain_ok:
-        half_side = 0.5 * min((hi - lo for lo, hi in zip(left, right)), default=0.0)
+    dist, radius = _real(params.global_dist), _real(params.global_radius)
+    if spans is not None:
+        half_side = 0.5 * min(spans)
         # minimizers within the precision of each other coincide
-        if not PRECISION < real(params.global_dist) < half_side:
+        if not PRECISION < dist < half_side:
             errors.append(
                 ValidationError(
                     ErrorCode.GLOBAL_DIST,
@@ -233,18 +255,21 @@ def check(params: ClassParams) -> list[ValidationError]:
                     f" < {half_side} (half the smallest domain side), got {params.global_dist!r}",
                 )
             )
-    if not 0.0 < real(params.global_radius) <= 0.5 * real(params.global_dist):
+    # half the distance bounds the radius where some radius fits the
+    # distance; any other distance is reported once, by itself or the box
+    half = 0.5 * dist
+    rule = f"<= {half} (half the global-minimizer distance)" if half > 0.0 else "< inf"
+    if not 0.0 < radius < math.inf or radius > half > 0.0:
         errors.append(
             ValidationError(
                 ErrorCode.GLOBAL_RADIUS,
-                f"global attraction radius must satisfy 0 < radius <= "
-                f"{0.5 * real(params.global_dist)} (half the global-minimizer distance), "
+                f"global attraction radius must satisfy 0 < radius {rule}, "
                 f"got {params.global_radius!r}",
             )
         )
     for name, value, rule, ok in (  # each test fails on NaN
-        ("delta_max", params.delta_max, "finite and > 0", 0.0 < real(params.delta_max) < math.inf),
-        ("gap", params.gap, "finite and >= 0", 0.0 <= real(params.gap) < math.inf),
+        ("delta_max", params.delta_max, "finite and > 0", 0.0 < _real(params.delta_max) < math.inf),
+        ("gap", params.gap, "finite and >= 0", 0.0 <= _real(params.gap) < math.inf),
     ):
         if not ok:
             errors.append(ValidationError(ErrorCode.TUNING, f"{name} must be {rule}, got {value}"))

@@ -68,6 +68,32 @@ def test_check_bad_box_is_reported_alone(capsys, flags):
     assert err.startswith("BoundaryError: ")
 
 
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        # a distance no radius fits is not reported again through the radius
+        (["--global-dist", "0"], "GlobalDistError"),
+        (["--global-dist", "nan"], "GlobalDistError"),
+        (["--global-dist", "-1"], "GlobalDistError"),
+        (["--domain-left=1,1", "--global-dist", "0"], "BoundaryError"),
+        # the gap the user never gave is not reported
+        (["--global-radius", "nan"], "GlobalRadiusError"),
+        (["--global-radius", "inf"], "GlobalRadiusError"),
+        (["--global-radius", "-1"], "GlobalRadiusError"),
+    ],
+)
+def test_check_reports_a_bad_value_once(capsys, flags, error):
+    code, out, err = run(capsys, ["check", *flags])
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"{error}: ")
+
+
+def test_check_default_radius_fits_a_given_distance(capsys):
+    code, out, err = run(capsys, ["check", "--global-dist", "0.5"])
+    assert (code, out, err) == (0, "ok\n", "")
+
+
 def test_check_multiple_violations(capsys):
     code, out, err = run(
         capsys, ["check", "--global-value", "1.0", "--global-dist", "5.0"]
@@ -111,6 +137,17 @@ def test_gen_is_byte_identical(tmp_path, cli_notebook, capsys):
     again = tmp_path / "again.json"
     assert main(["gen", "--type", "d", "--out", str(again)]) == 0
     assert again.read_bytes() == cli_notebook.read_bytes()
+
+
+def test_gen_defaults_come_from_the_given_box(tmp_path, capsys):
+    box = ["--domain-left=0,0", "--domain-right=3,6", "--type", "d"]
+    derived, stated = tmp_path / "derived.json", tmp_path / "stated.json"
+    assert main(["gen", *box, "--out", str(derived)]) == 0
+    assert main(["gen", *box, "--global-dist", "1.0", "--global-radius", "0.5",
+                 "--out", str(stated)]) == 0
+    capsys.readouterr()
+    for suffix in (".json", ".txt"):
+        assert derived.with_suffix(suffix).read_bytes() == stated.with_suffix(suffix).read_bytes()
 
 
 # sha256 of `gen --type d --out c.json`'s notebook, summary and stdout; they

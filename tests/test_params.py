@@ -55,6 +55,68 @@ def test_defaults_are_valid_across_dims():
         assert check(default_params(dim)) == []
 
 
+def test_class_params_owns_the_default_class():
+    # the default class as default_params stated it before ClassParams
+    # derived it: box [-1, 1]^dim, distance side / 3, radius side / 6
+    side = 2.0
+    for dim in range(2, 101):
+        derived = ClassParams(dim=dim, num_minima=10, global_value=-1.0)
+        stated = ClassParams(
+            dim=dim,
+            num_minima=10,
+            global_value=-1.0,
+            global_dist=side / 3.0,
+            global_radius=side / 6.0,
+            domain_left=(-1.0,) * dim,
+            domain_right=(1.0,) * dim,
+        )
+        assert derived == stated == default_params(dim)
+        for f in dataclasses.fields(ClassParams):
+            a, b = getattr(derived, f.name), getattr(stated, f.name)
+            if isinstance(b, float):
+                assert type(a) is float and a.hex() == b.hex(), (dim, f.name)
+
+
+def test_defaults_follow_the_given_values():
+    # the distance and radius from the smallest side of the box
+    p = ClassParams(dim=2, num_minima=10, global_value=-1.0,
+                    domain_left=(0.0, 0.0), domain_right=(3.0, 6.0))
+    assert (p.global_dist, p.global_radius, p.gap) == (1.0, 0.5, 0.5)
+    assert check(p) == []
+    # the radius is at most half a given distance
+    p = ClassParams(dim=2, num_minima=10, global_value=-1.0, global_dist=0.5)
+    assert (p.global_radius, p.gap) == (0.25, 0.25)
+    assert check(p) == []
+    # an unusable box lends the default box's side
+    p = ClassParams(dim=2, num_minima=10, global_value=-1.0, domain_left=(1.0, 1.0))
+    assert (p.global_dist, p.global_radius) == (2.0 / 3.0, 1.0 / 3.0)
+    assert codes(check(p)) == {ErrorCode.BOUNDARY}
+    # a dimension that is not a size gets a box of length 1, a huge one a capped box
+    assert ClassParams(dim=2.0, num_minima=10, global_value=-1.0).domain_left == (-1.0,)
+    assert len(ClassParams(dim=10**18, num_minima=10, global_value=-1.0).domain_right) == 101
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
+def test_a_bad_radius_lends_no_gap(radius):
+    p = ClassParams(dim=2, num_minima=10, global_value=-1.0, global_radius=radius)
+    assert p.gap == 1.0 / 3.0
+    assert codes(check(p)) == {ErrorCode.GLOBAL_RADIUS}
+
+
+@pytest.mark.parametrize("dist", [0.0, -1.0, math.nan, -math.inf, "0.5"])
+def test_a_distance_no_radius_fits_is_reported_once(dist):
+    p = ClassParams(dim=2, num_minima=10, global_value=-1.0, global_dist=dist)
+    assert codes(check(p)) == {ErrorCode.GLOBAL_DIST}
+    # with an unusable box, the box alone is reported
+    p = dataclasses.replace(p, domain_left=(1.0, 1.0))
+    assert codes(check(p)) == {ErrorCode.BOUNDARY}
+    # a given radius is still held to 0 < radius < inf
+    for radius in (0.0, math.inf):
+        p = ClassParams(dim=2, num_minima=10, global_value=-1.0, global_dist=dist,
+                        global_radius=radius)
+        assert codes(check(p)) == {ErrorCode.GLOBAL_DIST, ErrorCode.GLOBAL_RADIUS}
+
+
 def test_check_reports_global_min_value():
     nan, inf = float("nan"), float("inf")
     for change in (
@@ -220,6 +282,9 @@ def test_numpy_integer_sizes_generate_the_same_records(tmp_path):
             assert spelled.read_bytes() == plain.read_bytes()
 
 
+DEFAULTED = ("global_dist", "global_radius", "gap")  # fields whose None is a default
+
+
 @pytest.mark.parametrize(
     "change, code",
     [
@@ -240,13 +305,13 @@ def test_numpy_integer_sizes_generate_the_same_records(tmp_path):
                 ("delta_max", ErrorCode.TUNING),
                 ("gap", ErrorCode.TUNING),
             )
-            for bad in ("0.5", None, True, np.array(0.5), 0.5j)
-            if not (name == "gap" and bad is None)  # gap=None asks for the default
+            # None asks for the default of the distance, the radius and the
+            # gap; a list, not a real number either, stands in for it there
+            for bad in ("0.5", [0.5] if name in DEFAULTED else None, True, np.array(0.5), 0.5j)
         ),
         *(({"domain_left": (bad, -1.0)}, ErrorCode.BOUNDARY) for bad in ("-1", None, False)),
         ({"domain_left": (np.array(-1.0), -1.0)}, ErrorCode.BOUNDARY),
         ({"domain_left": (-1j, -1.0)}, ErrorCode.BOUNDARY),
-        ({"domain_left": None}, ErrorCode.BOUNDARY),
         ({"domain_right": np.array(1.0)}, ErrorCode.BOUNDARY),
     ],
 )
