@@ -61,8 +61,8 @@ class EvaluationError(Exception):
     code: ErrorCode | None = None
 
 
-class OutOfDomainError(EvaluationError):
-    """The query point lies outside the admissible box."""
+class OutOfDomainError(EvaluationError, ValueError):
+    """The query point lies outside the admissible box, is NaN or has the wrong length."""
 
 
 class BadVariableIndexError(EvaluationError):
@@ -115,10 +115,11 @@ def _indexed(func: GeneratedFunction, *indices) -> GeneratedFunction:
 
 
 def _feasible_point(func: GeneratedFunction, x) -> np.ndarray:
+    """`x` as a float vector in the box; one of the wrong length is outside it."""
     _require_function(func)
     point = np.asarray(x, dtype=float)
     if point.shape != (func.dim,):
-        raise ValueError(
+        raise (OutOfDomainError if point.ndim == 1 else ValueError)(
             f"expected a point of length {func.dim}, got shape {point.shape}"
         )
     coords, params = point.tolist(), func.params
@@ -127,6 +128,15 @@ def _feasible_point(func: GeneratedFunction, x) -> np.ndarray:
         and all(map(operator.le, coords, params.domain_right))
     )
     return point
+
+
+def _block(func: GeneratedFunction, points) -> np.ndarray:
+    """`points` as an (n, dim) float array, else ValueError; row-major, as the
+    scalar path's arrays are, since einsum sums a strided row in another order."""
+    pts = np.ascontiguousarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != func.dim:
+        raise ValueError(f"expected an (n, {func.dim}) array, got shape {pts.shape}")
+    return pts
 
 
 def _locate_row(func: GeneratedFunction, point: np.ndarray, plan: _Plan):
@@ -141,8 +151,8 @@ def _locate_row(func: GeneratedFunction, point: np.ndarray, plan: _Plan):
 
 def locate_ball(func: GeneratedFunction, x):
     """Public ball lookup: (1-based minimizer index >= 2, distance to its
-    center) when `x` lies in an attraction ball, else None.  A point
-    outside the box, or with a NaN coordinate, raises OutOfDomainError."""
+    center) when `x` lies in an attraction ball, else None.  A point outside
+    the box, with a NaN coordinate or of the wrong length raises OutOfDomainError."""
     row, dist_sq, _ = _locate_row(func, _feasible_point(func, x), _plan(func))
     if row == 0:
         return None
@@ -314,11 +324,7 @@ def eval_many(func: GeneratedFunction, family: str, points) -> np.ndarray:
     """
     _require_family(family)
     _require_function(func)
-    # row-major, as the scalar path's arrays are: einsum sums a strided
-    # row in another order
-    pts = np.ascontiguousarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != func.dim:
-        raise ValueError(f"expected an (n, {func.dim}) array, got shape {pts.shape}")
+    pts = _block(func, points)
     _require_feasible(np.logical_and.reduce(_in_box(func, pts), axis=None))
 
     table = func.minima

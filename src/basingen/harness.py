@@ -8,10 +8,11 @@ Two success criteria are tracked separately and combined with "or":
 * value: the best feasible value is within ``value_tol`` of the global
   minimum value.
 
-The harness owns the evaluation counter: every value or gradient query
-charges one unit against the budget, infeasible queries (the evaluator's
-box test decides) answer +inf or None and are still charged, and
-exhausting the budget stops the solver.
+The harness owns the evaluation counter and the evaluator the query
+rule: every value or gradient query charges one unit against the budget,
+points outside the box (NaN or of the wrong length) answer +inf or None
+and are still charged, a query that is no vector of floats raises
+ValueError uncharged, and exhausting the budget stops the solver.
 
 ``BudgetedObjective.run(solver)`` owns one function's run: it calls
 ``solver(objective, func)``, ends normally on ``BudgetExhausted``, records
@@ -48,6 +49,7 @@ import numpy as np
 from .evaluate import (
     DerivEvalError,
     OutOfDomainError,
+    _block,
     _in_box,
     _require_family,
     d2_gradient,
@@ -121,10 +123,10 @@ class BudgetedObjective:
             raise BudgetExhausted
         self.evaluations += 1
 
-    def _note_best(self, point: np.ndarray, value: float, evaluation: int) -> None:
-        if self.best_value is None or value < self.best_value:
+    def _note_best(self, point, value: float, evaluation: int) -> None:
+        if value < (math.inf if self.best_value is None else self.best_value):
+            self.best_point = point = np.array(point, dtype=float)
             self.best_value = value
-            self.best_point = point.copy()
             if self.evals_to_success is None and (
                 value <= self._value_threshold or self._hits_global_ball(point)
             ):
@@ -137,15 +139,12 @@ class BudgetedObjective:
 
     def value(self, x) -> float:
         """Objective value; +inf for infeasible queries (still charged)."""
-        self._charge()
-        point = np.asarray(x, dtype=float)
-        if point.shape != (self.dim,):
-            return math.inf
         try:
-            val = evaluate(self._func, point, self.family)
+            val = evaluate(self._func, x, self.family)
         except OutOfDomainError:
-            return math.inf
-        self._note_best(point, val, self.evaluations)
+            val = math.inf
+        self._charge()
+        self._note_best(x, val, self.evaluations)
         return val
 
     def values(self, X) -> np.ndarray:
@@ -155,14 +154,9 @@ class BudgetedObjective:
         Only the rows the budget still covers are evaluated and charged;
         if any row is cut off, or the budget is already spent,
         :class:`BudgetExhausted` is raised after the covered rows have
-        been recorded.  A block of another shape raises ``ValueError``
-        and is not charged.
+        been recorded.  A block of another shape raises ``ValueError`` uncharged.
         """
-        points = np.asarray(X, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.dim:
-            raise ValueError(
-                f"expected a (k, {self.dim}) array, got shape {points.shape}"
-            )
+        points = _block(self._func, X)
         start = self.evaluations
         if start >= self.budget:
             raise BudgetExhausted
@@ -185,14 +179,12 @@ class BudgetedObjective:
         """Exact gradient; None for infeasible queries (still charged)."""
         if not self.supports_gradient:
             raise ValueError("gradient queries are unavailable for the nd family")
-        self._charge()
-        point = np.asarray(x, dtype=float)
-        if point.shape != (self.dim,):
-            return None
         try:
-            return (d_gradient if self.family == "d" else d2_gradient)(self._func, point)
+            grad = (d_gradient if self.family == "d" else d2_gradient)(self._func, x)
         except DerivEvalError:
-            return None
+            grad = None
+        self._charge()
+        return grad
 
     def run(self, solver) -> FunctionOutcome:
         """Call ``solver(self, func)`` and return the outcome of the final
@@ -223,6 +215,10 @@ class BudgetedObjective:
 
 @dataclass
 class FunctionOutcome:
+    """One function's run.  ``evals_to_success`` is the first evaluation at which
+    the best-so-far met either criterion; a later, lower best can leave the global
+    ball, so a failed outcome may carry it too (run_solver's mean and median skip it)."""
+
     nf: int
     evaluations: int
     best_value: float | None
@@ -274,11 +270,8 @@ def run_solver(
         for nf in range(1, FUNCTIONS_PER_CLASS + 1)
     ]
 
-    hits = [
-        o.evals_to_success
-        for o in outcomes
-        if o.success and o.evals_to_success is not None
-    ]
+    # a successful outcome always has one: its best met a criterion when noted
+    hits = [o.evals_to_success for o in outcomes if o.success]
     return SolverReport(
         function_type=family,
         budget=budget,

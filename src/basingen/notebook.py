@@ -120,9 +120,10 @@ def _summary_text(loaded: LoadedClass) -> str:
 
 
 def summary_path_for(path, suffix: str = ".txt") -> Path:
-    """Companion path, never `path` itself: c.json -> c.txt, c.txt -> c.txt.summary.txt."""
+    """Companion path, never `path` itself, whatever the case of its suffix:
+    c.json -> c.txt, c.txt -> c.txt.summary.txt, c.TXT -> c.TXT.summary.txt."""
     path = Path(path)
-    if path.suffix and path.suffix != suffix:
+    if path.suffix and path.suffix.lower() != suffix.lower():
         return path.with_suffix(suffix)
     return path.with_name(f"{path.name}.summary{suffix}")
 

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import inspect
 import json
 import math
 import struct
@@ -262,7 +264,12 @@ def test_gradient_refused_for_nd(func9):
 def test_report_files(tmp_path, params2):
     report = run_solver(params2, "d", oracle_solver, budget=5)
     # the CSV companion never overwrites the JSON report
-    pairs = (("a.json", "a.csv"), ("b.csv", "b.csv.summary.csv"), ("c", "c.summary.csv"))
+    pairs = (
+        ("a.json", "a.csv"),
+        ("b.csv", "b.csv.summary.csv"),
+        ("c", "c.summary.csv"),
+        ("d.CSV", "d.CSV.summary.csv"),  # one file on a case-insensitive filesystem
+    )
     for name, companion in pairs:
         write_report(report, tmp_path / name)
         data = json.loads((tmp_path / name).read_text())
@@ -480,6 +487,78 @@ def test_values_reject_bad_shape_uncharged(func9):
         with pytest.raises(ValueError):
             objective.values(block)
         assert objective.evaluations == 0
+
+
+RAGGED, STRINGS = [[0.0], [0.0, 0.0]], ["a", "b"]
+MALFORMED_POINTS = (RAGGED, STRINGS, [[0.0, 0.0]], np.zeros((1, 2, 1)))
+INFEASIBLE_POINTS = ([5.0, 5.0], [np.nan, 0.0], [0.0, 0.0, 0.0])  # the box is in R^2
+
+
+@pytest.mark.parametrize(
+    "query, malformed, infeasible, answer",
+    [
+        ("value", MALFORMED_POINTS, INFEASIBLE_POINTS, math.inf),
+        ("gradient", MALFORMED_POINTS, INFEASIBLE_POINTS, None),
+        (
+            "values",
+            ([RAGGED], [STRINGS], [0.0, 0.0], np.zeros((1, 2, 1))),
+            ([[5.0, 5.0]], [[np.nan, 0.0]]),
+            [math.inf],
+        ),
+    ],
+    ids=["value", "gradient", "values"],
+)
+def test_one_query_rule(func9, query, malformed, infeasible, answer):
+    # the evaluator decides: input numpy cannot read as a float point (a
+    # block, for values) raises ValueError uncharged, even once the budget
+    # is spent; a query outside the box answers inf or None for one unit
+    objective = BudgetedObjective(func9, "d", budget=len(infeasible), value_tol=1e-4)
+    ask = getattr(objective, query)
+
+    def refused_uncharged():
+        for x in malformed:
+            charged = objective.evaluations
+            with pytest.raises(ValueError):
+                ask(x)
+            assert objective.evaluations == charged
+
+    refused_uncharged()
+    for k, x in enumerate(infeasible, 1):
+        result = ask(x)
+        assert (list(result) if query == "values" else result) == answer
+        assert objective.evaluations == k
+    refused_uncharged()
+    with pytest.raises(BudgetExhausted):
+        ask([func9.vertex] if query == "values" else func9.vertex)
+    assert objective.best_value is None
+
+
+def test_harness_states_no_query_rule():
+    # harness.py hands every query to the evaluator unconverted
+    tree = ast.parse(inspect.getsource(harness))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not names & {"shape", "ndim", "asarray", "ascontiguousarray"}
+
+
+def test_evals_to_success_outlives_a_lower_best(func9):
+    # evals_to_success is the first evaluation at which the best-so-far met
+    # either criterion; a later, lower best outside the global ball and
+    # above value_tol fails the outcome but keeps it
+    axis = (func9.global_minimizer - func9.vertex) / np.linalg.norm(
+        func9.global_minimizer - func9.vertex
+    )
+    in_ball = func9.global_minimizer + 0.9 * func9.params.global_radius * axis
+    values = []
+
+    def solver(objective, func):
+        values.extend((objective.value(in_ball), objective.value(func.vertex)))
+
+    outcome = BudgetedObjective(func9, "d", budget=2, value_tol=1e-4).run(solver)
+    assert values == [pytest.approx(0.89), 0.0]
+    assert outcome.best_value == 0.0 and outcome.best_point == func9.vertex.tolist()
+    assert not outcome.success
+    assert outcome.evals_to_success == 1
 
 
 def _scalar_random_search(seed):

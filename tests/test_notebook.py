@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,12 @@ def test_summary_written_alongside(notebook_path):
     text = summary.read_text()
     assert "function type: d" in text
     assert text.count("\n") >= 100
+
+
+def test_summary_path_ignores_suffix_case():
+    # a case-insensitive filesystem reads c.TXT and c.txt as one file
+    assert summary_path_for("c.TXT") == Path("c.TXT.summary.txt")
+    assert summary_path_for("c.JSON") == Path("c.txt")
 
 
 def test_export_is_reproducible(tmp_path, params2):

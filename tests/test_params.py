@@ -282,37 +282,60 @@ def test_numpy_integer_sizes_generate_the_same_records(tmp_path):
             assert spelled.read_bytes() == plain.read_bytes()
 
 
-DEFAULTED = ("global_dist", "global_radius", "gap")  # fields whose None is a default
+def _case(number, change, code):
+    """A case with the id it was first collected under, so adding or
+    deleting a case renames no other."""
+    return pytest.param(change, code, id=f"change{number}-{code}")
 
 
 @pytest.mark.parametrize(
     "change, code",
     [
-        ({"dim": 2.0}, ErrorCode.DIM),
-        ({"dim": True}, ErrorCode.DIM),
-        ({"dim": np.float64(2.0)}, ErrorCode.DIM),
-        ({"num_minima": 10.0}, ErrorCode.NUM_MINIMA),
-        ({"num_minima": np.float32(10.0)}, ErrorCode.NUM_MINIMA),
-        ({"num_minima": "10"}, ErrorCode.NUM_MINIMA),
-        # a value that is not a real number, or is a bool, in a real field or a bound
-        *(
-            ({name: bad}, code)
-            for name, code in (
-                ("global_value", ErrorCode.GLOBAL_MIN_VALUE),
-                ("paraboloid_min", ErrorCode.GLOBAL_MIN_VALUE),
-                ("global_dist", ErrorCode.GLOBAL_DIST),
-                ("global_radius", ErrorCode.GLOBAL_RADIUS),
-                ("delta_max", ErrorCode.TUNING),
-                ("gap", ErrorCode.TUNING),
-            )
-            # None asks for the default of the distance, the radius and the
-            # gap; a list, not a real number either, stands in for it there
-            for bad in ("0.5", [0.5] if name in DEFAULTED else None, True, np.array(0.5), 0.5j)
-        ),
-        *(({"domain_left": (bad, -1.0)}, ErrorCode.BOUNDARY) for bad in ("-1", None, False)),
-        ({"domain_left": (np.array(-1.0), -1.0)}, ErrorCode.BOUNDARY),
-        ({"domain_left": (-1j, -1.0)}, ErrorCode.BOUNDARY),
-        ({"domain_right": np.array(1.0)}, ErrorCode.BOUNDARY),
+        _case(0, {"dim": 2.0}, ErrorCode.DIM),
+        _case(1, {"dim": True}, ErrorCode.DIM),
+        _case(2, {"dim": np.float64(2.0)}, ErrorCode.DIM),
+        _case(3, {"num_minima": 10.0}, ErrorCode.NUM_MINIMA),
+        _case(4, {"num_minima": np.float32(10.0)}, ErrorCode.NUM_MINIMA),
+        _case(5, {"num_minima": "10"}, ErrorCode.NUM_MINIMA),
+        # a value that is not a real number, or is a bool, in a real field or a
+        # bound; None asks for the default of the distance, the radius and the
+        # gap, so a list, not a real number either, stands in for it there
+        _case(6, {"global_value": "0.5"}, ErrorCode.GLOBAL_MIN_VALUE),
+        _case(7, {"global_value": None}, ErrorCode.GLOBAL_MIN_VALUE),
+        _case(8, {"global_value": True}, ErrorCode.GLOBAL_MIN_VALUE),
+        _case(9, {"global_value": np.array(0.5)}, ErrorCode.GLOBAL_MIN_VALUE),
+        _case(10, {"global_value": 0.5j}, ErrorCode.GLOBAL_MIN_VALUE),
+        _case(11, {"paraboloid_min": "0.5"}, ErrorCode.GLOBAL_MIN_VALUE),
+        _case(12, {"paraboloid_min": None}, ErrorCode.GLOBAL_MIN_VALUE),
+        _case(13, {"paraboloid_min": True}, ErrorCode.GLOBAL_MIN_VALUE),
+        _case(14, {"paraboloid_min": np.array(0.5)}, ErrorCode.GLOBAL_MIN_VALUE),
+        _case(15, {"paraboloid_min": 0.5j}, ErrorCode.GLOBAL_MIN_VALUE),
+        _case(16, {"global_dist": "0.5"}, ErrorCode.GLOBAL_DIST),
+        _case(17, {"global_dist": [0.5]}, ErrorCode.GLOBAL_DIST),
+        _case(18, {"global_dist": True}, ErrorCode.GLOBAL_DIST),
+        _case(19, {"global_dist": np.array(0.5)}, ErrorCode.GLOBAL_DIST),
+        _case(20, {"global_dist": 0.5j}, ErrorCode.GLOBAL_DIST),
+        _case(21, {"global_radius": "0.5"}, ErrorCode.GLOBAL_RADIUS),
+        _case(22, {"global_radius": [0.5]}, ErrorCode.GLOBAL_RADIUS),
+        _case(23, {"global_radius": True}, ErrorCode.GLOBAL_RADIUS),
+        _case(24, {"global_radius": np.array(0.5)}, ErrorCode.GLOBAL_RADIUS),
+        _case(25, {"global_radius": 0.5j}, ErrorCode.GLOBAL_RADIUS),
+        _case(26, {"delta_max": "0.5"}, ErrorCode.TUNING),
+        _case(27, {"delta_max": None}, ErrorCode.TUNING),
+        _case(28, {"delta_max": True}, ErrorCode.TUNING),
+        _case(29, {"delta_max": np.array(0.5)}, ErrorCode.TUNING),
+        _case(30, {"delta_max": 0.5j}, ErrorCode.TUNING),
+        _case(31, {"gap": "0.5"}, ErrorCode.TUNING),
+        _case(32, {"gap": [0.5]}, ErrorCode.TUNING),
+        _case(33, {"gap": True}, ErrorCode.TUNING),
+        _case(34, {"gap": np.array(0.5)}, ErrorCode.TUNING),
+        _case(35, {"gap": 0.5j}, ErrorCode.TUNING),
+        _case(36, {"domain_left": ("-1", -1.0)}, ErrorCode.BOUNDARY),
+        _case(37, {"domain_left": (None, -1.0)}, ErrorCode.BOUNDARY),
+        _case(38, {"domain_left": (False, -1.0)}, ErrorCode.BOUNDARY),
+        _case(39, {"domain_left": (np.array(-1.0), -1.0)}, ErrorCode.BOUNDARY),
+        _case(40, {"domain_left": (-1j, -1.0)}, ErrorCode.BOUNDARY),
+        _case(41, {"domain_right": np.array(1.0)}, ErrorCode.BOUNDARY),
     ],
 )
 def test_non_integer_sizes_are_parameter_errors(change, code):
