@@ -163,8 +163,6 @@ def _notebook_function(args):
 def cmd_eval(args) -> int:
     func, family = _notebook_function(args)
     point = _parse_vector(args.point, "--point")
-    if len(point) != func.dim:
-        return _usage(f"--point must have {func.dim} coordinates, got {len(point)}")
     if args.grad and family == "nd":
         return _usage("gradients are unavailable for the nd family")
     if args.hess and family != "d2":

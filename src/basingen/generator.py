@@ -34,7 +34,7 @@ from .params import (
     PRECISION, ClassParams, ErrorCode, ParameterError, ValidationError, _is_size, check,
     radius_weights,
 )
-from .rng import MODULUS, LaggedFibonacci
+from .rng import MODULUS, LaggedFibonacci, _streams
 
 FUNCTIONS_PER_CLASS = 100
 RETRY_BUDGET = 10_000
@@ -394,6 +394,12 @@ def _require_function_number(nf) -> int:
     return int(nf)
 
 
+def _require_valid(params: ClassParams) -> None:
+    errors = check(params)
+    if errors:
+        raise ParameterError(errors)
+
+
 def generate(params: ClassParams, nf: int) -> GeneratedFunction:
     """Generate function `nf` (1..100) of the class defined by `params`.
 
@@ -402,11 +408,25 @@ def generate(params: ClassParams, nf: int) -> GeneratedFunction:
     number outside [1, 100], geometric placement failure, or a record
     whose quantities double precision lost (the audit names them).
     """
-    errors = check(params)
-    if errors:
-        raise ParameterError(errors)
+    _require_valid(params)
     nf = _require_function_number(nf)
-    rng = LaggedFibonacci(function_seed(params, nf))
+    return _generated(params, nf, LaggedFibonacci(function_seed(params, nf)))
+
+
+def _class_functions(params: ClassParams):
+    """The records ``generate(params, nf)`` for nf = 1..100, in order and
+    with the same bits: the class is checked once, its 100 seeds are warmed
+    in one pass, and each stream is made when its record is generated."""
+    _require_valid(params)
+    numbers = range(1, FUNCTIONS_PER_CLASS + 1)
+    streams = _streams([function_seed(params, nf) for nf in numbers])
+    for nf, rng in zip(numbers, streams):
+        yield _generated(params, nf, rng)
+
+
+def _generated(params: ClassParams, nf: int, rng: LaggedFibonacci) -> GeneratedFunction:
+    """Function `nf` of the valid class `params`, drawn from `rng`, the
+    fresh stream of its seed."""
     vertex, global_min = place_vertex_and_global(params, rng)
     others = place_local_minimizers(params, vertex, global_min, rng)
     local_min = np.vstack([vertex[None, :], global_min[None, :], others])

@@ -57,7 +57,7 @@ from .evaluate import (
     eval_many,
     evaluate,
 )
-from .generator import FUNCTIONS_PER_CLASS, GeneratedFunction, _einsum, generate
+from .generator import GeneratedFunction, _class_functions, _einsum
 from .notebook import summary_path_for
 from .params import ClassParams, ParameterError, _as_float, _require_count, check
 
@@ -256,6 +256,9 @@ def run_solver(
     :meth:`BudgetedObjective.run` per function: a solver exception is
     recorded as a per-function failure and the sweep continues.  An
     invalid class is a :class:`ParameterError` before anything else.
+    The class's 100 seeds are warmed in one pass, and each function is
+    generated (as :func:`generate` makes it) just before its run, so one
+    that cannot be generated raises after the runs before it.
     """
     errors = check(params)  # the default value_tol reads the class values
     if errors:
@@ -266,8 +269,8 @@ def run_solver(
     family, budget, value_tol = _objective_arguments(family, budget, value_tol)
 
     outcomes = [
-        BudgetedObjective(generate(params, nf), family, budget, value_tol).run(solver)
-        for nf in range(1, FUNCTIONS_PER_CLASS + 1)
+        BudgetedObjective(func, family, budget, value_tol).run(solver)
+        for func in _class_functions(params)
     ]
 
     # a successful outcome always has one: its best met a criterion when noted

@@ -40,7 +40,7 @@ from .generator import (
     FUNCTIONS_PER_CLASS,
     GeneratedFunction,
     MinimaTable,
-    generate,
+    _class_functions,
     ground_truth_problems,
 )
 from .params import (
@@ -129,11 +129,12 @@ def summary_path_for(path, suffix: str = ".txt") -> Path:
 
 
 def export_class(params: ClassParams, function_type: str, path) -> LoadedClass:
-    """Generate all 100 functions of a class, write their notebook JSON
-    and a plain-text summary alongside it, and return the records as the
-    :class:`LoadedClass` that :func:`load_class` reads back from `path`."""
+    """Generate all 100 functions of a class, as :func:`generate` makes
+    them but with the 100 seeds warmed in one pass, write their notebook
+    JSON and a plain-text summary alongside it, and return the records as
+    the :class:`LoadedClass` that :func:`load_class` reads back from `path`."""
     _require_family(function_type)
-    functions = [generate(params, nf) for nf in range(1, FUNCTIONS_PER_CLASS + 1)]
+    functions = list(_class_functions(params))
     loaded = LoadedClass(params=params, functions=functions, function_type=function_type)
     # one dumps call without indent runs the C encoder; json.dump to a file never does
     text = json.dumps(_document(loaded), separators=(",", ":")) + "\n"

@@ -4,27 +4,37 @@ Implements the subtractive lagged-Fibonacci recurrence
 
     x[n] = (x[n-100] - x[n-37]) mod 2**30
 
-with the block-generation and warm-up scheme from D. E. Knuth, "The Art
-of Computer Programming", vol. 2, 3rd edition (``ran_start`` /
-``ran_array``).  The constants are frozen for this package:
+with the warm-up scheme from D. E. Knuth, "The Art of Computer
+Programming", vol. 2, 3rd edition (``ran_start`` / ``ran_array``).  The
+constants are frozen for this package:
 
 * long lag 100, short lag 37, modulus 2**30,
 * seeding warm-up guaranteeing 2**70-separated streams,
-* emitted blocks of 1009 words, consumed in full.
+* ``ran_array`` blocks consumed in full.
+
+A ``ran_array`` block is the next stretch of the recurrence and its next
+state the 100 words after it, so a stream read in full is the recurrence
+itself, whatever the block length: ``uniforms(count)`` computes just the
+`count` words it returns, from the last 100 words computed.
 
 After the initial fill of ``ran_start``, every seeding step and every
-block step is linear modulo 2**30.  They run as wrapping ``np.uint64``
+recurrence step is linear modulo 2**30.  They run as wrapping ``np.uint64``
 array arithmetic, and each emitted word is reduced with one final 30-bit
 mask; since 2**30 divides 2**64, the words are Knuth's bit for bit on
 every platform.  Only the first ``bitlength(seed)`` (at most 30) seeding
 steps depend on the seed.  The remaining 69 squarings, the output
 reordering and the 10 warm-up blocks are one fixed 100 x 100 map ``C``,
 built on the first construction (never at import) by pushing the unit
-vectors through the same step functions.  A constructor therefore costs
-at most 30 vectorised steps and one matrix-vector product.  Deviates are
-``word / 2**30`` and therefore lie in ``[0, 1)`` exactly.  ``uniforms(count)``
-reads the next `count` of them as an array; ``uniform()`` reads one, through
-``uniforms(1)``.
+vectors through the same step functions.
+
+The one seeding path, ``_warm_states(seeds)``, warms any number of seeds
+side by side: the fill is array shifts, the seed-dependent steps run on
+the columns whose seed still has bits, and one product with ``C``
+finishes them all.  A constructor is its one-seed case, about 30-150 us
+by the bit length of the seed; a class's 100 seeds warmed in one call
+cost about 16 us each (one core of a 2-vCPU x86-64 Xeon VM).  Deviates
+are ``word / 2**30``, so they lie in ``[0, 1)`` exactly; ``uniform()``
+reads one, through ``uniforms(1)``.
 """
 
 from __future__ import annotations
@@ -40,14 +50,16 @@ SHORT_LAG = 37
 MODULUS = 1 << 30
 MAX_SEED = MODULUS - 1
 
-_BLOCK_LENGTH = 1009
 _WARMUP_LENGTH = 2 * LONG_LAG - 1
 _WARMUP_BLOCKS = 10
 _STREAM_SEPARATION = 70
 _MASK = np.uint64(MODULUS - 1)
+# ran_start's fill word j is its 29-bit seed word turned left j mod 29 places
+_FILL_BITS = np.uint64(29)
+_FILL_TURNS = (np.arange(LONG_LAG, dtype=np.uint64) % _FILL_BITS)[:, None]
 
 # The steps below act along axis 0: a 1-D array is one state, and a
-# (words, k) array carries k states side by side, as when building C.
+# (words, k) array carries k states side by side.
 
 
 def _square(buf: np.ndarray) -> None:
@@ -72,14 +84,15 @@ def _multiply_by_z(buf: np.ndarray) -> None:
     buf[SHORT_LAG : SHORT_LAG + 1] -= buf[LONG_LAG : LONG_LAG + 1]
 
 
-def _run(state: np.ndarray, length: int) -> np.ndarray:
-    """``ran_array``: words ``0 .. length + 99`` of the recurrence started
-    from `state`; the first `length` are the block, the last 100 the next
-    state.  Slices of 37 words read only words already computed."""
-    words = np.empty((length + LONG_LAG, *state.shape[1:]), dtype=np.uint64)
-    words[:LONG_LAG] = state
-    for start in range(LONG_LAG, length + LONG_LAG, SHORT_LAG):
-        stop = min(start + SHORT_LAG, length + LONG_LAG)
+def _run(known: np.ndarray, length: int) -> np.ndarray:
+    """`known` (at least 100 consecutive words of the recurrence) followed
+    by the next `length` words.  Slices of 37 words read only words
+    already computed."""
+    first = len(known)
+    words = np.empty((first + length, *known.shape[1:]), dtype=np.uint64)
+    words[:first] = known
+    for start in range(first, first + length, SHORT_LAG):
+        stop = min(start + SHORT_LAG, first + length)
         np.subtract(
             words[start - LONG_LAG : stop - LONG_LAG],
             words[start - SHORT_LAG : stop - SHORT_LAG],
@@ -104,41 +117,67 @@ def _tail_map() -> np.ndarray:
     return tail
 
 
-def _warm_state(seed: int) -> np.ndarray:
-    """``ran_start(seed)`` followed by the warm-up: the 100-word state
-    from which the first emitted block is drawn."""
-    fill = [0] * LONG_LAG
-    ss = (seed + 2) & (MODULUS - 2)
-    for j in range(LONG_LAG):
-        fill[j] = ss
-        ss <<= 1  # cyclic shift over 29 bits
-        if ss >= MODULUS:
-            ss -= MODULUS - 2
-    fill[1] += 1  # make fill[1], and only fill[1], odd
-    buf = np.zeros(2 * LONG_LAG - 1, dtype=np.uint64)
-    buf[:LONG_LAG] = fill
-    ss = seed
-    while ss:
-        _square(buf)
-        if ss & 1:
-            _multiply_by_z(buf)
-        ss >>= 1
-    return (_tail_map() @ buf[:LONG_LAG]) & _MASK
+def _warm_states(seeds) -> np.ndarray:
+    """``ran_start(seed)`` followed by the warm-up for each of the valid
+    `seeds`: the (100, k) states, one column per seed in input order, from
+    which each stream's first word is read.  The columns are stepped in
+    order of decreasing seed, so those whose seed still has bits are a
+    prefix; a lone one is stepped as a 1-D view."""
+    # the result comes before the scratch arrays, so that freeing them can
+    # shrink the heap: made after them, it kept about 0.3 MB of RSS
+    states = np.empty((LONG_LAG, len(seeds)), dtype=np.uint64)
+    order = sorted(range(len(seeds)), key=seeds.__getitem__, reverse=True)
+    ordered = [seeds[j] for j in order]
+    columns = np.array(ordered, dtype=np.uint64)
+    word = ((columns + np.uint64(2)) & np.uint64(MODULUS - 2)) >> np.uint64(1)
+    buf = np.zeros((2 * LONG_LAG - 1, len(order)), dtype=np.uint64)
+    fill = buf[:LONG_LAG]
+    np.left_shift(word, _FILL_TURNS, out=fill)
+    fill |= word >> (_FILL_BITS - _FILL_TURNS)
+    fill &= np.uint64((1 << 29) - 1)
+    fill <<= np.uint64(1)
+    fill[1] += np.uint64(1)  # make fill[1], and only fill[1], odd
+    lengths = [seed.bit_length() for seed in ordered]
+    bit, live = 0, len(order)
+    while live > 1:
+        if lengths[live - 1] <= bit:  # that column's seed has run out of bits
+            live -= 1
+            continue
+        block = buf[:, :live]
+        _square(block)
+        odd = ((columns[:live] >> np.uint64(bit)) & np.uint64(1)).nonzero()[0]
+        moved = block[: LONG_LAG + 1, odd]
+        _multiply_by_z(moved)
+        block[: LONG_LAG + 1, odd] = moved
+        bit += 1
+    lone, bits = buf[:, 0], ordered[0] >> bit
+    while bits:
+        _square(lone)
+        if bits & 1:
+            _multiply_by_z(lone)
+        bits >>= 1
+    states[:, order] = _tail_map() @ buf[:LONG_LAG]
+    states &= _MASK
+    return states
 
 
 class LaggedFibonacci:
     """Deterministic uniform deviate stream for one generation task.
 
-    Instances share no storage; two generators built from equal seeds
-    emit identical sequences.
+    A stream never changes a word in place, so no draw from one stream
+    disturbs another; two generators built from equal seeds emit
+    identical sequences.
     """
 
     def __init__(self, seed: int):
-        self.seed = _require_count("seed", seed, 0)
-        if self.seed > MAX_SEED:
+        seed = _require_count("seed", seed, 0)
+        if seed > MAX_SEED:
             raise ValueError(f"seed must be in [0, {MAX_SEED}], got {seed}")
-        self._state = _warm_state(self.seed)
-        self._deviates = np.empty(0)  # the emitted blocks not yet read in full
+        self._start(seed, _warm_states([seed])[:, 0])
+
+    def _start(self, seed: int, state: np.ndarray) -> None:
+        self.seed = seed
+        self._words = state  # unread words from _cursor on; the last 100 feed the recurrence
         self._cursor = 0
 
     def uniform(self) -> float:
@@ -146,19 +185,25 @@ class LaggedFibonacci:
         return self.uniforms(1).item()
 
     def uniforms(self, count: int) -> np.ndarray:
-        """Return the next `count` deviates as a float64 array, refilling
-        whole blocks of 1009 words as the stream runs out."""
+        """Return the next `count` deviates as a float64 array, computing
+        only the words not yet computed."""
         count = _require_count("count", count, 0)
-        blocks = -(-(self._cursor + count - len(self._deviates)) // _BLOCK_LENGTH)
-        if blocks > 0:
-            fresh = [self._next_words(_BLOCK_LENGTH) / MODULUS for _ in range(blocks)]
-            self._deviates = np.concatenate([self._deviates[self._cursor :], *fresh])
-            self._cursor = 0
-        self._cursor += count
-        return self._deviates[self._cursor - count : self._cursor].copy()
+        start, stop = self._cursor, self._cursor + count
+        missing = stop - len(self._words)
+        if missing > 0:
+            keep = min(start, len(self._words) - LONG_LAG)
+            self._words = _run(self._words[keep:], missing)
+            start, stop = start - keep, stop - keep
+        self._cursor = stop
+        return (self._words[start:stop] & _MASK) / MODULUS
 
-    def _next_words(self, length: int) -> np.ndarray:
-        """Emit `length` raw words and step the state past them."""
-        words = _run(self._state, length) & _MASK
-        self._state = words[length:]
-        return words[:length]
+
+def _streams(seeds):
+    """``LaggedFibonacci(seed)`` for each of the valid `seeds`, in order:
+    the states are warmed in one call, and each stream is made when it is
+    asked for."""
+    states = _warm_states(seeds)
+    for j, seed in enumerate(seeds):
+        stream = LaggedFibonacci.__new__(LaggedFibonacci)
+        stream._start(seed, states[:, j])
+        yield stream

@@ -310,11 +310,14 @@ def test_eval_bad_nf(cli_notebook, tmp_path, capsys):
 
 
 def test_eval_wrong_point_length(cli_notebook, capsys):
-    code, out, err = run(
-        capsys,
-        ["eval", "--notebook", str(cli_notebook), "--nf", "1", "--point", "0,0,0"],
-    )
-    assert code == 2
+    # the evaluator owns the point rule: a point of the wrong length lies
+    # outside the box, for the value, the gradient and the Hessian
+    base = ["eval", "--notebook", str(cli_notebook), "--nf", "1", "--point", "0,0,0"]
+    for extra in ([], ["--grad"], ["--type", "d2", "--hess"]):
+        code, out, err = run(capsys, base + extra)
+        assert code == 1
+        assert out.startswith("1e+100")
+        assert "expected a point of length 2" in err and "Traceback" not in err
 
 
 def test_eval_missing_notebook(tmp_path, capsys):

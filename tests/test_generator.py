@@ -591,6 +591,18 @@ def test_radii_terminate_on_non_finite_distances():
     assert np.array_equal(rho, expected, equal_nan=True)
 
 
+def test_class_path_matches_generate(pinned_classes):
+    # the class path warms its 100 seeds in one pass and makes each stream
+    # as its record is generated; the last class's seeds cross 2**20 at nf 77
+    params = ClassParams(2, 486, -1.0)
+    classes = [pinned_classes[2, 10], pinned_classes[10, 100]]
+    classes.append([generate(params, nf) for nf in range(1, 101)])
+    for funcs in classes:
+        batch = list(generator._class_functions(funcs[0].params))
+        assert len(batch) == FUNCTIONS_PER_CLASS
+        assert all(records_equal(a, b) for a, b in zip(batch, funcs, strict=True))
+
+
 def test_one_distance_matrix_per_record(monkeypatch, pinned_classes, tmp_path):
     matrices, audits, read = [], [], []
     distance_matrix = generator._distance_matrix

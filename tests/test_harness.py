@@ -22,7 +22,7 @@ from basingen import (
     run_solver,
     write_report,
 )
-from basingen import harness
+from basingen import generator, harness
 from basingen.harness import BudgetExhausted, BudgetedObjective, _descend
 
 
@@ -60,7 +60,7 @@ def test_budget_zero_rejected(params2):
     ],
 )
 def test_bad_value_tol_rejected_before_generation(params2, monkeypatch, value_tol):
-    monkeypatch.setattr(harness, "generate", None)  # a call would raise TypeError
+    monkeypatch.setattr(harness, "_class_functions", None)  # a call would raise TypeError
     with pytest.raises(ValueError, match="value_tol"):
         run_solver(params2, "d", oracle_solver, budget=10, value_tol=value_tol)
 
@@ -68,10 +68,25 @@ def test_bad_value_tol_rejected_before_generation(params2, monkeypatch, value_to
 @pytest.mark.parametrize("global_value", [None, "-1", float("nan")])
 def test_invalid_class_rejected_before_generation(params2, monkeypatch, global_value):
     # the default value_tol is computed from the class values
-    monkeypatch.setattr(harness, "generate", None)  # a call would raise TypeError
+    monkeypatch.setattr(harness, "_class_functions", None)  # a call would raise TypeError
     bad = replace(params2, global_value=global_value)
     with pytest.raises(ParameterError, match="GlobalMinValueError"):
         run_solver(bad, "d", oracle_solver, budget=10)
+
+
+def test_generation_failure_raises_after_the_runs_before_it(params2, monkeypatch):
+    # each function is generated just before its run, as one generate call did
+    ran, generated = [], generator._generated
+
+    def failing_at_3(params, nf, rng):
+        if nf == 3:
+            raise ParameterError([])
+        return generated(params, nf, rng)
+
+    monkeypatch.setattr(generator, "_generated", failing_at_3)
+    with pytest.raises(ParameterError):
+        run_solver(params2, "d", lambda objective, func: ran.append(func.nf), budget=1)
+    assert ran == [1, 2]
 
 
 @pytest.mark.parametrize(

@@ -14,14 +14,20 @@ from knuth_reference import ReferenceStream
 CHI2_9_P999 = 27.877164871626786
 
 
+def words(gen, count):
+    """The next `count` raw words: each deviate is exactly word / 2**30."""
+    return (gen.uniforms(count) * 2**30).tolist()
+
+
 def test_knuth_published_check_value():
     # Knuth's ran_array test: ran_start(310952), then 2010 blocks of 1009
     # words (or 1010 blocks of 2009) leave 995235265 in word 0 of the last
-    # block; the constructor is ran_start, warm-up included
+    # block, word 2,027,081 of the stream; the constructor is ran_start,
+    # warm-up included
     for blocks, length in ((2010, 1009), (1010, 2009)):
         gen = LaggedFibonacci(310952)
         for _ in range(blocks):
-            block = gen._next_words(length).tolist()
+            block = words(gen, length)
         assert block[0] == 995235265
 
 
@@ -38,7 +44,7 @@ def oracle_seeds():
 
 
 def test_stream_matches_integer_oracle():
-    # the uint64 seeding and blocks against the pure-integer ran_start /
+    # the uint64 seeding and recurrence against the pure-integer ran_start /
     # ran_array; numpy warns on scalar overflow, so warnings are errors,
     # and the seed-independent map is rebuilt under that filter too
     mismatched = []
@@ -48,19 +54,29 @@ def test_stream_matches_integer_oracle():
         for seed in oracle_seeds():
             gen = LaggedFibonacci(seed)
             ref = ReferenceStream(seed)
-            same = gen._state.tolist() == ref._state
-            for _ in range(3):
-                block = gen._next_words(1009).tolist()
-                same &= block == ref.next_block(1009)
-                same &= all(type(word) is int for word in block)
+            same = True
+            for _ in range(3):  # the first 100 words are the warm state
+                same &= words(gen, 1009) == ref.next_block(1009)
             same &= gen.uniforms(2500).tolist() == [ref.uniform() for _ in range(2500)]
             if not same:
                 mismatched.append(seed)
     assert mismatched == []
 
 
-# block boundaries fall every 1009 words
-UNIFORMS_COUNTS = (0, 1, 1008, 1009, 1010, 3000)
+def test_warm_states_match_oracle_in_input_order():
+    # one batch of mixed bit lengths, some seeds running out of bits long
+    # before others, against ran_start and the warm-up seed by seed
+    seeds = [0, 1, 2, 3, 2**29, MAX_SEED, 310952]
+    seeds += [function_seed(sized_class(2, 10), nf) for nf in range(1, 101)]
+    states = rng._warm_states(seeds)
+    assert states.shape == (100, len(seeds)) and states.dtype == np.uint64
+    for column, seed in zip(states.T, seeds):
+        assert column.tolist() == ReferenceStream(seed)._state, seed
+
+
+# the stream is read in full, so every count is an edge only of what has
+# been computed: the lags 37 and 100 and Knuth's block length 1009
+UNIFORMS_COUNTS = (0, 1, 36, 37, 99, 100, 101, 137, 1008, 1009, 1010, 3000)
 
 
 def test_uniforms_match_oracle_across_block_boundaries():
@@ -122,7 +138,7 @@ def test_seed_out_of_range():
 def test_advancing_k_steps_matches():
     a = LaggedFibonacci(7)
     b = LaggedFibonacci(7)
-    a.uniforms(1500)  # crosses a block refill boundary
+    a.uniforms(1500)  # past Knuth's block length
     b.uniforms(1500)
     assert a.uniform() == b.uniform()
 
