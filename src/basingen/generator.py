@@ -11,14 +11,16 @@ every minimizer, its value, and its basin radius are known exactly.
 
 Generation is a pure function of ``(params, nf)``: the random stream is
 seeded from the function number, the minimizer count, and the dimension,
-so regenerating a function reproduces it bit for bit.
+so regenerating a function reproduces it bit for bit.  The first function
+generated of a class warms the streams of all 100 in one pass, and the
+warm states are kept for the functions generated after it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .params import (
     PRECISION, ClassParams, ErrorCode, ParameterError, ValidationError, _is_size, check,
     radius_weights,
 )
-from .rng import MODULUS, LaggedFibonacci, _streams
+from .rng import MODULUS, LaggedFibonacci, _stream, _warm_states
 
 FUNCTIONS_PER_CLASS = 100
 RETRY_BUDGET = 10_000
@@ -153,8 +155,25 @@ class GeneratedFunction:
 
 def function_seed(params: ClassParams, nf: int) -> int:
     """Frozen seed map: distinct per (nf, dimension, minimizer count)."""
-    raw = (nf - 1) + (params.num_minima - 1) * 100 + (params.dim - 1) * 1_000_000
+    return _seed(params.dim, params.num_minima, nf)
+
+
+def _seed(dim: int, num_minima: int, nf: int) -> int:
+    raw = (nf - 1) + (num_minima - 1) * 100 + (dim - 1) * 1_000_000
     return raw % MODULUS
+
+
+# The seeds depend on (dim, num_minima) alone, so classes that differ only
+# in box or values share an entry.  An entry is 80 KB, so the cache holds
+# at most 640 KB; the eight standard GKLS classes (N = 2..5, 10 minima,
+# a simple and a hard class each) use four entries, so even a sweep that
+# interleaves them function by function never warms a class twice.
+@lru_cache(maxsize=8)
+def _class_states(dim: int, num_minima: int) -> np.ndarray:
+    """The read-only (100, 100) warm states of the streams of the class's
+    functions, column nf - 1 for function nf."""
+    seeds = [_seed(dim, num_minima, nf) for nf in range(1, FUNCTIONS_PER_CLASS + 1)]
+    return _read_only(_warm_states(seeds))
 
 
 def _positive_uniform(rng: LaggedFibonacci) -> float:
@@ -407,21 +426,27 @@ def generate(params: ClassParams, nf: int) -> GeneratedFunction:
     Raises :class:`ParameterError` on invalid parameters, a function
     number outside [1, 100], geometric placement failure, or a record
     whose quantities double precision lost (the audit names them).
+    The first call for a class warms the streams of all its 100 functions
+    in one pass; later calls, and class sweeps, read them.
     """
     _require_valid(params)
     nf = _require_function_number(nf)
-    return _generated(params, nf, LaggedFibonacci(function_seed(params, nf)))
+    return _generated(params, nf, _class_stream(params, nf))
 
 
 def _class_functions(params: ClassParams):
     """The records ``generate(params, nf)`` for nf = 1..100, in order and
-    with the same bits: the class is checked once, its 100 seeds are warmed
-    in one pass, and each stream is made when its record is generated."""
+    with the same bits: the class is checked once, and each stream is
+    read from the class's warm states when its record is generated."""
     _require_valid(params)
-    numbers = range(1, FUNCTIONS_PER_CLASS + 1)
-    streams = _streams([function_seed(params, nf) for nf in numbers])
-    for nf, rng in zip(numbers, streams):
-        yield _generated(params, nf, rng)
+    for nf in range(1, FUNCTIONS_PER_CLASS + 1):
+        yield _generated(params, nf, _class_stream(params, nf))
+
+
+def _class_stream(params: ClassParams, nf: int) -> LaggedFibonacci:
+    """The fresh stream of function `nf` of the valid class `params`."""
+    states = _class_states(params.dim, params.num_minima)
+    return _stream(function_seed(params, nf), states[:, nf - 1])
 
 
 def _generated(params: ClassParams, nf: int, rng: LaggedFibonacci) -> GeneratedFunction:

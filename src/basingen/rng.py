@@ -14,8 +14,9 @@ constants are frozen for this package:
 
 A ``ran_array`` block is the next stretch of the recurrence and its next
 state the 100 words after it, so a stream read in full is the recurrence
-itself, whatever the block length: ``uniforms(count)`` computes just the
-`count` words it returns, from the last 100 words computed.
+itself, whatever the block length: ``uniforms(count)`` computes only the
+words it returns that are not yet computed (at least 37), from the last
+100 words computed.
 
 After the initial fill of ``ran_start``, every seeding step and every
 recurrence step is linear modulo 2**30.  They run as wrapping ``np.uint64``
@@ -30,11 +31,15 @@ vectors through the same step functions.
 The one seeding path, ``_warm_states(seeds)``, warms any number of seeds
 side by side: the fill is array shifts, the seed-dependent steps run on
 the columns whose seed still has bits, and one product with ``C``
-finishes them all.  A constructor is its one-seed case, about 30-150 us
-by the bit length of the seed; a class's 100 seeds warmed in one call
-cost about 16 us each (one core of a 2-vCPU x86-64 Xeon VM).  Deviates
-are ``word / 2**30``, so they lie in ``[0, 1)`` exactly; ``uniform()``
-reads one, through ``uniforms(1)``.
+finishes them all.  A class's 100 seeds warmed in one call cost about
+16 us each, against 30-150 us (by the bit length of the seed) for the
+one-seed case ``LaggedFibonacci(seed)`` (one core of a 2-vCPU x86-64
+Xeon VM).  ``_stream(seed, state)`` starts a stream from a warm state
+without seeding again; the generator keeps a class's warm states and
+reads every stream of the class from them.  Deviates are
+``word / 2**30``, so they lie in ``[0, 1)`` exactly; ``uniform()`` reads
+one, through ``uniforms(1)``, so 36 of every 37 single draws read a
+word already computed.
 """
 
 from __future__ import annotations
@@ -186,24 +191,24 @@ class LaggedFibonacci:
 
     def uniforms(self, count: int) -> np.ndarray:
         """Return the next `count` deviates as a float64 array, computing
-        only the words not yet computed."""
+        the words not yet computed, at least 37 at a time."""
         count = _require_count("count", count, 0)
         start, stop = self._cursor, self._cursor + count
         missing = stop - len(self._words)
         if missing > 0:
             keep = min(start, len(self._words) - LONG_LAG)
-            self._words = _run(self._words[keep:], missing)
+            # a slice of up to 37 words is one ufunc call, so compute at
+            # least that many: the next single draws read them
+            self._words = _run(self._words[keep:], max(missing, SHORT_LAG))
             start, stop = start - keep, stop - keep
         self._cursor = stop
         return (self._words[start:stop] & _MASK) / MODULUS
 
 
-def _streams(seeds):
-    """``LaggedFibonacci(seed)`` for each of the valid `seeds`, in order:
-    the states are warmed in one call, and each stream is made when it is
-    asked for."""
-    states = _warm_states(seeds)
-    for j, seed in enumerate(seeds):
-        stream = LaggedFibonacci.__new__(LaggedFibonacci)
-        stream._start(seed, states[:, j])
-        yield stream
+def _stream(seed: int, state: np.ndarray) -> LaggedFibonacci:
+    """``LaggedFibonacci(seed)`` started from `state`, its column of
+    ``_warm_states``, without seeding again; the stream only reads
+    `state`, which may be read-only."""
+    stream = LaggedFibonacci.__new__(LaggedFibonacci)
+    stream._start(seed, state)
+    return stream

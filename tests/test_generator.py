@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -272,13 +273,10 @@ def test_unplaceable_global_minimizer_is_a_parameter_error(monkeypatch):
     # a stream stuck at 0.0 puts every vertex draw on the box corner,
     # never inside the precision margin
     class StuckStream:
-        def __init__(self, seed):
-            pass
-
         def uniforms(self, count):
             return np.zeros(count)
 
-    monkeypatch.setattr(generator, "LaggedFibonacci", StuckStream)
+    monkeypatch.setattr(generator, "_stream", lambda seed, state: StuckStream())
     with pytest.raises(ParameterError) as exc:
         generate(default_params(2), 1)
     assert exc.value.codes == [ErrorCode.GLOBAL_DIST]
@@ -592,15 +590,79 @@ def test_radii_terminate_on_non_finite_distances():
 
 
 def test_class_path_matches_generate(pinned_classes):
-    # the class path warms its 100 seeds in one pass and makes each stream
-    # as its record is generated; the last class's seeds cross 2**20 at nf 77
+    # the class path reads each stream from the class's warm states as its
+    # record is generated; the last class's seeds cross 2**20 at nf 77, and
+    # its references are seeded one by one
     params = ClassParams(2, 486, -1.0)
     classes = [pinned_classes[2, 10], pinned_classes[10, 100]]
-    classes.append([generate(params, nf) for nf in range(1, 101)])
+    classes.append([fresh_record(params, nf) for nf in range(1, 101)])
     for funcs in classes:
         batch = list(generator._class_functions(funcs[0].params))
         assert len(batch) == FUNCTIONS_PER_CLASS
         assert all(records_equal(a, b) for a, b in zip(batch, funcs, strict=True))
+
+
+def fresh_record(params, nf):
+    """Function `nf` of `params` drawn from a stream seeded on its own."""
+    return generator._generated(params, nf, LaggedFibonacci(function_seed(params, nf)))
+
+
+def test_generate_reads_the_class_states():
+    # every function of a class reads its stream from the class's warm
+    # states, also when more classes than the cache holds interleave, so
+    # that entries are evicted and warmed again
+    for params in (sized_class(2, 10), sized_class(10, 100)):
+        for nf in range(1, FUNCTIONS_PER_CLASS + 1):
+            assert records_equal(generate(params, nf), fresh_record(params, nf))
+    keys = [(dim, num_minima) for dim in (2, 3, 4) for num_minima in (2, 3, 4, 5)]
+    calls = [(small_class(*key), nf) for key in keys for nf in (1, 50, 100)]
+    random.Random(20261020).shuffle(calls)
+    generator._class_states.cache_clear()
+    for params, nf in calls:
+        assert records_equal(generate(params, nf), fresh_record(params, nf))
+    info = generator._class_states.cache_info()
+    assert info.maxsize == 8 and info.currsize == 8
+    assert len(keys) < info.misses < len(calls)
+
+
+def test_classes_of_one_size_share_their_states():
+    # the seeds read only (dim, num_minima): a class on another box or with
+    # another global value reads the same entry
+    near = small_class(3, 7)
+    far = small_class(
+        3, 7, global_value=-4.0, domain_left=(10.0,) * 3, domain_right=(14.0,) * 3,
+        global_dist=1.0, global_radius=0.5,
+    )  # fmt: skip
+    generator._class_states.cache_clear()
+    for nf in (1, 2, 99):
+        for params in (near, far):
+            assert records_equal(generate(params, nf), fresh_record(params, nf))
+    info = generator._class_states.cache_info()
+    assert info.currsize == info.misses == 1
+
+
+def test_class_states_are_read_only():
+    params = default_params(2)
+    first = generate(params, 1)
+    states = generator._class_states(2, 10)
+    kept = states.copy()
+    assert not states.flags.writeable
+    with pytest.raises(ValueError):
+        states[0, 0] = 1
+    generator._class_stream(params, 1).uniforms(5000)
+    assert np.array_equal(states, kept)
+    assert records_equal(generate(params, 1), first)
+
+
+def test_a_class_loop_warms_once():
+    params = sized_class(3, 12)
+    generator._class_states.cache_clear()
+    for nf in range(1, FUNCTIONS_PER_CLASS + 1):
+        generate(params, nf)
+    info = generator._class_states.cache_info()
+    assert (info.misses, info.hits) == (1, FUNCTIONS_PER_CLASS - 1)
+    list(generator._class_functions(params))
+    assert generator._class_states.cache_info().misses == 1
 
 
 def test_one_distance_matrix_per_record(monkeypatch, pinned_classes, tmp_path):

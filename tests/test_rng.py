@@ -94,6 +94,26 @@ def test_uniforms_match_oracle_across_block_boundaries():
         assert gen.uniform() == ref.uniform()
 
 
+def test_mixed_draws_equal_one_array_draw():
+    # a single draw that finds words missing computes a 37-word slice,
+    # which the draws after it read: any mix of single and array draws
+    # walks the stream that one array draw returns
+    picks = random.Random(20261020)
+    single = None
+    plans = [[single] * 300, [single, 36, single, 0, 37, single, 62, single, 100, single, 1]]
+    counts = [single] * 4 + [0, 1, 2, 36, 37, 38, 99, 100, 101]
+    plans += [[picks.choice(counts) for _ in range(60)] for _ in range(20)]
+    for plan in plans:
+        gen = LaggedFibonacci(310952)
+        drawn = []
+        for count in plan:
+            if count is single:
+                drawn.append(gen.uniform())
+            else:
+                drawn.extend(gen.uniforms(count).tolist())
+        assert drawn == LaggedFibonacci(310952).uniforms(len(drawn)).tolist()
+
+
 def test_uniforms_rejects_bad_counts():
     gen = LaggedFibonacci(5)
     for count in (-1, 1.5, 2.0, True, "3", None, np.float64(3.0)):
