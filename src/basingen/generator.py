@@ -9,16 +9,18 @@ uniformly over the interior of the box.  Attraction radii, basin
 depths, and the curvature parameter ``delta`` are then derived so that
 every minimizer, its value, and its basin radius are known exactly.
 
-Generation is a pure function of ``(params, nf)``: the random stream is
-seeded from the function number, the minimizer count, and the dimension,
-so regenerating a function reproduces it bit for bit.  The first function
-generated of a class warms the streams of all 100 in one pass, and the
-warm states are kept for the functions generated after it.
+Generation is a pure function of ``(params, nf)``, params equal in every
+bit: the random stream is seeded from the function number, the minimizer
+count, and the dimension, so regenerating a function reproduces it bit
+for bit, and a record still held anywhere is returned as the same object.
+The first function generated of a class warms the streams of all 100 in
+one pass, and the warm states are kept for the functions generated after it.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -174,6 +176,10 @@ def _class_states(dim: int, num_minima: int) -> np.ndarray:
     functions, column nf - 1 for function nf."""
     seeds = [_seed(dim, num_minima, nf) for nf in range(1, FUNCTIONS_PER_CLASS + 1)]
     return _read_only(_warm_states(seeds))
+
+
+# (repr(params), nf) -> the live record; repr keeps every bit (== takes -0.0 for 0.0)
+_records: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _positive_uniform(rng: LaggedFibonacci) -> float:
@@ -422,25 +428,35 @@ def _require_valid(params: ClassParams) -> None:
 def generate(params: ClassParams, nf: int) -> GeneratedFunction:
     """Generate function `nf` (1..100) of the class defined by `params`.
 
-    Deterministic: equal arguments produce bitwise-identical records.
-    Raises :class:`ParameterError` on invalid parameters, a function
-    number outside [1, 100], geometric placement failure, or a record
-    whose quantities double precision lost (the audit names them).
+    Deterministic: arguments equal in every bit produce bitwise-identical
+    records, and a record still held anywhere is returned as the same
+    object.  Raises :class:`ParameterError` on invalid parameters, a
+    function number outside [1, 100], geometric placement failure, or a
+    record whose quantities double precision lost (the audit names them).
     The first call for a class warms the streams of all its 100 functions
     in one pass; later calls, and class sweeps, read them.
     """
     _require_valid(params)
     nf = _require_function_number(nf)
-    return _generated(params, nf, _class_stream(params, nf))
+    return _record(params, repr(params), nf)
 
 
 def _class_functions(params: ClassParams):
-    """The records ``generate(params, nf)`` for nf = 1..100, in order and
-    with the same bits: the class is checked once, and each stream is
-    read from the class's warm states when its record is generated."""
+    """The records ``generate(params, nf)`` for nf = 1..100, in order: the
+    class is checked and keyed once, and each record is generated when
+    it is reached, unless it is still held."""
     _require_valid(params)
+    key = repr(params)
     for nf in range(1, FUNCTIONS_PER_CLASS + 1):
-        yield _generated(params, nf, _class_stream(params, nf))
+        yield _record(params, key, nf)
+
+
+def _record(params: ClassParams, key: str, nf: int) -> GeneratedFunction:
+    """Function `nf` of the valid class `params` (repr `key`): the live record, else a new one."""
+    func = _records.get((key, nf))
+    if func is None:
+        func = _records[key, nf] = _generated(params, nf, _class_stream(params, nf))
+    return func
 
 
 def _class_stream(params: ClassParams, nf: int) -> LaggedFibonacci:

@@ -256,9 +256,9 @@ def run_solver(
     :meth:`BudgetedObjective.run` per function: a solver exception is
     recorded as a per-function failure and the sweep continues.  An
     invalid class is a :class:`ParameterError` before anything else.
-    The class's 100 seeds are warmed in one pass, and each function is
-    generated (as :func:`generate` makes it) just before its run, so one
-    that cannot be generated raises after the runs before it.
+    Each function is taken as :func:`generate` returns it just before its
+    run: a record the caller still holds is reused, any other is generated
+    then, so one that cannot be generated raises after the runs before it.
     """
     errors = check(params)  # the default value_tol reads the class values
     if errors:

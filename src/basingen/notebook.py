@@ -129,10 +129,10 @@ def summary_path_for(path, suffix: str = ".txt") -> Path:
 
 
 def export_class(params: ClassParams, function_type: str, path) -> LoadedClass:
-    """Generate all 100 functions of a class, as :func:`generate` makes
-    them but with the 100 seeds warmed in one pass, write their notebook
-    JSON and a plain-text summary alongside it, and return the records as
-    the :class:`LoadedClass` that :func:`load_class` reads back from `path`."""
+    """Take all 100 functions of a class as :func:`generate` returns them (a
+    record still held is reused), write their notebook JSON and a summary
+    text alongside it, and return the records as the :class:`LoadedClass`
+    that :func:`load_class` reads back from `path`."""
     _require_family(function_type)
     functions = list(_class_functions(params))
     loaded = LoadedClass(params=params, functions=functions, function_type=function_type)

@@ -1,9 +1,20 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
-from basingen import ClassParams, default_params, generate
+from basingen import ClassParams, default_params, generate, generator
+
+
+@pytest.fixture
+def fresh_records(monkeypatch):
+    """An empty table of live records for one test: records that the
+    session's fixtures hold are generated again, and what the test
+    generates (a patched generator included) never reaches the shared table."""
+    table = weakref.WeakValueDictionary()
+    monkeypatch.setattr(generator, "_records", table)
+    return table
 
 
 @pytest.fixture(scope="session")

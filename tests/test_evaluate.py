@@ -564,7 +564,7 @@ def test_lowest_row_wins_on_tangency():
 # the evaluation plan
 
 
-def test_plan_is_built_once_per_record_and_family(params2, monkeypatch):
+def test_plan_is_built_once_per_record_and_family(params2, monkeypatch, fresh_records):
     # the package's `evaluate` names the function, not the module
     evaluate_module = importlib.import_module("basingen.evaluate")
     calls = []

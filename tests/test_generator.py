@@ -2,7 +2,9 @@ import collections
 import dataclasses
 import hashlib
 import json
+import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -62,7 +64,7 @@ def records_equal(a, b):
 # generate
 
 
-def test_generate_is_deterministic(params2, func9):
+def test_generate_is_deterministic(params2, func9, fresh_records):
     assert records_equal(func9, generate(params2, 9))
 
 
@@ -138,8 +140,9 @@ def test_function_number_bounds(params2):
         assert exc.value.codes == [ErrorCode.FUNC_NUMBER]
 
 
-def test_numpy_integer_function_numbers(params2, func9):
+def test_numpy_integer_function_numbers(params2, func9, fresh_records):
     for kind in (np.int64, np.int32):
+        fresh_records.clear()  # else generate returns a record made before
         func = generate(params2, kind(9))
         assert type(func.nf) is int
         assert stored_fields(func) == stored_fields(func9)
@@ -269,7 +272,7 @@ def test_gap_below_global_radius_generates_clean_classes(params):
         assert np.array_equal(func.minima.rho, reference_radii(func.minima.local_min, params))
 
 
-def test_unplaceable_global_minimizer_is_a_parameter_error(monkeypatch):
+def test_unplaceable_global_minimizer_is_a_parameter_error(monkeypatch, fresh_records):
     # a stream stuck at 0.0 puts every vertex draw on the box corner,
     # never inside the precision margin
     class StuckStream:
@@ -449,7 +452,7 @@ def test_large_magnitudes_refuse_or_evaluate_finitely(params):
                 assert np.isfinite(derivative(func, x)).all()
 
 
-def test_broken_record_at_normal_scale_stays_internal(monkeypatch):
+def test_broken_record_at_normal_scale_stays_internal(monkeypatch, fresh_records):
     # only lost magnitudes are the caller's fault; a generator bug is not
     radii = generator.compute_radii
 
@@ -463,12 +466,13 @@ def test_broken_record_at_normal_scale_stays_internal(monkeypatch):
         generate(default_params(2), 1)
 
 
-def test_only_the_audit_refuses_a_record(monkeypatch):
+def test_only_the_audit_refuses_a_record(monkeypatch, fresh_records):
     # the audit refuses every function of paraboloid-1e16 (its depths are
     # lost in rounding); with the audit silenced, construction returns one
     monkeypatch.setattr(generator, "ground_truth_problems", lambda func, dists: [])
     func = generate(dataclasses.replace(default_params(2), paraboloid_min=1e16), 1)
     assert isinstance(func, GeneratedFunction)
+    assert list(fresh_records.values()) == [func]  # the test's own table
 
 
 @pytest.mark.parametrize(
@@ -589,7 +593,7 @@ def test_radii_terminate_on_non_finite_distances():
     assert np.array_equal(rho, expected, equal_nan=True)
 
 
-def test_class_path_matches_generate(pinned_classes):
+def test_class_path_matches_generate(pinned_classes, fresh_records):
     # the class path reads each stream from the class's warm states as its
     # record is generated; the last class's seeds cross 2**20 at nf 77, and
     # its references are seeded one by one
@@ -641,7 +645,7 @@ def test_classes_of_one_size_share_their_states():
     assert info.currsize == info.misses == 1
 
 
-def test_class_states_are_read_only():
+def test_class_states_are_read_only(fresh_records):
     params = default_params(2)
     first = generate(params, 1)
     states = generator._class_states(2, 10)
@@ -651,6 +655,7 @@ def test_class_states_are_read_only():
         states[0, 0] = 1
     generator._class_stream(params, 1).uniforms(5000)
     assert np.array_equal(states, kept)
+    fresh_records.clear()  # else generate returns `first` itself
     assert records_equal(generate(params, 1), first)
 
 
@@ -665,7 +670,7 @@ def test_a_class_loop_warms_once():
     assert generator._class_states.cache_info().misses == 1
 
 
-def test_one_distance_matrix_per_record(monkeypatch, pinned_classes, tmp_path):
+def test_one_distance_matrix_per_record(monkeypatch, pinned_classes, tmp_path, fresh_records):
     matrices, audits, read = [], [], []
     distance_matrix = generator._distance_matrix
     radii, audit = generator.compute_radii, generator.ground_truth_problems
@@ -703,6 +708,73 @@ def test_one_distance_matrix_per_record(monkeypatch, pinned_classes, tmp_path):
     matrices.clear()
     load_class(path)
     assert len(matrices) == FUNCTIONS_PER_CLASS
+
+
+# --------------------------------------------------------------------------
+# live records
+
+
+def _digest(func):
+    """sha256 over the stored fields of a record."""
+    digest = hashlib.sha256(repr((func.nf, func.delta)).encode())
+    for field in ("local_min", "f", "rho", "peak"):
+        digest.update(getattr(func.minima, field).tobytes())
+    return digest.hexdigest()
+
+
+def test_a_record_is_kept_while_it_is_held(fresh_records):
+    params = sized_class(3, 12)
+    funcs = [generate(params, nf) for nf in range(1, FUNCTIONS_PER_CLASS + 1)]
+    assert len(fresh_records) == FUNCTIONS_PER_CLASS
+    assert all(generate(params, func.nf) is func for func in funcs)
+    assert all(a is b for a, b in zip(generator._class_functions(params), funcs, strict=True))
+    digests = [_digest(func) for func in funcs]
+    del funcs
+    assert len(fresh_records) == 0
+    again = [generate(params, nf) for nf in range(1, FUNCTIONS_PER_CLASS + 1)]
+    assert [_digest(func) for func in again] == digests
+
+
+def test_the_shared_table_keeps_no_record_alive():
+    func = generate(sized_class(3, 13), 7)
+    released = weakref.ref(func)
+    del func
+    assert released() is None
+
+
+def test_a_zero_of_the_other_sign_is_another_class(fresh_records, tmp_path):
+    # == and hash take -0.0 for 0.0, yet the records store the sign
+    params = default_params(2)
+    negative = dataclasses.replace(params, paraboloid_min=-0.0)
+    assert negative == params and hash(negative) == hash(params)
+    held = [generate(params, nf) for nf in range(1, FUNCTIONS_PER_CLASS + 1)]
+    shared = export_class(negative, "d2", tmp_path / "shared.json")
+    assert not any(a is b for a, b in zip(shared.functions, held, strict=True))
+    assert all(math.copysign(1.0, func.minima.f[VERTEX_ROW]) == -1.0 for func in shared.functions)
+    del held, shared
+    assert len(fresh_records) == 0
+    export_class(negative, "d2", tmp_path / "alone.json")
+    for suffix in (".json", ".txt"):
+        alone = (tmp_path / f"alone{suffix}").read_bytes()
+        assert (tmp_path / f"shared{suffix}").read_bytes() == alone
+    export_class(params, "d2", tmp_path / "positive.json")
+    assert (tmp_path / "positive.json").read_bytes() != (tmp_path / "alone.json").read_bytes()
+
+
+def test_only_generated_records_enter_the_table(fresh_records, tmp_path):
+    params = sized_class(3, 12)
+    export_class(params, "d", tmp_path / "c.json")
+    assert len(fresh_records) == 0
+    loaded = load_class(tmp_path / "c.json")
+    assert len(fresh_records) == 0
+    assert generate(params, 1) is not loaded.functions[0]
+    # the audit refuses every function of paraboloid-1e16
+    refused = dataclasses.replace(default_params(2), paraboloid_min=1e16)
+    with pytest.raises(ParameterError):
+        generate(refused, 1)
+    with pytest.raises(ParameterError):
+        export_class(refused, "d", tmp_path / "refused.json")
+    assert len(fresh_records) == 0
 
 
 def test_balls_disjoint_across_class(default_class):

@@ -74,7 +74,7 @@ def test_invalid_class_rejected_before_generation(params2, monkeypatch, global_v
         run_solver(bad, "d", oracle_solver, budget=10)
 
 
-def test_generation_failure_raises_after_the_runs_before_it(params2, monkeypatch):
+def test_generation_failure_raises_after_the_runs_before_it(params2, monkeypatch, fresh_records):
     # each function is generated just before its run, as one generate call did
     ran, generated = [], generator._generated
 
@@ -87,6 +87,20 @@ def test_generation_failure_raises_after_the_runs_before_it(params2, monkeypatch
     with pytest.raises(ParameterError):
         run_solver(params2, "d", lambda objective, func: ran.append(func.nf), budget=1)
     assert ran == [1, 2]
+
+
+def test_solvers_get_the_records_the_caller_holds(params2, monkeypatch):
+    held = [generate(params2, nf) for nf in range(1, 101)]
+    seen = []
+
+    def solver(objective, func):
+        seen.append(func)
+        oracle_solver(objective, func)
+
+    monkeypatch.setattr(generator, "_generated", None)  # a call would raise TypeError
+    report = run_solver(params2, "d", solver, budget=1)
+    assert report.success_count == 100
+    assert all(a is b for a, b in zip(seen, held, strict=True))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from basingen import (
     params_to_dict,
     write_grid,
 )
-from basingen import notebook
+from basingen import generator, notebook
 from basingen.notebook import summary_path_for
 
 from conftest import sized_class
@@ -72,6 +73,20 @@ def test_export_is_reproducible(tmp_path, params2):
     export_class(params2, "d", a)
     export_class(params2, "d", b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_export_after_a_generate_loop_reuses_its_records(tmp_path, params2, monkeypatch):
+    funcs = [generate(params2, nf) for nf in range(1, 101)]
+    with monkeypatch.context() as patch:
+        patch.setattr(generator, "_generated", None)  # a call would raise TypeError
+        reused = export_class(params2, "d2", tmp_path / "reused.json")
+    assert all(a is b for a, b in zip(reused.functions, funcs, strict=True))
+    monkeypatch.setattr(generator, "_records", weakref.WeakValueDictionary())
+    fresh = export_class(params2, "d2", tmp_path / "fresh.json")
+    assert not any(a is b for a, b in zip(fresh.functions, funcs, strict=True))
+    for suffix in (".json", ".txt"):
+        made = (tmp_path / f"fresh{suffix}").read_bytes()
+        assert (tmp_path / f"reused{suffix}").read_bytes() == made
 
 
 def test_round_trip_reproduces_ground_truth(
