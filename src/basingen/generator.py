@@ -13,8 +13,9 @@ Generation is a pure function of ``(params, nf)``, params equal in every
 bit: the random stream is seeded from the function number, the minimizer
 count, and the dimension, so regenerating a function reproduces it bit
 for bit, and a record still held anywhere is returned as the same object.
-The first function generated of a class warms the streams of all 100 in
-one pass, and the warm states are kept for the functions generated after it.
+Each record is drawn from its own ``LaggedFibonacci(function_seed(params,
+nf))``; the stream module keeps the warm states of recent seeds, so a
+function generated again is not seeded again.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .params import (
     PRECISION, ClassParams, ErrorCode, ParameterError, ValidationError, _is_size, check,
     radius_weights,
 )
-from .rng import MODULUS, LaggedFibonacci, _stream, _warm_states
+from .rng import MODULUS, LaggedFibonacci
 
 FUNCTIONS_PER_CLASS = 100
 RETRY_BUDGET = 10_000
@@ -156,26 +157,16 @@ class GeneratedFunction:
 
 
 def function_seed(params: ClassParams, nf: int) -> int:
-    """Frozen seed map: distinct per (nf, dimension, minimizer count)."""
+    """Frozen seed map of (nf, dimension, minimizer count): the seeds of
+    valid classes are distinct only while ``num_minima <= 10001``; beyond,
+    ``ClassParams(2, 10002, -1.0)`` and ``ClassParams(3, 2, -1.0)`` both
+    seed function 1 with 2000100 (ROADMAP item 14)."""
     return _seed(params.dim, params.num_minima, nf)
 
 
 def _seed(dim: int, num_minima: int, nf: int) -> int:
     raw = (nf - 1) + (num_minima - 1) * 100 + (dim - 1) * 1_000_000
     return raw % MODULUS
-
-
-# The seeds depend on (dim, num_minima) alone, so classes that differ only
-# in box or values share an entry.  An entry is 80 KB, so the cache holds
-# at most 640 KB; the eight standard GKLS classes (N = 2..5, 10 minima,
-# a simple and a hard class each) use four entries, so even a sweep that
-# interleaves them function by function never warms a class twice.
-@lru_cache(maxsize=8)
-def _class_states(dim: int, num_minima: int) -> np.ndarray:
-    """The read-only (100, 100) warm states of the streams of the class's
-    functions, column nf - 1 for function nf."""
-    seeds = [_seed(dim, num_minima, nf) for nf in range(1, FUNCTIONS_PER_CLASS + 1)]
-    return _read_only(_warm_states(seeds))
 
 
 # (repr(params), nf) -> the live record; repr keeps every bit (== takes -0.0 for 0.0)
@@ -433,8 +424,8 @@ def generate(params: ClassParams, nf: int) -> GeneratedFunction:
     object.  Raises :class:`ParameterError` on invalid parameters, a
     function number outside [1, 100], geometric placement failure, or a
     record whose quantities double precision lost (the audit names them).
-    The first call for a class warms the streams of all its 100 functions
-    in one pass; later calls, and class sweeps, read them.
+    The record is drawn from a fresh ``LaggedFibonacci`` of its seed
+    (:func:`function_seed`).
     """
     _require_valid(params)
     nf = _require_function_number(nf)
@@ -443,31 +434,25 @@ def generate(params: ClassParams, nf: int) -> GeneratedFunction:
 
 def _class_functions(params: ClassParams):
     """The records ``generate(params, nf)`` for nf = 1..100, in order: the
-    class is checked and keyed once, and each record is generated when
-    it is reached, unless it is still held."""
+    class is checked now and keyed once, and each record is generated
+    when the iterator reaches it, unless it is still held."""
     _require_valid(params)
     key = repr(params)
-    for nf in range(1, FUNCTIONS_PER_CLASS + 1):
-        yield _record(params, key, nf)
+    return (_record(params, key, nf) for nf in range(1, FUNCTIONS_PER_CLASS + 1))
 
 
 def _record(params: ClassParams, key: str, nf: int) -> GeneratedFunction:
     """Function `nf` of the valid class `params` (repr `key`): the live record, else a new one."""
     func = _records.get((key, nf))
     if func is None:
-        func = _records[key, nf] = _generated(params, nf, _class_stream(params, nf))
+        func = _records[key, nf] = _generated(params, nf)
     return func
 
 
-def _class_stream(params: ClassParams, nf: int) -> LaggedFibonacci:
-    """The fresh stream of function `nf` of the valid class `params`."""
-    states = _class_states(params.dim, params.num_minima)
-    return _stream(function_seed(params, nf), states[:, nf - 1])
-
-
-def _generated(params: ClassParams, nf: int, rng: LaggedFibonacci) -> GeneratedFunction:
-    """Function `nf` of the valid class `params`, drawn from `rng`, the
-    fresh stream of its seed."""
+def _generated(params: ClassParams, nf: int) -> GeneratedFunction:
+    """Function `nf` of the valid class `params`, drawn from a fresh stream
+    of its seed."""
+    rng = LaggedFibonacci(function_seed(params, nf))
     vertex, global_min = place_vertex_and_global(params, rng)
     others = place_local_minimizers(params, vertex, global_min, rng)
     local_min = np.vstack([vertex[None, :], global_min[None, :], others])

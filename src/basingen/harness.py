@@ -59,7 +59,7 @@ from .evaluate import (
 )
 from .generator import GeneratedFunction, _class_functions, _einsum
 from .notebook import summary_path_for
-from .params import ClassParams, ParameterError, _as_float, _require_count, check
+from .params import ClassParams, _as_float, _require_count
 
 VALUE_TOL_SCALE = 1e-4  # of the paraboloid-minimum-to-global-value drop
 
@@ -260,9 +260,7 @@ def run_solver(
     run: a record the caller still holds is reused, any other is generated
     then, so one that cannot be generated raises after the runs before it.
     """
-    errors = check(params)  # the default value_tol reads the class values
-    if errors:
-        raise ParameterError(errors)
+    functions = _class_functions(params)  # checks the class, whose values value_tol reads
     if value_tol is None:
         value_tol = VALUE_TOL_SCALE * (params.paraboloid_min - params.global_value)
     # the objective's checks, once before anything is generated
@@ -270,7 +268,7 @@ def run_solver(
 
     outcomes = [
         BudgetedObjective(func, family, budget, value_tol).run(solver)
-        for func in _class_functions(params)
+        for func in functions
     ]
 
     # a successful outcome always has one: its best met a criterion when noted

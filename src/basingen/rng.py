@@ -28,23 +28,19 @@ reordering and the 10 warm-up blocks are one fixed 100 x 100 map ``C``,
 built on the first construction (never at import) by pushing the unit
 vectors through the same step functions.
 
-The one seeding path, ``_warm_states(seeds)``, warms any number of seeds
-side by side: the fill is array shifts, the seed-dependent steps run on
-the columns whose seed still has bits, and one product with ``C``
-finishes them all.  A class's 100 seeds warmed in one call cost about
-16 us each, against 30-150 us (by the bit length of the seed) for the
-one-seed case ``LaggedFibonacci(seed)`` (one core of a 2-vCPU x86-64
-Xeon VM).  ``_stream(seed, state)`` starts a stream from a warm state
-without seeding again; the generator keeps a class's warm states and
-reads every stream of the class from them.  Deviates are
-``word / 2**30``, so they lie in ``[0, 1)`` exactly; ``uniform()`` reads
-one, through ``uniforms(1)``, so 36 of every 37 single draws read a
-word already computed.
+``_warm_state(seed)`` is the one seeding path: ``ran_start``'s loop over
+the seed's bits, then one product with ``C``, about 15-190 us by the bit
+length of the seed (one core of a 2-vCPU x86-64 Xeon VM).  It keeps the
+read-only states of the 800 seeds used last (about 1 KB each: 8 classes
+of 100 functions), so a stream made again from a seed it holds is not
+seeded again.  Deviates are ``word / 2**30``, so they lie in ``[0, 1)``
+exactly; ``uniform()`` reads one, through ``uniforms(1)``, so 36 of
+every 37 single draws read a word already computed.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -59,12 +55,9 @@ _WARMUP_LENGTH = 2 * LONG_LAG - 1
 _WARMUP_BLOCKS = 10
 _STREAM_SEPARATION = 70
 _MASK = np.uint64(MODULUS - 1)
-# ran_start's fill word j is its 29-bit seed word turned left j mod 29 places
-_FILL_BITS = np.uint64(29)
-_FILL_TURNS = (np.arange(LONG_LAG, dtype=np.uint64) % _FILL_BITS)[:, None]
 
 # The steps below act along axis 0: a 1-D array is one state, and a
-# (words, k) array carries k states side by side.
+# (words, k) array carries k states side by side, as when building C.
 
 
 def _square(buf: np.ndarray) -> None:
@@ -122,48 +115,29 @@ def _tail_map() -> np.ndarray:
     return tail
 
 
-def _warm_states(seeds) -> np.ndarray:
-    """``ran_start(seed)`` followed by the warm-up for each of the valid
-    `seeds`: the (100, k) states, one column per seed in input order, from
-    which each stream's first word is read.  The columns are stepped in
-    order of decreasing seed, so those whose seed still has bits are a
-    prefix; a lone one is stepped as a 1-D view."""
-    # the result comes before the scratch arrays, so that freeing them can
-    # shrink the heap: made after them, it kept about 0.3 MB of RSS
-    states = np.empty((LONG_LAG, len(seeds)), dtype=np.uint64)
-    order = sorted(range(len(seeds)), key=seeds.__getitem__, reverse=True)
-    ordered = [seeds[j] for j in order]
-    columns = np.array(ordered, dtype=np.uint64)
-    word = ((columns + np.uint64(2)) & np.uint64(MODULUS - 2)) >> np.uint64(1)
-    buf = np.zeros((2 * LONG_LAG - 1, len(order)), dtype=np.uint64)
-    fill = buf[:LONG_LAG]
-    np.left_shift(word, _FILL_TURNS, out=fill)
-    fill |= word >> (_FILL_BITS - _FILL_TURNS)
-    fill &= np.uint64((1 << 29) - 1)
-    fill <<= np.uint64(1)
-    fill[1] += np.uint64(1)  # make fill[1], and only fill[1], odd
-    lengths = [seed.bit_length() for seed in ordered]
-    bit, live = 0, len(order)
-    while live > 1:
-        if lengths[live - 1] <= bit:  # that column's seed has run out of bits
-            live -= 1
-            continue
-        block = buf[:, :live]
-        _square(block)
-        odd = ((columns[:live] >> np.uint64(bit)) & np.uint64(1)).nonzero()[0]
-        moved = block[: LONG_LAG + 1, odd]
-        _multiply_by_z(moved)
-        block[: LONG_LAG + 1, odd] = moved
-        bit += 1
-    lone, bits = buf[:, 0], ordered[0] >> bit
-    while bits:
-        _square(lone)
-        if bits & 1:
-            _multiply_by_z(lone)
-        bits >>= 1
-    states[:, order] = _tail_map() @ buf[:LONG_LAG]
-    states &= _MASK
-    return states
+@lru_cache(maxsize=800)
+def _warm_state(seed: int) -> np.ndarray:
+    """``ran_start(seed)`` followed by the warm-up: the read-only 100-word
+    state from which the stream's first word is read."""
+    fill = [0] * LONG_LAG
+    ss = (seed + 2) & (MODULUS - 2)
+    for j in range(LONG_LAG):
+        fill[j] = ss
+        ss <<= 1  # cyclic shift over 29 bits
+        if ss >= MODULUS:
+            ss -= MODULUS - 2
+    fill[1] += 1  # make fill[1], and only fill[1], odd
+    buf = np.zeros(2 * LONG_LAG - 1, dtype=np.uint64)
+    buf[:LONG_LAG] = fill
+    ss = seed
+    while ss:
+        _square(buf)
+        if ss & 1:
+            _multiply_by_z(buf)
+        ss >>= 1
+    state = (_tail_map() @ buf[:LONG_LAG]) & _MASK
+    state.setflags(write=False)
+    return state
 
 
 class LaggedFibonacci:
@@ -178,11 +152,9 @@ class LaggedFibonacci:
         seed = _require_count("seed", seed, 0)
         if seed > MAX_SEED:
             raise ValueError(f"seed must be in [0, {MAX_SEED}], got {seed}")
-        self._start(seed, _warm_states([seed])[:, 0])
-
-    def _start(self, seed: int, state: np.ndarray) -> None:
         self.seed = seed
-        self._words = state  # unread words from _cursor on; the last 100 feed the recurrence
+        # unread words from _cursor on; the last 100 feed the recurrence
+        self._words = _warm_state(seed)
         self._cursor = 0
 
     def uniform(self) -> float:
@@ -204,11 +176,3 @@ class LaggedFibonacci:
         self._cursor = stop
         return (self._words[start:stop] & _MASK) / MODULUS
 
-
-def _stream(seed: int, state: np.ndarray) -> LaggedFibonacci:
-    """``LaggedFibonacci(seed)`` started from `state`, its column of
-    ``_warm_states``, without seeding again; the stream only reads
-    `state`, which may be read-only."""
-    stream = LaggedFibonacci.__new__(LaggedFibonacci)
-    stream._start(seed, state)
-    return stream

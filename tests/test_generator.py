@@ -20,8 +20,10 @@ from basingen import (
     generate,
     ground_truth_problems,
     load_class,
+    oracle_solver,
+    run_solver,
 )
-from basingen import generator
+from basingen import generator, rng
 from basingen.generator import (
     FUNCTIONS_PER_CLASS,
     GLOBAL_ROW,
@@ -279,7 +281,7 @@ def test_unplaceable_global_minimizer_is_a_parameter_error(monkeypatch, fresh_re
         def uniforms(self, count):
             return np.zeros(count)
 
-    monkeypatch.setattr(generator, "_stream", lambda seed, state: StuckStream())
+    monkeypatch.setattr(generator, "LaggedFibonacci", lambda seed: StuckStream())
     with pytest.raises(ParameterError) as exc:
         generate(default_params(2), 1)
     assert exc.value.codes == [ErrorCode.GLOBAL_DIST]
@@ -594,9 +596,9 @@ def test_radii_terminate_on_non_finite_distances():
 
 
 def test_class_path_matches_generate(pinned_classes, fresh_records):
-    # the class path reads each stream from the class's warm states as its
-    # record is generated; the last class's seeds cross 2**20 at nf 77, and
-    # its references are seeded one by one
+    # the class path makes each stream as its record is generated; the
+    # last class's seeds cross 2**20 at nf 77, and its references are
+    # seeded past the memo
     params = ClassParams(2, 486, -1.0)
     classes = [pinned_classes[2, 10], pinned_classes[10, 100]]
     classes.append([fresh_record(params, nf) for nf in range(1, 101)])
@@ -607,67 +609,105 @@ def test_class_path_matches_generate(pinned_classes, fresh_records):
 
 
 def fresh_record(params, nf):
-    """Function `nf` of `params` drawn from a stream seeded on its own."""
-    return generator._generated(params, nf, LaggedFibonacci(function_seed(params, nf)))
+    """Function `nf` of `params` drawn from a stream seeded on its own,
+    past the memo of warm states."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng, "_warm_state", rng._warm_state.__wrapped__)
+        return generator._generated(params, nf)
 
 
-def test_generate_reads_the_class_states():
-    # every function of a class reads its stream from the class's warm
-    # states, also when more classes than the cache holds interleave, so
-    # that entries are evicted and warmed again
+def test_evicted_seeds_warm_again_to_the_same_records(fresh_records):
+    # every function reads its warm state from the memo, also when more
+    # seeds than it holds interleave, so that entries are evicted and
+    # warmed again
     for params in (sized_class(2, 10), sized_class(10, 100)):
         for nf in range(1, FUNCTIONS_PER_CLASS + 1):
             assert records_equal(generate(params, nf), fresh_record(params, nf))
-    keys = [(dim, num_minima) for dim in (2, 3, 4) for num_minima in (2, 3, 4, 5)]
-    calls = [(small_class(*key), nf) for key in keys for nf in (1, 50, 100)]
-    random.Random(20261020).shuffle(calls)
-    generator._class_states.cache_clear()
-    for params, nf in calls:
+    keys = [(dim, num_minima) for dim in (2, 3, 4) for num_minima in (2, 3, 4)]
+    calls = [(small_class(*key), nf) for key in keys for nf in range(1, FUNCTIONS_PER_CLASS + 1)]
+    picks = random.Random(20261020)
+    picks.shuffle(calls)
+    again = picks.sample(calls, 300)
+    rng._warm_state.cache_clear()
+    for params, nf in calls + again:
         assert records_equal(generate(params, nf), fresh_record(params, nf))
-    info = generator._class_states.cache_info()
-    assert info.maxsize == 8 and info.currsize == 8
-    assert len(keys) < info.misses < len(calls)
+    info = rng._warm_state.cache_info()
+    assert info.maxsize == 800 and info.currsize == 800
+    assert len(calls) < info.misses < len(calls) + len(again)
 
 
-def test_classes_of_one_size_share_their_states():
+def test_classes_of_one_size_share_their_states(fresh_records):
     # the seeds read only (dim, num_minima): a class on another box or with
-    # another global value reads the same entry
+    # another global value reads the same entries
     near = small_class(3, 7)
     far = small_class(
         3, 7, global_value=-4.0, domain_left=(10.0,) * 3, domain_right=(14.0,) * 3,
         global_dist=1.0, global_radius=0.5,
     )  # fmt: skip
-    generator._class_states.cache_clear()
+    rng._warm_state.cache_clear()
     for nf in (1, 2, 99):
         for params in (near, far):
             assert records_equal(generate(params, nf), fresh_record(params, nf))
-    info = generator._class_states.cache_info()
-    assert info.currsize == info.misses == 1
+    info = rng._warm_state.cache_info()
+    assert info.currsize == info.misses == info.hits == 3
 
 
-def test_class_states_are_read_only(fresh_records):
+def test_memoised_state_is_read_only(fresh_records):
+    # every stream of a seed reads the one state the memo keeps
     params = default_params(2)
+    seed = function_seed(params, 1)
     first = generate(params, 1)
-    states = generator._class_states(2, 10)
-    kept = states.copy()
-    assert not states.flags.writeable
+    state = rng._warm_state(seed)
+    kept = state.copy()
+    assert not state.flags.writeable
     with pytest.raises(ValueError):
-        states[0, 0] = 1
-    generator._class_stream(params, 1).uniforms(5000)
-    assert np.array_equal(states, kept)
+        state[0] = 1
+    LaggedFibonacci(seed).uniforms(5000)
+    assert rng._warm_state(seed) is state and np.array_equal(state, kept)
     fresh_records.clear()  # else generate returns `first` itself
     assert records_equal(generate(params, 1), first)
 
 
-def test_a_class_loop_warms_once():
+def test_a_class_loop_warms_once(fresh_records):
+    # a generate loop seeds each of its 100 streams; the class path after
+    # it (the loop's records dropped) reads all 100 states from the memo
     params = sized_class(3, 12)
-    generator._class_states.cache_clear()
+    rng._warm_state.cache_clear()
     for nf in range(1, FUNCTIONS_PER_CLASS + 1):
         generate(params, nf)
-    info = generator._class_states.cache_info()
-    assert (info.misses, info.hits) == (1, FUNCTIONS_PER_CLASS - 1)
+    info = rng._warm_state.cache_info()
+    assert (info.misses, info.hits) == (FUNCTIONS_PER_CLASS, 0)
     list(generator._class_functions(params))
-    assert generator._class_states.cache_info().misses == 1
+    info = rng._warm_state.cache_info()
+    assert (info.misses, info.hits) == (FUNCTIONS_PER_CLASS, FUNCTIONS_PER_CLASS)
+
+
+def test_each_new_record_seeds_once(monkeypatch, tmp_path, fresh_records):
+    # the boundary a tracer wraps: every record that generate, export_class
+    # or run_solver makes builds one generator.LaggedFibonacci of its seed,
+    # and a held record builds none
+    seeds = []
+
+    class Recorded(LaggedFibonacci):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(generator, "LaggedFibonacci", Recorded)
+    params = sized_class(3, 5)
+    expected = [function_seed(params, nf) for nf in range(1, FUNCTIONS_PER_CLASS + 1)]
+    held = generate(params, 7)
+    assert generate(params, 7) is held
+    assert seeds == [expected[6]]
+    seeds.clear()
+    loaded = export_class(params, "d", tmp_path / "class.json")
+    assert seeds == expected[:6] + expected[7:]
+    seeds.clear()
+    run_solver(params, "d", oracle_solver, budget=1)
+    assert seeds == []
+    del held, loaded
+    run_solver(params, "nd", oracle_solver, budget=1)
+    assert seeds == expected
 
 
 def test_one_distance_matrix_per_record(monkeypatch, pinned_classes, tmp_path, fresh_records):

@@ -59,29 +59,44 @@ def test_budget_zero_rejected(params2):
         pytest.param(-(10**400), id="-10**400"),
     ],
 )
-def test_bad_value_tol_rejected_before_generation(params2, monkeypatch, value_tol):
-    monkeypatch.setattr(harness, "_class_functions", None)  # a call would raise TypeError
+def test_bad_value_tol_rejected_before_generation(params2, monkeypatch, fresh_records, value_tol):
+    monkeypatch.setattr(generator, "_generated", None)  # a call would raise TypeError
     with pytest.raises(ValueError, match="value_tol"):
         run_solver(params2, "d", oracle_solver, budget=10, value_tol=value_tol)
 
 
 @pytest.mark.parametrize("global_value", [None, "-1", float("nan")])
-def test_invalid_class_rejected_before_generation(params2, monkeypatch, global_value):
+def test_invalid_class_rejected_before_generation(
+    params2, monkeypatch, fresh_records, global_value
+):
     # the default value_tol is computed from the class values
-    monkeypatch.setattr(harness, "_class_functions", None)  # a call would raise TypeError
+    monkeypatch.setattr(generator, "_generated", None)  # a call would raise TypeError
     bad = replace(params2, global_value=global_value)
     with pytest.raises(ParameterError, match="GlobalMinValueError"):
         run_solver(bad, "d", oracle_solver, budget=10)
+
+
+def test_run_solver_checks_its_class_once(params2, monkeypatch):
+    calls, check = [], generator.check
+
+    def counted(params):
+        calls.append(params)
+        return check(params)
+
+    monkeypatch.setattr(generator, "check", counted)
+    monkeypatch.setattr(harness, "check", counted, raising=False)  # a restated check counts too
+    run_solver(params2, "nd", oracle_solver, budget=1)
+    assert calls == [params2]
 
 
 def test_generation_failure_raises_after_the_runs_before_it(params2, monkeypatch, fresh_records):
     # each function is generated just before its run, as one generate call did
     ran, generated = [], generator._generated
 
-    def failing_at_3(params, nf, rng):
+    def failing_at_3(params, nf):
         if nf == 3:
             raise ParameterError([])
-        return generated(params, nf, rng)
+        return generated(params, nf)
 
     monkeypatch.setattr(generator, "_generated", failing_at_3)
     with pytest.raises(ParameterError):
