@@ -9,10 +9,10 @@ uniformly over the interior of the box.  Attraction radii, basin
 depths, and the curvature parameter ``delta`` are then derived so that
 every minimizer, its value, and its basin radius are known exactly.
 
-Generation is a pure function of ``(params, nf)``, params equal in every
-bit: the random stream is seeded from the function number, the minimizer
-count, and the dimension, so regenerating a function reproduces it bit
-for bit, and a record still held anywhere is returned as the same object.
+Generation is a pure function of ``(params, nf)``: the random stream is
+seeded from the function number, the minimizer count, and the dimension,
+so regenerating a function reproduces it bit for bit, and a record still
+held anywhere is returned as the same object.
 Each record is drawn from its own ``LaggedFibonacci(function_seed(params,
 nf))``; the stream module keeps the warm states of recent seeds, so a
 function generated again is not seeded again.
@@ -98,9 +98,7 @@ class GlobalInfo:
     gm_index: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.gm_index, dtype=int)
-        arr.setflags(write=False)
-        object.__setattr__(self, "gm_index", arr)
+        object.__setattr__(self, "gm_index", _read_only(np.array(self.gm_index, dtype=int)))
 
     @property
     def global_indices(self) -> np.ndarray:
@@ -161,15 +159,11 @@ def function_seed(params: ClassParams, nf: int) -> int:
     valid classes are distinct only while ``num_minima <= 10001``; beyond,
     ``ClassParams(2, 10002, -1.0)`` and ``ClassParams(3, 2, -1.0)`` both
     seed function 1 with 2000100 (ROADMAP item 14)."""
-    return _seed(params.dim, params.num_minima, nf)
-
-
-def _seed(dim: int, num_minima: int, nf: int) -> int:
-    raw = (nf - 1) + (num_minima - 1) * 100 + (dim - 1) * 1_000_000
+    raw = (nf - 1) + (params.num_minima - 1) * 100 + (params.dim - 1) * 1_000_000
     return raw % MODULUS
 
 
-# (repr(params), nf) -> the live record; repr keeps every bit (== takes -0.0 for 0.0)
+# (params, nf) -> the live record
 _records: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -419,33 +413,31 @@ def _require_valid(params: ClassParams) -> None:
 def generate(params: ClassParams, nf: int) -> GeneratedFunction:
     """Generate function `nf` (1..100) of the class defined by `params`.
 
-    Deterministic: arguments equal in every bit produce bitwise-identical
-    records, and a record still held anywhere is returned as the same
-    object.  Raises :class:`ParameterError` on invalid parameters, a
-    function number outside [1, 100], geometric placement failure, or a
-    record whose quantities double precision lost (the audit names them).
-    The record is drawn from a fresh ``LaggedFibonacci`` of its seed
-    (:func:`function_seed`).
+    Deterministic: equal arguments produce bitwise-identical records, and a
+    record still held anywhere is returned as the same object.  Raises
+    :class:`ParameterError` on invalid parameters, a function number outside
+    [1, 100], geometric placement failure, or a record whose quantities
+    double precision lost (the audit names them).  The record is drawn from
+    a fresh ``LaggedFibonacci`` of its seed (:func:`function_seed`).
     """
     _require_valid(params)
     nf = _require_function_number(nf)
-    return _record(params, repr(params), nf)
+    return _record(params, nf)
 
 
 def _class_functions(params: ClassParams):
     """The records ``generate(params, nf)`` for nf = 1..100, in order: the
-    class is checked now and keyed once, and each record is generated
-    when the iterator reaches it, unless it is still held."""
+    class is checked now, and each record is generated when the iterator
+    reaches it, unless it is still held."""
     _require_valid(params)
-    key = repr(params)
-    return (_record(params, key, nf) for nf in range(1, FUNCTIONS_PER_CLASS + 1))
+    return (_record(params, nf) for nf in range(1, FUNCTIONS_PER_CLASS + 1))
 
 
-def _record(params: ClassParams, key: str, nf: int) -> GeneratedFunction:
-    """Function `nf` of the valid class `params` (repr `key`): the live record, else a new one."""
-    func = _records.get((key, nf))
+def _record(params: ClassParams, nf: int) -> GeneratedFunction:
+    """Function `nf` of the valid class `params`: the live record, else a new one."""
+    func = _records.get((params, nf))
     if func is None:
-        func = _records[key, nf] = _generated(params, nf)
+        func = _records[params, nf] = _generated(params, nf)
     return func
 
 

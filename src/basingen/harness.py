@@ -8,11 +8,11 @@ Two success criteria are tracked separately and combined with "or":
 * value: the best feasible value is within ``value_tol`` of the global
   minimum value.
 
-The harness owns the evaluation counter and the evaluator the query
-rule: every value or gradient query charges one unit against the budget,
-points outside the box (NaN or of the wrong length) answer +inf or None
-and are still charged, a query that is no vector of floats raises
-ValueError uncharged, and exhausting the budget stops the solver.
+The harness owns the evaluation counter and the evaluator the query rule:
+every value or gradient query charges one unit against the budget, points
+outside the box (NaN or of the wrong length) answer +inf or None and are
+still charged, a query that is no vector of floats raises ValueError or
+TypeError uncharged, and exhausting the budget stops the solver.
 
 ``BudgetedObjective.run(solver)`` owns one function's run: it calls
 ``solver(objective, func)``, ends normally on ``BudgetExhausted``, records

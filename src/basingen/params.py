@@ -108,11 +108,11 @@ def _is_size(value) -> bool:
 
 def _as_float(value):
     """A real number other than a bool (numpy scalar, Fraction, int) as a
-    float, ±inf when too large for one; else `value`."""
+    float, a zero of either sign as 0.0 and ±inf when too large; else `value`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return value
     with contextlib.suppress(OverflowError):
-        return float(value)
+        return float(value) + 0.0
     return math.inf if value > 0 else -math.inf
 
 
@@ -153,7 +153,8 @@ class ClassParams:
     rejects the box), a radius of a sixth, or of half the distance when that
     is smaller, and a gap of the radius, or the default radius when the
     radius is not finite and above 0.  Sizes are stored as int and reals as
-    float, one spelling per class; check reports the rest.
+    float, a zero as 0.0: one spelling per class, so equal params generate
+    equal records.  check reports the rest.
     """
 
     dim: int

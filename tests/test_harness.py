@@ -12,10 +12,12 @@ import pytest
 
 from basingen import (
     ParameterError,
+    d2_hessian,
     eval_many,
     evaluate,
     export_class,
     generate,
+    locate_ball,
     make_multistart,
     make_random_search,
     oracle_solver,
@@ -575,6 +577,41 @@ def test_one_query_rule(func9, query, malformed, infeasible, answer):
     with pytest.raises(BudgetExhausted):
         ask([func9.vertex] if query == "values" else func9.vertex)
     assert objective.best_value is None
+
+
+NON_NUMBERS = (object(), [{}, 0.0])  # numpy's TypeError, where a ragged list is its ValueError
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda func, x: evaluate(func, x, "d2"),
+        lambda func, x: eval_many(func, "d2", x),
+        locate_ball,
+        d2_hessian,
+    ],
+    ids=["evaluate", "eval_many", "locate_ball", "d2_hessian"],
+)
+def test_a_non_number_is_a_value_or_type_error(func9, query):
+    for x in NON_NUMBERS:
+        with pytest.raises((ValueError, TypeError)):
+            query(func9, x)
+
+
+@pytest.mark.parametrize("query", ["value", "gradient", "values"])
+def test_a_non_number_query_is_not_charged(func9, query):
+    objective = BudgetedObjective(func9, "d", budget=1, value_tol=1e-4)
+    ask = getattr(objective, query)
+    for spent in (0, 1):
+        for x in NON_NUMBERS:
+            with pytest.raises((ValueError, TypeError)):
+                ask(x)
+            assert objective.evaluations == spent
+        if not spent:
+            objective.value(func9.upper + 1.0)  # one unit for an infeasible point
+    with pytest.raises(BudgetExhausted):
+        objective.value(func9.vertex)
+    assert objective.evaluations == 1 and objective.best_value is None
 
 
 def test_harness_states_no_query_rule():

@@ -155,20 +155,27 @@ def _at(document, path):
     return document
 
 
-def _same_json(a, b):
+def _same_json(a, b, class_value=False):
     """Equal JSON values, where an int equals the float it reads as, and
-    a bool equals no number."""
+    a bool equals no number.  A number under "class_params" is compared as
+    ClassParams stores it, a zero of either sign as 0.0, so without its
+    sign; every other number keeps its sign."""
     if type(a) is dict or type(b) is dict:
         same_keys = type(a) is type(b) and a.keys() == b.keys()
-        return same_keys and all(_same_json(a[k], b[k]) for k in a)
+        return same_keys and all(
+            _same_json(a[k], b[k], class_value or k == "class_params") for k in a
+        )
     if type(a) is list or type(b) is list:
-        return type(a) is type(b) and len(a) == len(b) and all(map(_same_json, a, b))
+        return (
+            type(a) is type(b) and len(a) == len(b)
+            and all(_same_json(x, y, class_value) for x, y in zip(a, b))
+        )
     if type(a) is str or type(b) is str:
         return a == b
     numbers = (int, float)
     return (
         type(a) in numbers and type(b) in numbers and a == b
-        and math.copysign(1.0, a) == math.copysign(1.0, b)
+        and (class_value or math.copysign(1.0, a) == math.copysign(1.0, b))
     )
 
 
