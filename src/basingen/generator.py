@@ -57,6 +57,12 @@ _CLASS_VALUES = {
 }
 
 
+def _signed(value: float) -> tuple[float, float]:
+    """`value` and its sign: equal exactly when two stored class values are
+    the same float, a zero's sign included (``-0.0 == 0.0`` alone is true)."""
+    return value, math.copysign(1.0, value)
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -176,7 +182,7 @@ def _positive_uniform(rng: LaggedFibonacci) -> float:
 
 
 def _is_interior(point: np.ndarray, lower: np.ndarray, upper: np.ndarray, margin: float) -> bool:
-    return bool(np.all(point > lower + margin) and np.all(point < upper - margin))
+    return bool((point > lower + margin).all() and (point < upper - margin).all())
 
 
 def _spherical_offset(radius: float, angles: list[float]) -> np.ndarray:
@@ -301,8 +307,11 @@ def _distance_matrix(points: np.ndarray) -> np.ndarray:
     dists = np.empty((count, count))
     step = max(1, _DISTANCE_BLOCK // (count * dim))
     for start in range(0, count, step):
-        stop = start + step
-        diffs = points[start:] - points[start:stop, None]
+        stop = min(start + step, count)
+        # one subtraction of two contiguous blocks, not one short loop per pair
+        diffs = np.empty((stop - start, count - start, dim))
+        diffs[...] = points[start:]
+        diffs -= np.repeat(points[start:stop], count - start, axis=0).reshape(diffs.shape)
         np.sqrt(_einsum("ijk,ijk->ij", diffs, diffs), out=dists[start:stop, start:])
         dists[stop:, start:stop] = dists[start:stop, stop:].T
     np.fill_diagonal(dists, np.inf)
@@ -522,7 +531,7 @@ def ground_truth_problems(func: GeneratedFunction, dists: np.ndarray | None = No
         if getattr(table, name).shape != (count,):
             return [f"field {name} must have length {count}"]
     for name in ("local_min", "f", "rho", "peak"):
-        if not np.all(np.isfinite(getattr(table, name))):
+        if not np.isfinite(getattr(table, name)).all():
             return [f"field {name} must be finite"]
     if dists is None:
         dists = _distance_matrix(table.local_min)
@@ -534,13 +543,13 @@ def ground_truth_problems(func: GeneratedFunction, dists: np.ndarray | None = No
 
     for key, (field, row, stored_name, class_name) in _CLASS_VALUES.items():
         stored, value = getattr(table, field)[row], getattr(params, key)
-        if stored != value:
+        if _signed(stored) != _signed(value):
             problems.append(f"{stored_name} {stored} != {class_name} {value}")
-    if np.any(table.f < params.global_value - eps):
+    if (table.f < params.global_value - eps).any():
         problems.append("some minimum lies below the class global value")
-    if np.any(table.rho <= 0.0):
+    if (table.rho <= 0.0).any():
         problems.append("attraction radii must be positive")
-    if np.any(table.peak[2:] <= 0.0):
+    if (table.peak[2:] <= 0.0).any():
         problems.append("basin depths for minimizers 3..m must be positive")
     if table.peak[VERTEX_ROW] != 0.0 or table.peak[GLOBAL_ROW] != 0.0:
         problems.append("basin depths for minimizers 1 and 2 must be stored as 0")
@@ -560,11 +569,11 @@ def ground_truth_problems(func: GeneratedFunction, dists: np.ndarray | None = No
         if overlap[i]:
             problems.append(f"attraction ball {i + 1} overlaps a later ball")
 
-    if np.any(dists[GLOBAL_ROW, 2:] < params.global_radius + params.gap - eps):
+    if (dists[GLOBAL_ROW, 2:] < params.global_radius + params.gap - eps).any():
         problems.append("a local minimizer intrudes on the global-ball gap")
     with np.errstate(over="ignore"):  # a huge radius gives inf; the overlap rule reports it
         boundary_min = (dists[VERTEX_ROW, 2:] - table.rho[2:]) ** 2 + params.paraboloid_min
-    if np.any(table.f[2:] >= boundary_min):
+    if (table.f[2:] >= boundary_min).any():
         problems.append(
             "some minimum is not below the paraboloid minimum over its "
             "ball boundary"

@@ -8,14 +8,16 @@ exactly, so a loaded class evaluates bit-for-bit like the generated one,
 without re-running the random stream.
 
 :func:`export_class` writes ``"schema": 2`` and one JSON list per column
-per function, encoded compactly in one ``json.dumps`` call, and
-:func:`load_class` reads that layout only.  A file of any other schema,
-or without a ``schema`` key, is re-made with ``basingen gen`` from its
-``class_params``.
+per function, compactly and one function at a time, so it holds one
+function's lists and text at once; the bytes are those of one
+``json.dumps`` call over the whole document.  :func:`load_class` reads
+that layout only.  A file of any other schema, or without a ``schema``
+key, is re-made with ``basingen gen`` from its ``class_params``.
 
-Only this module knows the JSON layout: :func:`params_to_dict` and
-``_document`` write it; :func:`params_from_dict`, ``_function_from_entry``
-and :func:`load_class` read it, every value through :func:`read_numbers`.
+Only this module knows the JSON layout: :func:`params_to_dict`,
+``_entry`` and ``_document`` write it; :func:`params_from_dict`,
+``_function_from_entry`` and :func:`load_class` read it, every value
+through :func:`read_numbers`.
 Any failure to read is a :class:`NotebookError` naming the bad value's
 path.  The audit owns the rules on the class values and their names
 (``generator._CLASS_VALUES``): a class value that every record
@@ -41,6 +43,7 @@ from .generator import (
     GeneratedFunction,
     MinimaTable,
     _class_functions,
+    _signed,
     ground_truth_problems,
 )
 from .params import (
@@ -80,22 +83,29 @@ def params_to_dict(params: ClassParams) -> dict:
     return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
 
 
+def _entry(func: GeneratedFunction) -> dict:
+    """The notebook entry of one function: one JSON list per stored column,
+    and none of the copies that the record derives."""
+    return {
+        "nf": func.nf,
+        "delta": func.delta,
+        **{key: getattr(func.minima, name).tolist() for key, name in _MINIMA_KEYS.items()},
+    }
+
+
 def _document(loaded: LoadedClass) -> dict:
-    """The schema 2 notebook of `loaded`: one JSON list per stored column
-    per function, and none of the copies that the record derives."""
+    """The schema 2 notebook of `loaded`, its function entries last."""
     return {
         "schema": SCHEMA,
         "class_params": params_to_dict(loaded.params),
         "function_type": loaded.function_type,
-        "functions": [
-            {
-                "nf": func.nf,
-                "delta": func.delta,
-                **{key: getattr(func.minima, name).tolist() for key, name in _MINIMA_KEYS.items()},
-            }
-            for func in loaded.functions
-        ],
+        "functions": [_entry(func) for func in loaded.functions],
     }
+
+
+def _compact(value) -> str:
+    # dumps without indent runs the C encoder; json.dump to a file never does
+    return json.dumps(value, separators=(",", ":"))
 
 
 def _summary_text(loaded: LoadedClass) -> str:
@@ -136,10 +146,17 @@ def export_class(params: ClassParams, function_type: str, path) -> LoadedClass:
     _require_family(function_type)
     functions = list(_class_functions(params))
     loaded = LoadedClass(params=params, functions=functions, function_type=function_type)
-    # one dumps call without indent runs the C encoder; json.dump to a file never does
-    text = json.dumps(_document(loaded), separators=(",", ":")) + "\n"
+    # the document's bytes, one entry encoded at a time: only one entry's
+    # lists and text are alive at once, whatever the size of the class
+    head = _compact(_document(loaded._replace(functions=[])))  # ...,"functions":[]}
     path = Path(path)
-    path.write_text(text)
+    with open(path, "w") as fh:
+        fh.write(head[: -len("]}")])
+        for i, func in enumerate(functions):
+            if i:
+                fh.write(",")
+            fh.write(_compact(_entry(func)))
+        fh.write("]}\n")
     summary_path_for(path).write_text(_summary_text(loaded))
     return loaded
 
@@ -213,12 +230,12 @@ def _function_from_entry(entry, params: ClassParams, position: int) -> Generated
 def _require_class_values(params: ClassParams, functions: list[GeneratedFunction]) -> None:
     """Name the class value that every record contradicts with one value."""
     for key, (field, row, stored_name, class_name) in _CLASS_VALUES.items():
-        stored = {float(getattr(func.minima, field)[row]) for func in functions}
+        stored = {_signed(float(getattr(func.minima, field)[row])) for func in functions}
         value = getattr(params, key)
-        if len(stored) == 1 and stored != {value}:
+        if len(stored) == 1 and stored != {_signed(value)}:
             raise NotebookError(
                 f"class_params.{key} disagrees with every function: "
-                f"{stored_name} {stored.pop()!r} != {class_name} {value!r}"
+                f"{stored_name} {stored.pop()[0]!r} != {class_name} {value!r}"
             )
 
 

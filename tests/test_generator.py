@@ -968,6 +968,8 @@ AUDIT_CASES = [
      ["some minimizer is not interior to the domain"]),
     ("vertex-value", lambda t: dict(f=edited(t.f, 0, 0.5)),
      ["vertex value 0.5 != paraboloid minimum 0.0"]),
+    ("vertex-value-sign", lambda t: dict(f=edited(t.f, 0, -0.0)),
+     ["vertex value -0.0 != paraboloid minimum 0.0"]),
     ("global-value", lambda t: dict(f=edited(t.f, 1, -0.5)),
      ["global minimizer value -0.5 != class value -1.0"]),
     ("global-radius", lambda t: dict(rho=edited(t.rho, 1, 0.2)),

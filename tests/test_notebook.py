@@ -53,6 +53,34 @@ def test_export_writes_100_functions(notebook_path):
     assert text == json.dumps(document, separators=(",", ":")) + "\n"
 
 
+@pytest.mark.parametrize("family", ["nd", "d", "d2"])
+@pytest.mark.parametrize("shape", [(2, 10), (10, 100)])
+def test_export_writes_the_bytes_of_one_dumps_call(tmp_path, pinned_classes, family, shape):
+    # the writer encodes one function at a time; the file is the document
+    # of the layout's one statement, encoded in one call
+    path = tmp_path / "c.json"
+    loaded = export_class(pinned_classes[shape][0].params, family, path)
+    document = json.dumps(notebook._document(loaded), separators=(",", ":")) + "\n"
+    assert path.read_bytes() == document.encode()
+
+
+def test_export_memory_stays_below_a_quarter_of_the_file(tmp_path, pinned_classes):
+    # one dumps call over the whole document held every function's lists
+    # and the whole text, about 4 times the file; the writer holds one
+    # function's.  The records are held, so none is generated here
+    path = tmp_path / "c.json"
+    params = pinned_classes[10, 100][0].params
+    tracemalloc.start()
+    try:
+        export_class(params, "d2", path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 2 * 10**6
+    assert peak < size / 4
+
+
 def test_summary_written_alongside(notebook_path):
     summary = summary_path_for(notebook_path)
     assert summary.exists()
@@ -232,6 +260,23 @@ def test_class_radius_must_be_the_global_ball_radius(tmp_path, notebook_path):
         bad = tmp_path / "class_value.json"
         bad.write_text(json.dumps(document))
         expected = f"class_params.{key} disagrees with every function: {contradiction}"
+        with pytest.raises(NotebookError, match=re.escape(expected)):
+            load_class(bad)
+
+
+def test_a_class_value_keeps_the_sign_of_its_zero(tmp_path, notebook_path):
+    # -0.0 == 0.0, yet a vertex value of -0.0 is not the class's 0.0: every
+    # record edited names the class value, one record names its function
+    message = "vertex value -0.0 != paraboloid minimum 0.0"
+    for edited, expected in (
+        (range(100), f"class_params.paraboloid_min disagrees with every function: {message}"),
+        ([6], f"functions[6] violates ground-truth invariants: {message}"),
+    ):
+        document = json.loads(notebook_path.read_text())
+        for i in edited:
+            document["functions"][i]["f"][0] = -0.0
+        bad = tmp_path / "negative_zero.json"
+        bad.write_text(json.dumps(document))
         with pytest.raises(NotebookError, match=re.escape(expected)):
             load_class(bad)
 
