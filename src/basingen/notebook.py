@@ -13,11 +13,17 @@ function's lists and text at once; the bytes are those of one
 ``json.dumps`` call over the whole document.  :func:`load_class` reads
 that layout only.  A file of any other schema, or without a ``schema``
 key, is re-made with ``basingen gen`` from its ``class_params``.
+:func:`load_class` packs each array of fractions into a float64 array as
+soon as the object holding it is parsed, so it never holds the class's
+numbers as Python floats: what it holds at its peak is the file's bytes
+and their decoded text.
 
 Only this module knows the JSON layout: :func:`params_to_dict`,
 ``_entry`` and ``_document`` write it; :func:`params_from_dict`,
-``_function_from_entry`` and :func:`load_class` read it, every value
-through :func:`read_numbers`.
+``_function_from_entry`` and :func:`load_class` read it, every number
+through :func:`read_numbers`, which takes a packed array where it has
+the shape and kind asked for and judges anything else as the list it
+was parsed from.
 Any failure to read is a :class:`NotebookError` naming the bad value's
 path.  The audit owns the rules on the class values and their names
 (``generator._CLASS_VALUES``): a class value that every record
@@ -164,6 +170,44 @@ def export_class(params: ClassParams, function_type: str, path) -> LoadedClass:
 _JSON_NUMBERS = {int: ({int}, np.int64, "integers"), float: ({int, float}, np.float64, "numbers")}
 
 
+def _leaves(value, shape: tuple[int, ...]) -> list | None:
+    """The leaves of `value` in row-major order if it is a JSON array of
+    exactly `shape` (`value` itself is the one leaf of shape ``()``), else
+    None."""
+    leaves = [value]
+    for n in shape:
+        if not all(type(v) is list and len(v) == n for v in leaves):
+            return None
+        leaves = [x for v in leaves for x in v]
+    return leaves
+
+
+def _packed(value):
+    """`value` as a float64 array when it is a rectangular JSON array whose
+    every leaf is a JSON fraction (a float, never an int or a bool);
+    anything else as parsed.  The array is then the list itself, float for
+    float: ``.tolist()`` gives it back."""
+    if type(value) is not list:
+        return value
+    shape, first = (), value
+    while type(first) is list:
+        shape += (len(first),)
+        first = first[0] if first else None
+    leaves = _leaves(value, shape)
+    if leaves is None or not set(map(type, leaves)) <= {float}:
+        return value
+    return np.array(leaves, dtype=np.float64).reshape(shape)
+
+
+def _pack_arrays(obj: dict) -> dict:
+    """``json.loads`` object hook: pack each value of `obj` (`_packed`) as
+    soon as the object is parsed, so its lists of floats are freed before
+    the next object is read."""
+    for key, value in obj.items():
+        obj[key] = _packed(value)
+    return obj
+
+
 def read_numbers(
     data, key: str, where: str, shape: tuple[int, ...] = (), kind: type = float
 ) -> np.ndarray:
@@ -173,16 +217,23 @@ def read_numbers(
     `data` must be a JSON object holding `key`, and every leaf a JSON
     number (int or float, never bool, str, null or a container) or, where
     `kind` is int, a JSON integer.  Anything else, a number out of range
-    included, raises :class:`NotebookError` naming ``where.key``.
+    included, raises :class:`NotebookError` naming ``where.key``.  A value
+    that :func:`load_class` packed while parsing is returned as it is when
+    `kind` is float and its shape is `shape`; otherwise it is judged as the
+    list it was parsed from, so its verdict and message are those of that
+    list.
     """
     if type(data) is not dict or key not in data:
         raise NotebookError(f"{where} must be an object with key {key!r}")
     where = f"{where}.{key}"
-    leaves = [data[key]]
-    for n in shape:
-        if not all(type(v) is list and len(v) == n for v in leaves):
-            raise NotebookError(f"{where} must be an array of shape {shape}")
-        leaves = [x for v in leaves for x in v]
+    value = data[key]
+    if type(value) is np.ndarray:
+        if kind is float and value.shape == shape:
+            return value
+        value = value.tolist()
+    leaves = _leaves(value, shape)
+    if leaves is None:
+        raise NotebookError(f"{where} must be an array of shape {shape}")
     allowed, dtype, noun = _JSON_NUMBERS[kind]
     if not set(map(type, leaves)) <= allowed:
         bad = next(type(v).__name__ for v in leaves if type(v) not in allowed)
@@ -243,11 +294,13 @@ def load_class(path) -> LoadedClass:
     """Read and re-validate a schema 2 notebook; the stored ground truth is
     authoritative (the random stream is not re-run)."""
     try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
+        document = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=_pack_arrays)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise NotebookError(f"cannot read notebook: {exc}") from exc
     if type(document) is not dict:
         raise NotebookError("notebook root must be an object")
+    # the root's own values are judged as parsed: none of them is read as numbers
+    document = {k: v.tolist() if type(v) is np.ndarray else v for k, v in document.items()}
     schema = document.get("schema")
     if type(schema) is not int or schema != SCHEMA:
         found = json.dumps(schema) if "schema" in document else "no schema key"

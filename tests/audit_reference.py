@@ -5,8 +5,12 @@ before the audit became one pass over the whole minimizer table: a
 Python loop over the minimizers for coincidence and overlap, and
 separate norm passes for the global gap and the boundary minimum.  It
 shares no code with the library beyond the record it reads, so the
-library's verdicts can be compared with it list for list.
+library's verdicts can be compared with it list for list.  A stored
+class value matches its class value only with the same sign of zero,
+as in the library.
 """
+
+import math
 
 import numpy as np
 
@@ -14,6 +18,11 @@ from basingen.params import PRECISION, radius_weights
 
 VERTEX_ROW = 0
 GLOBAL_ROW = 1
+
+
+def _same(stored, value) -> bool:
+    """The same float: ``-0.0 == 0.0`` alone is true."""
+    return stored == value and math.copysign(1.0, stored) == math.copysign(1.0, value)
 
 
 def ground_truth_problems(func) -> list[str]:
@@ -45,14 +54,14 @@ def ground_truth_problems(func) -> list[str]:
         problems.append("some minimizer is not interior to the domain")
 
     t = params.paraboloid_min
-    if table.f[VERTEX_ROW] != t:
+    if not _same(table.f[VERTEX_ROW], t):
         problems.append(f"vertex value {table.f[VERTEX_ROW]} != paraboloid minimum {t}")
-    if table.f[GLOBAL_ROW] != params.global_value:
+    if not _same(table.f[GLOBAL_ROW], params.global_value):
         problems.append(
             f"global minimizer value {table.f[GLOBAL_ROW]} != class value "
             f"{params.global_value}"
         )
-    if table.rho[GLOBAL_ROW] != params.global_radius:
+    if not _same(table.rho[GLOBAL_ROW], params.global_radius):
         problems.append(
             f"global attraction radius {table.rho[GLOBAL_ROW]} != class radius "
             f"{params.global_radius}"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from basingen import (
+    FAMILIES,
     LoadedClass,
     NotebookError,
     ParameterError,
@@ -81,6 +82,34 @@ def test_export_memory_stays_below_a_quarter_of_the_file(tmp_path, pinned_classe
     assert peak < size / 4
 
 
+def test_load_memory_stays_below_two_and_a_half_times_the_file(tmp_path, pinned_classes):
+    # parsing the whole document into Python floats held about 3 times the
+    # file; the loader packs each array as its object is parsed, so its peak
+    # is the file's bytes and their decoded text
+    path = tmp_path / "c.json"
+    export_class(pinned_classes[10, 100][0].params, "d2", path)
+    tracemalloc.start()
+    try:
+        load_class(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 2 * 10**6
+    assert peak < 2.5 * size
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_loaded_class_is_the_generated_one_bit_for_bit(tmp_path, pinned_classes, family):
+    generated = pinned_classes[10, 100]
+    path = tmp_path / "c.json"
+    export_class(generated[0].params, family, path)
+    loaded = load_class(path)
+    assert loaded.function_type == family
+    for original, restored in zip(generated, loaded.functions, strict=True):
+        assert_same_record(original, restored)
+
+
 def test_summary_written_alongside(notebook_path):
     summary = summary_path_for(notebook_path)
     assert summary.exists()
@@ -135,17 +164,22 @@ def test_round_trip_reproduces_ground_truth(
             assert_same_record(original, restored)
 
 
+def _bits(value):
+    array = np.asarray(value)
+    return type(value), array.dtype, array.shape, array.tobytes()
+
+
 def assert_same_record(original, restored):
-    """Every stored and derived field of two records is equal, bit for bit."""
-    assert original.nf == restored.nf
-    for field in ("local_min", "f", "rho", "peak", "w_rho"):
-        stored = getattr(restored.minima, field)
-        assert stored.dtype == np.float64
-        assert np.array_equal(getattr(original.minima, field), stored)
-    assert restored.glob.gm_index.dtype == np.int64
-    assert np.array_equal(original.glob.gm_index, restored.glob.gm_index)
-    assert original.glob.num_global_minima == restored.glob.num_global_minima
-    assert original.delta == restored.delta and type(restored.delta) is float
+    """Every stored and derived field of two records is equal, bit for bit,
+    in the same type: a zero keeps its sign.  A params field is equal bit
+    for bit exactly when its repr is."""
+    assert repr(restored.params) == repr(original.params)
+    fields = [(original, restored, ("nf", "delta"))]
+    fields.append((original.minima, restored.minima, ("local_min", "f", "rho", "peak", "w_rho")))
+    fields.append((original.glob, restored.glob, ("num_global_minima", "gm_index")))
+    for a, b, names in fields:
+        for name in names:
+            assert _bits(getattr(b, name)) == _bits(getattr(a, name)), name
 
 
 def test_export_returns_the_class_load_reads(tmp_path, params2, default_class):
@@ -301,6 +335,17 @@ _F0 = ("functions", 0)
 MALFORMED = {
     "dim_fraction": (_set("class_params", "dim", value=2.7), "class_params.dim"),
     "dim_string": (_set("class_params", "dim", value="2"), "class_params.dim"),
+    "dim_list": (
+        _set("class_params", "dim", value=[2]),
+        "class_params.dim must hold JSON integers only, got a list",
+    ),
+    "dim_fraction_list": (
+        _set("class_params", "dim", value=[2.0]),
+        "class_params.dim must hold JSON integers only, got a list",
+    ),
+    "function_type_numbers": (
+        _set("function_type", value=[2, 0.5]), "unknown function_type [2, 0.5]"
+    ),
     "num_minima_fraction": (
         _set("class_params", "num_minima", value=10.9), "class_params.num_minima"
     ),
@@ -345,6 +390,15 @@ SCHEMA2_MALFORMED = {
     "coord_string": (_set(*_F4, "coords", 3, 0, value="a"), "functions[4].coords"),
     "coord_nan": (_set(*_F4, "coords", 3, 0, value=float("nan")), "must be finite"),
     "coord_nested": (_set(*_F4, "coords", 3, 0, value=[0.1]), "functions[4].coords"),
+    "coord_bool": (
+        _set(*_F4, "coords", 3, 1, value=True),
+        "functions[4].coords must hold JSON numbers only, got a bool",
+    ),
+    # integers are numbers: the row is read, and the audit judges it
+    "coords_integers": (
+        _set(*_F4, "coords", 3, value=[0, 1]),
+        "functions[4] violates ground-truth invariants: some minimizer is not interior",
+    ),
     "coords_short_row": (_set(*_F4, "coords", 3, value=[0.1]), "functions[4].coords"),
     "coords_flat": (_set(*_F4, "coords", value=[0.1] * 20), "functions[4].coords"),
     "f_short": (_set(*_F4, "f", value=[-1.0] * 9), "functions[4].f"),
@@ -353,6 +407,13 @@ SCHEMA2_MALFORMED = {
     "nf_wrong": (_set(*_F4, "nf", value=7), "functions[4] has nf=7"),
     "nf_bool": (_set(*_F4, "nf", value=True), "functions[4].nf"),
     "delta_bool": (_set(*_F4, "delta", value=True), "functions[4].delta"),
+    "nf_list": (
+        _set(*_F4, "nf", value=[5]), "functions[4].nf must hold JSON integers only, got a list"
+    ),
+    "delta_list": (
+        _set(*_F4, "delta", value=[0.5]),
+        "functions[4].delta must hold JSON numbers only, got a list",
+    ),
     "peak_bool": (_set(*_F4, "peak", 2, value=True), "functions[4].peak"),
     "f_400_digits": (_set(*_F4, "f", 3, literal=_BIG), "functions[4].f"),
     "global_rho": (
@@ -378,7 +439,7 @@ _NO_KEY = object()
 # the key must be the JSON integer 2; a file without it is refused like
 # any other, and is re-made from its class_params
 @pytest.mark.parametrize(
-    "schema", [3, "2", True, None, 2.0, 1, pytest.param(_NO_KEY, id="absent")], ids=repr
+    "schema", [3, "2", True, None, 2.0, 1, [2.0], pytest.param(_NO_KEY, id="absent")], ids=repr
 )
 def test_unknown_schema_is_rejected(tmp_path, notebook_path, schema):
     document = json.loads(notebook_path.read_text())
