@@ -585,3 +585,20 @@ def ground_truth_problems(func: GeneratedFunction, dists: np.ndarray | None = No
         )
 
     return problems
+
+
+def class_digest(functions) -> str:
+    """sha256 hex digest of the records `functions`, in order: equal digests
+    mean bit-identical stored records, a zero's sign included.  After a
+    version tag, each record adds ``nf``, ``dim`` and ``num_minima`` as
+    little-endian int64, then ``delta``, ``local_min``, ``f``, ``rho`` and
+    ``peak`` as little-endian float64 in C order.  The derived fields
+    (``w_rho``, ``glob``), the other class values and the family stay out."""
+    import hashlib  # here, so that a bare ``import basingen`` does not load it
+    digest = hashlib.sha256(b"basingen.class_digest/1")
+    for func in functions:
+        table = func.minima
+        digest.update(np.array([func.nf, func.dim, func.num_minima], dtype="<i8").tobytes())
+        for arr in ([func.delta], table.local_min, table.f, table.rho, table.peak):
+            digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return digest.hexdigest()

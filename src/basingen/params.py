@@ -215,8 +215,11 @@ def default_params(dim: int) -> ClassParams:
 def check(params: ClassParams) -> list[ValidationError]:
     """Return every violated class condition (empty list means valid).
 
-    Pure: inspects `params` only, never raises for invalid values.
+    Pure: inspects `params` only, and never raises for invalid values;
+    anything but a :class:`ClassParams` is a ``TypeError``.
     """
+    if not isinstance(params, ClassParams):
+        raise TypeError(f"params must be a ClassParams, got {type(params).__name__}")
     errors: list[ValidationError] = []
     dim, n = params.dim, params.num_minima
     for code, name, value, ok, rule in (  # a float or a bool is not a size

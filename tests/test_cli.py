@@ -151,7 +151,7 @@ def test_gen_defaults_come_from_the_given_box(tmp_path, capsys):
 
 
 # sha256 of `gen --type d --out c.json`'s notebook, summary and stdout; they
-# rest on the platform assumption of test_generator's PINNED_FIELD_DIGESTS
+# rest on the platform assumption of test_generator's CLASS_DIGESTS
 PINNED_GEN_DIGESTS = {
     "c.json": "7b827c41c2d56b3759b81c071fefb669f047100392e51a65c6c94be1a5a61c7e",
     "c.txt": "541cc9f87cd1cd6f20192b6961be1288ce8f17fbfd2cd9cb0742c5fd7d864bef",

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import struct
 import weakref
 
 import numpy as np
@@ -13,6 +14,7 @@ from basingen import (
     ErrorCode,
     ParameterError,
     check,
+    class_digest,
     default_params,
     export_class,
     function_seed,
@@ -46,92 +48,67 @@ from conftest import sized_class, small_class
 from fdtools import _distances_from, reference_radii
 
 
-def records_equal(a, b):
-    return (
-        a.params == b.params
-        and a.nf == b.nf
-        and a.delta == b.delta
-        and np.array_equal(a.minima.local_min, b.minima.local_min)
-        and np.array_equal(a.minima.f, b.minima.f)
-        and np.array_equal(a.minima.rho, b.minima.rho)
-        and np.array_equal(a.minima.peak, b.minima.peak)
-        and np.array_equal(a.minima.w_rho, b.minima.w_rho)
-        and a.glob.num_global_minima == b.glob.num_global_minima
-        and np.array_equal(a.glob.gm_index, b.glob.gm_index)
-    )
-
-
 # --------------------------------------------------------------------------
 # generate
 
 
 def test_generate_is_deterministic(params2, func9, fresh_records):
-    assert records_equal(func9, generate(params2, 9))
+    assert class_digest([generate(params2, 9)]) == class_digest([func9])
 
 
-# sha256 over one stored field of all 100 functions of a class, in
-# function order (little-endian float64 / int64), recorded before the
-# random stream and the radii moved to numpy arrays
-PINNED_FIELD_DIGESTS = {
-    (2, 10): {
-        "local_min": "bfa896860608b1948f3d72797f143211e9a50e4ac0532d6d1e9fda2894da6cea",
-        "f": "8eef709b90729cb6d16b9b2c992111711231b8509bcdf7ad371d0ad3cd259045",
-        "rho": "a501a68d0a3afece08356d3caff16988525d99117b4991b2066eab1c5c57c2f7",
-        "peak": "5593b3a399d75e1e82df6d6a16999cd56c31a870069a575618f0915a6c48c91d",
-        "w_rho": "aa792e024dacd36dc80fbce4a618c4c4b005702cba1611ec5214a553d7fa1114",
-        "gm_index": "11e828eb8925ad4584a75911be30e62e23ebfd2b5b0d5f60dc0dd7c95d3df7e5",
-        "num_global_minima": "88163244840eeecf6554c622bb0701919ca70a3ff3761c4204e33af20acbde61",
-        "delta": "047c032204845f5474c99c3a2e663be2b2ee821f6aa887d01d091fabe5567f5b",
-    },
-    (5, 30): {
-        "local_min": "c00b296297a3e78ae18b2db7bb6fc37db3a1e354de889c0c9294f82fb27c6697",
-        "f": "02d16c3bb733452f27b7876b5a77b3ece5d1924a0e4291fb98a2da45484c3696",
-        "rho": "d4e4e22457d4893722e08f2a4b23de73c890455f8a4c31ce8b91e21987a11fdc",
-        "peak": "0b938b9877b20c08a86db8cf5760b5a8443e266804dd8476b8deb73056571b90",
-        "w_rho": "e9eb88e0d82c529e988be01197c2183c52cf7f14aa89410340dff411f9a89dda",
-        "gm_index": "fd67bef259553d3d87d35786301cce47ad908c1b4f7a37e1c15107ca00f6201b",
-        "num_global_minima": "88163244840eeecf6554c622bb0701919ca70a3ff3761c4204e33af20acbde61",
-        "delta": "dc408a480f6d38b56e75e48fc720a2e70cdbaf2e4529498ee6dcd391776c08f2",
-    },
-    (10, 100): {
-        "local_min": "38ab062af311254073b396aad0c5a002a5e2dded213778540c8fbf5607820253",
-        "f": "34f7faa4677b91e8da07dc7d7022000d51eef81d023ea920417752e77be6da6b",
-        "rho": "6ddfe27e7b2fb7ca4db60631614c163de2af8eba5bcf4cb572c0cef2909f1242",
-        "peak": "c2d8c05dfdacb62af56d3b5b22886cf17592225ca8f9de2342c5a6e04cd86efd",
-        "w_rho": "b6c5339b48e9bd43318e5c5ca0a1963874061a72dbd746cd197d006e3d5e2229",
-        "gm_index": "26d2b916efc2bcf5bb2e4a86c75a426b176813cafe0351295e1eb02b437d5eda",
-        "num_global_minima": "88163244840eeecf6554c622bb0701919ca70a3ff3761c4204e33af20acbde61",
-        "delta": "357759c2749cd7cfcd01a1eb61a23f5843cdb812b694ca0bb20385775d389578",
-    },
+# class_digest of all 100 records of each class of pinned_classes and
+# of each of the ANCHORS below, pinned under SkylakeX
+CLASS_DIGESTS = {
+    "2-D/10": "3cb2ff89a700054e71f63f28f93e7a70b29ca7ecc78bb06275a10577894a0d49",
+    "5-D/30": "b115f29f1376b33f527f3dcf46e590592a225c9d68f75929f2a5dba389b6b277",
+    "10-D/100": "46a04963fa7854de64c62c94042d2f2b51e410cb68baddba4ffdeacd6ffc1308",
+    "default-1e6": "aa5c591cbc2d732ae1569b527c8c54ea5df1e6b55e94ce70d77a35fe923aa4bf",
+    "default-1e13": "18d36042f1e432ce62f25fa0dbd3bbbbb631163f42342de773a9be3b47624278",
+    "scaled-1e12": "e07993b7fe2e7dcb2dab04f24820ac2bfeec58ef0c16dab576f853b068b0bd09",
+    "narrow-1e13": "a9052e487611e9b3f38e1daa693f202673bb926ce61b3a9e424b666f2340d2fd",
+    "paraboloid-1e14": "370eb1bb340666afee2cbe529bad8944a76852d14bce18d5e564eee1277d0321",
 }
 
 
-def stored_fields(func):
-    """Every stored field of a record as little-endian bytes."""
-    table = func.minima
-    floats = dict(
-        local_min=table.local_min,
-        f=table.f,
-        rho=table.rho,
-        peak=table.peak,
-        w_rho=table.w_rho,
-        delta=[func.delta],
-    )
-    ints = dict(gm_index=func.glob.gm_index, num_global_minima=[func.glob.num_global_minima])
-    fields = {name: np.ascontiguousarray(v, dtype="<f8") for name, v in floats.items()}
-    fields.update({name: np.ascontiguousarray(v, dtype="<i8") for name, v in ints.items()})
-    return {name: arr.tobytes() for name, arr in fields.items()}
+def assert_derived_fields(functions):
+    """w_rho, num_global_minima and gm_index of each record, recomputed from
+    its values: the minimizers within PRECISION of the global value first."""
+    for func in functions:
+        f = func.minima.f.tolist()
+        is_global = [value <= f[GLOBAL_ROW] + PRECISION for value in f]
+        assert func.minima.w_rho.tolist() == [1.0 if i == GLOBAL_ROW else 0.99 for i in range(len(f))]
+        assert func.glob.num_global_minima == sum(is_global)
+        order = sorted(range(1, len(f) + 1), key=lambda i: not is_global[i - 1])
+        assert func.glob.gm_index.tolist() == order
 
 
 @pytest.mark.skylakex
 def test_generation_pinned_bit_for_bit(pinned_classes):
-    for key, functions in pinned_classes.items():
-        hashes = {name: hashlib.sha256() for name in PINNED_FIELD_DIGESTS[key]}
-        for func in functions:
-            for name, data in stored_fields(func).items():
-                hashes[name].update(data)
-        digests = {name: h.hexdigest() for name, h in hashes.items()}
-        assert digests == PINNED_FIELD_DIGESTS[key], key
+    for (dim, num_minima), functions in pinned_classes.items():
+        assert_derived_fields(functions)  # class_digest leaves them out
+        assert class_digest(functions) == CLASS_DIGESTS[f"{dim}-D/{num_minima}"]
+
+
+def test_class_digest_layout():
+    # two records of two sizes built by hand, hashed by the layout that
+    # class_digest documents, with struct in place of numpy
+    rows = [
+        (small_class(2, 2), 7, 0.5, [[0.1, -0.2], [-0.0, 0.4]], [0.0, -1.0], [0.3, 0.2], [0.0, 0.0]),
+        (small_class(3, 1), 100, 9.5, [[1.0, 2.0, 3.0]], [-0.0], [0.25], [0.0]),
+    ]
+    functions, expected = [], hashlib.sha256(b"basingen.class_digest/1")
+    for params, nf, delta, local_min, f, rho, peak in rows:
+        functions.append(GeneratedFunction(params, nf, MinimaTable(local_min, f, rho, peak), delta))
+        floats = [delta, *(x for row in local_min for x in row), *f, *rho, *peak]
+        expected.update(struct.pack("<3q", nf, params.dim, params.num_minima))
+        expected.update(struct.pack(f"<{len(floats)}d", *floats))
+    assert class_digest(functions) == expected.hexdigest()
+    # it sees the order of the records, and the sign of a zero in f, which
+    # np.array_equal does not
+    table = MinimaTable([[1.0, 2.0, 3.0]], [0.0], [0.25], [0.0])
+    unsigned = dataclasses.replace(functions[1], minima=table)
+    assert class_digest([functions[0], unsigned]) != class_digest(functions)
+    assert class_digest(functions[::-1]) != class_digest(functions)
 
 
 def test_function_number_bounds(params2):
@@ -146,7 +123,7 @@ def test_numpy_integer_function_numbers(params2, func9, fresh_records):
         fresh_records.clear()  # else generate returns a record made before
         func = generate(params2, kind(9))
         assert type(func.nf) is int
-        assert stored_fields(func) == stored_fields(func9)
+        assert class_digest([func]) == class_digest([func9])
         notebooks = [json.dumps(_document(LoadedClass(params2, [f], "d"))) for f in (func, func9)]
         assert notebooks[0] == notebooks[1]
     assert [generate(params2, nf).nf for nf in np.arange(1, 4)] == [1, 2, 3]
@@ -346,15 +323,6 @@ def test_unrepresentable_magnitudes_are_parameter_errors(params, expected):
     assert tuple(e.code for e in check(params)) == (DIST if expected == {DIST: 100} else ())
 
 
-# all 100 records of each class, as test_generation_pinned_bit_for_bit
-# hashes them, all fields of a record in turn
-ANCHOR_DIGESTS = {
-    "default-1e6": "2b561f8139c58e572869103b8e030433f5ecb1abe86d23cbc49356af9445d76d",
-    "default-1e13": "756e393476740757164bc110c39010159f1f27ab2ea68fff6879f293a586e910",
-    "scaled-1e12": "d9f60d7b1447828e18009f5442d1532d33d7218f1783c05c43933adb99911287",
-    "narrow-1e13": "08fe3927630ee053fcd1e92b53713c2a0e6cac272f765739073a06c41e2a0bcf",
-    "paraboloid-1e14": "54d3e3b12ebd5c9bb2984103a2a306d9f4e9270242b76be73b1ef05d8409440e",
-}
 ANCHORS = {
     "default-1e6": _square_box(-1e6, 1e6),
     "default-1e13": _square_box(-1e13, 1e13),
@@ -375,13 +343,10 @@ ANCHORS = {
     ],
 )
 def test_large_magnitudes_that_fit_still_generate(name):
-    digest = hashlib.sha256()
-    for nf in range(1, 101):
-        func = generate(ANCHORS[name], nf)
-        assert ground_truth_problems(func) == []
-        for data in stored_fields(func).values():
-            digest.update(data)
-    assert digest.hexdigest() == ANCHOR_DIGESTS[name]
+    functions = [generate(ANCHORS[name], nf) for nf in range(1, 101)]
+    assert all(ground_truth_problems(func) == [] for func in functions)
+    assert_derived_fields(functions)
+    assert class_digest(functions) == CLASS_DIGESTS[name]
 
 
 @pytest.mark.parametrize(
@@ -604,7 +569,7 @@ def test_class_path_matches_generate(pinned_classes, fresh_records):
     for funcs in classes:
         batch = list(generator._class_functions(funcs[0].params))
         assert len(batch) == FUNCTIONS_PER_CLASS
-        assert all(records_equal(a, b) for a, b in zip(batch, funcs, strict=True))
+        assert class_digest(batch) == class_digest(funcs)
 
 
 def fresh_record(params, nf):
@@ -621,7 +586,7 @@ def test_evicted_seeds_warm_again_to_the_same_records(fresh_records):
     # warmed again
     for params in (sized_class(2, 10), sized_class(10, 100)):
         for nf in range(1, FUNCTIONS_PER_CLASS + 1):
-            assert records_equal(generate(params, nf), fresh_record(params, nf))
+            assert class_digest([generate(params, nf)]) == class_digest([fresh_record(params, nf)])
     keys = [(dim, num_minima) for dim in (2, 3, 4) for num_minima in (2, 3, 4)]
     calls = [(small_class(*key), nf) for key in keys for nf in range(1, FUNCTIONS_PER_CLASS + 1)]
     picks = random.Random(20261020)
@@ -629,7 +594,7 @@ def test_evicted_seeds_warm_again_to_the_same_records(fresh_records):
     again = picks.sample(calls, 300)
     rng._warm_state.cache_clear()
     for params, nf in calls + again:
-        assert records_equal(generate(params, nf), fresh_record(params, nf))
+        assert class_digest([generate(params, nf)]) == class_digest([fresh_record(params, nf)])
     info = rng._warm_state.cache_info()
     assert info.maxsize == 800 and info.currsize == 800
     assert len(calls) < info.misses < len(calls) + len(again)
@@ -646,7 +611,7 @@ def test_classes_of_one_size_share_their_states(fresh_records):
     rng._warm_state.cache_clear()
     for nf in (1, 2, 99):
         for params in (near, far):
-            assert records_equal(generate(params, nf), fresh_record(params, nf))
+            assert class_digest([generate(params, nf)]) == class_digest([fresh_record(params, nf)])
     info = rng._warm_state.cache_info()
     assert info.currsize == info.misses == info.hits == 3
 
@@ -664,7 +629,7 @@ def test_memoised_state_is_read_only(fresh_records):
     LaggedFibonacci(seed).uniforms(5000)
     assert rng._warm_state(seed) is state and np.array_equal(state, kept)
     fresh_records.clear()  # else generate returns `first` itself
-    assert records_equal(generate(params, 1), first)
+    assert class_digest([generate(params, 1)]) == class_digest([first])
 
 
 def test_a_class_loop_warms_once(fresh_records):
@@ -735,7 +700,7 @@ def test_one_distance_matrix_per_record(monkeypatch, pinned_classes, tmp_path, f
             matrices.clear()
             audits.clear()
             read.clear()
-            assert records_equal(generate(func.params, func.nf), func)
+            assert class_digest([generate(func.params, func.nf)]) == class_digest([func])
             assert len(matrices) == 1 and not matrices[0].flags.writeable
             assert audits == [[]] and ground_truth_problems(func) == []
             # one audit per record, on the very matrix the radii read
@@ -753,25 +718,17 @@ def test_one_distance_matrix_per_record(monkeypatch, pinned_classes, tmp_path, f
 # live records
 
 
-def _digest(func):
-    """sha256 over the stored fields of a record."""
-    digest = hashlib.sha256(repr((func.nf, func.delta)).encode())
-    for field in ("local_min", "f", "rho", "peak"):
-        digest.update(getattr(func.minima, field).tobytes())
-    return digest.hexdigest()
-
-
 def test_a_record_is_kept_while_it_is_held(fresh_records):
     params = sized_class(3, 12)
     funcs = [generate(params, nf) for nf in range(1, FUNCTIONS_PER_CLASS + 1)]
     assert len(fresh_records) == FUNCTIONS_PER_CLASS
     assert all(generate(params, func.nf) is func for func in funcs)
     assert all(a is b for a, b in zip(generator._class_functions(params), funcs, strict=True))
-    digests = [_digest(func) for func in funcs]
+    digest = class_digest(funcs)
     del funcs
     assert len(fresh_records) == 0
     again = [generate(params, nf) for nf in range(1, FUNCTIONS_PER_CLASS + 1)]
-    assert [_digest(func) for func in again] == digests
+    assert class_digest(again) == digest
 
 
 def test_the_shared_table_keeps_no_record_alive():

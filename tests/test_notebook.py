@@ -12,6 +12,7 @@ from basingen import (
     LoadedClass,
     NotebookError,
     ParameterError,
+    class_digest,
     default_params,
     eval_d,
     eval_d2,
@@ -108,6 +109,7 @@ def test_loaded_class_is_the_generated_one_bit_for_bit(tmp_path, pinned_classes,
     assert loaded.function_type == family
     for original, restored in zip(generated, loaded.functions, strict=True):
         assert_same_record(original, restored)
+    assert class_digest(loaded.functions) == class_digest(generated)
 
 
 def test_summary_written_alongside(notebook_path):

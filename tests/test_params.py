@@ -14,8 +14,10 @@ from basingen import (
     default_params,
     export_class,
     generate,
+    oracle_solver,
     params_from_dict,
     params_to_dict,
+    run_solver,
 )
 from basingen.params import PRECISION, radius_weights
 
@@ -239,6 +241,20 @@ def test_check_is_pure(params2):
     assert check(params2) == []
     assert check(params2) == []
     assert params_to_dict(params2) == before
+
+
+def test_params_of_another_type_are_a_type_error(tmp_path):
+    # every entry point reaches check before any other work: no file is written
+    calls = [
+        lambda: check(None),
+        lambda: generate(None, 1),
+        lambda: run_solver(None, "d", oracle_solver, 1),
+        lambda: export_class(None, "d", tmp_path / "c.json"),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="params must be a ClassParams, got NoneType"):
+            call()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_radius_boundary_case_is_allowed():
