@@ -161,10 +161,9 @@ class GeneratedFunction:
 
 
 def function_seed(params: ClassParams, nf: int) -> int:
-    """Frozen seed map of (nf, dimension, minimizer count): the seeds of
-    valid classes are distinct only while ``num_minima <= 10001``; beyond,
-    ``ClassParams(2, 10002, -1.0)`` and ``ClassParams(3, 2, -1.0)`` both
-    seed function 1 with 2000100 (ROADMAP item 14)."""
+    """Frozen seed map of (nf, dimension, minimizer count), distinct over
+    the functions of valid classes, as ``check`` bounds ``num_minima`` at
+    ``params.MAX_NUM_MINIMA``."""
     raw = (nf - 1) + (params.num_minima - 1) * 100 + (params.dim - 1) * 1_000_000
     return raw % MODULUS
 
@@ -593,10 +592,16 @@ def class_digest(functions) -> str:
     version tag, each record adds ``nf``, ``dim`` and ``num_minima`` as
     little-endian int64, then ``delta``, ``local_min``, ``f``, ``rho`` and
     ``peak`` as little-endian float64 in C order.  The derived fields
-    (``w_rho``, ``glob``), the other class values and the family stay out."""
+    (``w_rho``, ``glob``), the other class values and the family stay out.
+    Anything but a :class:`GeneratedFunction` in `functions` is a ``TypeError``."""
     import hashlib  # here, so that a bare ``import basingen`` does not load it
     digest = hashlib.sha256(b"basingen.class_digest/1")
     for func in functions:
+        if not isinstance(func, GeneratedFunction):
+            raise TypeError(
+                f"class_digest takes generated records, got a {type(func).__name__}"
+                " (pass a LoadedClass's .functions)"
+            )
         table = func.minima
         digest.update(np.array([func.nf, func.dim, func.num_minima], dtype="<i8").tobytes())
         for arr in ([func.delta], table.local_min, table.f, table.rho, table.peak):

@@ -255,7 +255,8 @@ def run_solver(
     """Benchmark `solver` on all 100 functions of a class, one
     :meth:`BudgetedObjective.run` per function: a solver exception is
     recorded as a per-function failure and the sweep continues.  An
-    invalid class is a :class:`ParameterError` before anything else.
+    invalid class is a :class:`ParameterError` before anything else, and a
+    solver that is not callable a ``TypeError`` before anything is generated.
     Each function is taken as :func:`generate` returns it just before its
     run: a record the caller still holds is reused, any other is generated
     then, so one that cannot be generated raises after the runs before it.
@@ -265,6 +266,8 @@ def run_solver(
         value_tol = VALUE_TOL_SCALE * (params.paraboloid_min - params.global_value)
     # the objective's checks, once before anything is generated
     family, budget, value_tol = _objective_arguments(family, budget, value_tol)
+    if not callable(solver):
+        raise TypeError(f"solver must be callable, got {type(solver).__name__}")
 
     outcomes = [
         BudgetedObjective(func, family, budget, value_tol).run(solver)

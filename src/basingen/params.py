@@ -26,6 +26,8 @@ DEFAULT_GLOBAL_VALUE = -1.0
 DEFAULT_PARABOLOID_MIN = 0.0
 DEFAULT_DELTA_MAX = 10.0
 DEFAULT_MAX_DIM = 100
+# the most minima for which generator.function_seed gives distinct seeds
+MAX_NUM_MINIMA = 10001
 
 # margin from the box, distinctness and global-value tolerance, and the
 # radius of the disc around each minimizer where its basin is flat
@@ -224,7 +226,8 @@ def check(params: ClassParams) -> list[ValidationError]:
     dim, n = params.dim, params.num_minima
     for code, name, value, ok, rule in (  # a float or a bool is not a size
         (ErrorCode.DIM, "dimension", dim, _valid_dim(dim), f"in [2, {DEFAULT_MAX_DIM}]"),
-        (ErrorCode.NUM_MINIMA, "minima (vertex included)", n, _is_size(n) and n >= 2, ">= 2"),
+        (ErrorCode.NUM_MINIMA, "minima (vertex included)", n,
+         _is_size(n) and 2 <= n <= MAX_NUM_MINIMA, f"in [2, {MAX_NUM_MINIMA}]"),
     ):
         if not ok:
             errors.append(ValidationError(code, f"{name} must be an integer {rule}, got {value!r}"))

@@ -12,6 +12,7 @@ but the library's own basin kernel, for one ball chosen by the caller.
 
 import numpy as np
 
+from basingen import eval_nd, locate_ball
 from basingen.evaluate import _kernel, _plan
 from basingen.params import PRECISION, radius_weights
 
@@ -77,8 +78,6 @@ def ball_shell_distance(func, x):
 def hessian_step(func, x, base=1e-3):
     """Step size for the Hessian oracle: small enough inside a basin that
     the remaining truncation is negligible against its polynomial scale."""
-    from basingen import locate_ball
-
     hit = locate_ball(func, x)
     if hit is None:
         return base
@@ -182,6 +181,37 @@ def reference_paraboloid(func, x):
     """Value of the outer paraboloid ||x - T||^2 + t."""
     vertex = func.minima.local_min[0]
     return float(np.sum((np.asarray(x, dtype=float) - vertex) ** 2)) + func.params.paraboloid_min
+
+
+def nd_witness(func, h, threshold=1e-3):
+    """Whether some ball boundary of the 2-D `func` shows the `nd` family's
+    kink: one-sided difference quotients of step `h`, along one of 32
+    radial directions, that differ by more than `threshold`."""
+    for row in range(1, func.num_minima):
+        center = func.minima.local_min[row]
+        rho = float(func.minima.rho[row])
+        for theta in np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False):
+            u = np.array([np.cos(theta), np.sin(theta)])
+            xb = center + rho * u
+            xm = xb - h * u
+            xp = xb + h * u
+            if np.any(xm < func.lower) or np.any(xp < func.lower):
+                continue
+            if np.any(xm > func.upper) or np.any(xp > func.upper):
+                continue
+            hit_b = locate_ball(func, xb)
+            hit_m = locate_ball(func, xm)
+            if hit_b is None or hit_b[0] != row + 1:
+                continue
+            if hit_m is None or hit_m[0] != row + 1:
+                continue
+            if locate_ball(func, xp) is not None:
+                continue
+            inner = (eval_nd(func, xb) - eval_nd(func, xm)) / h
+            outer = (eval_nd(func, xp) - eval_nd(func, xb)) / h
+            if abs(outer - inner) > threshold:
+                return True
+    return False
 
 
 # --------------------------------------------------------------------------

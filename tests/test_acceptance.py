@@ -41,10 +41,10 @@ from fdtools import (
     fd_gradient,
     fd_hessian,
     hessian_step,
+    nd_witness,
     reference_paraboloid,
     sample_pure_points,
 )
-from test_evaluate import nd_witness
 
 
 def _run(number, name, body):

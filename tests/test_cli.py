@@ -133,12 +133,6 @@ def test_gen_prints_global_minimizers(tmp_path, capsys):
         assert json.loads(path.read_text())["class_params"]["gap"] == gap
 
 
-def test_gen_is_byte_identical(tmp_path, cli_notebook, capsys):
-    again = tmp_path / "again.json"
-    assert main(["gen", "--type", "d", "--out", str(again)]) == 0
-    assert again.read_bytes() == cli_notebook.read_bytes()
-
-
 def test_gen_defaults_come_from_the_given_box(tmp_path, capsys):
     box = ["--domain-left=0,0", "--domain-right=3,6", "--type", "d"]
     derived, stated = tmp_path / "derived.json", tmp_path / "stated.json"
@@ -472,14 +466,27 @@ def test_out_of_range_integer_flag_is_usage_error(cli_notebook, tmp_path, capsys
 
 
 @pytest.mark.parametrize("command", ["gen", "bench"])
-def test_class_too_large_for_memory_is_a_memory_error(tmp_path, capsys, command):
-    # `check` accepts 10**17 minimizers; their table (1.39 EiB) fails to
-    # allocate at once, whatever the overcommit setting
+def test_too_many_minima_is_a_num_minima_error(tmp_path, capsys, command):
+    # 10**17 minimizers: `check` refuses them before their table (1.39 EiB)
+    # is allocated
     out_path = tmp_path / "out.json"
     argv = [command, "--type", "d", "--minima", "100000000000000000", "--out", str(out_path)]
     code, out, err = run(capsys, argv)
     assert code == 1
-    assert err.startswith("memory error: ") and len(err.splitlines()) == 1
+    assert err.startswith("NumMinimaError: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not out_path.exists()
     assert not out_path.with_suffix(".csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, step", [("gen", "export_class"), ("bench", "run_solver")], ids=["gen", "bench"]
+)
+def test_class_too_large_for_memory_is_a_memory_error(tmp_path, capsys, monkeypatch, command, step):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("cannot allocate the minimizer table")
+
+    monkeypatch.setattr(f"basingen.cli.{step}", no_memory)
+    code, out, err = run(capsys, [command, "--type", "d", "--out", str(tmp_path / "out.json")])
+    assert code == 1
+    assert err == "memory error: cannot allocate the minimizer table\n"

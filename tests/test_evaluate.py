@@ -40,7 +40,6 @@ from fdtools import (
     hessian_step,
     points_inside_ball,
     reference_basin_value,
-    reference_paraboloid,
     sample_pure_points,
 )
 
@@ -158,20 +157,6 @@ def test_no_function():
         d_gradient(None, [0.0, 0.0])
 
 
-def test_boundary_identity_all_families(func9):
-    # on the ball boundary every basin polynomial collapses to the paraboloid
-    directions = random_unit_vectors(2, 100, seed=5)
-    for row in range(1, func9.num_minima):
-        center = func9.minima.local_min[row]
-        rho = func9.minima.rho[row]
-        for u in directions:
-            xb = center + rho * u
-            g = reference_paraboloid(func9, xb)
-            for family in EVALUATORS:
-                branch = basin(func9, row, xb, rho, family)
-                assert abs(branch - g) <= 1e-9 * max(1.0, abs(g))
-
-
 def test_basin_kernel_matches_reference(func9, func5):
     for func in (func9, func5):
         for row in range(1, func.num_minima):
@@ -194,13 +179,6 @@ def test_gradient_outside_balls(func9):
     assert d2_gradient(func9, x) == pytest.approx([0.6, -0.2])
     assert d_deriv(func9, 1, x) == pytest.approx(0.6)
     assert d2_deriv1(func9, 2, x) == pytest.approx(-0.2)
-
-
-def test_gradients_vanish_at_minimizers(func9):
-    for row in range(func9.num_minima):
-        point = func9.minima.local_min[row]
-        assert np.max(np.abs(d_gradient(func9, point))) <= 1e-10
-        assert np.max(np.abs(d2_gradient(func9, point))) <= 1e-10
 
 
 def test_gradient_matches_finite_differences(func9):
@@ -278,25 +256,6 @@ def test_hessian_outside_balls(func9):
     assert d2_deriv2(func9, 1, 1, x) == 2.0
 
 
-def test_hessian_at_minimizers(func9):
-    identity = np.eye(2)
-    for row in range(1, func9.num_minima):
-        hess = d2_hessian(func9, func9.minima.local_min[row])
-        assert np.allclose(hess, func9.delta * identity, atol=1e-6)
-    # the vertex sits outside every basin ball: pure paraboloid curvature
-    assert np.array_equal(d2_hessian(func9, func9.vertex), 2.0 * identity)
-
-
-def test_hessian_matches_finite_differences(func9):
-    step = lambda x: 4.0 * hessian_step(func9, x)
-    points = sample_pure_points(func9, 300, seed=13, stencil_radius=step, pad=5e-3)
-    for x in points:
-        h = hessian_step(func9, x)
-        fd = fd_hessian(lambda z: eval_d2(func9, z), x, h=h)
-        analytic = d2_hessian(func9, x)
-        assert np.max(np.abs(analytic - fd)) <= 1e-4
-
-
 def test_hessian_inside_balls_matches_fd(func9):
     for row in range(1, func9.num_minima):
         for x in points_inside_ball(func9, row, 10, seed=100 + row):
@@ -330,58 +289,6 @@ def test_single_entry_matches_matrix(func9):
 
 
 # --------------------------------------------------------------------------
-# smoothness across basin boundaries
-
-
-def test_smooth_branch_agreement_on_boundaries(func9):
-    directions = random_unit_vectors(2, 60, seed=23)
-    for row in range(1, func9.num_minima):
-        center = func9.minima.local_min[row]
-        rho = func9.minima.rho[row]
-        for u in directions:
-            xb = center + rho * u
-            outer_grad = 2.0 * (xb - func9.vertex)
-            assert np.max(np.abs(basin(func9, row, xb, rho, "d", 1) - outer_grad)) <= 1e-8
-            assert np.max(np.abs(basin(func9, row, xb, rho, "d2", 1) - outer_grad)) <= 1e-8
-            assert np.max(np.abs(basin(func9, row, xb, rho, "d2", 2) - 2.0 * np.eye(2))) <= 1e-6
-
-
-def test_nd_kinks_on_boundaries(default_class):
-    # the quadratic blend has a radial slope jump on each ball boundary
-    h = 1e-7
-    for func in default_class:
-        assert nd_witness(func, h), f"no kink witness for nf={func.nf}"
-
-
-def nd_witness(func, h, threshold=1e-3):
-    for row in range(1, func.num_minima):
-        center = func.minima.local_min[row]
-        rho = float(func.minima.rho[row])
-        for theta in np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False):
-            u = np.array([np.cos(theta), np.sin(theta)])
-            xb = center + rho * u
-            xm = xb - h * u
-            xp = xb + h * u
-            if np.any(xm < func.lower) or np.any(xp < func.lower):
-                continue
-            if np.any(xm > func.upper) or np.any(xp > func.upper):
-                continue
-            hit_b = locate_ball(func, xb)
-            hit_m = locate_ball(func, xm)
-            if hit_b is None or hit_b[0] != row + 1:
-                continue
-            if hit_m is None or hit_m[0] != row + 1:
-                continue
-            if locate_ball(func, xp) is not None:
-                continue
-            inner = (eval_nd(func, xb) - eval_nd(func, xm)) / h
-            outer = (eval_nd(func, xp) - eval_nd(func, xb)) / h
-            if abs(outer - inner) > threshold:
-                return True
-    return False
-
-
-# --------------------------------------------------------------------------
 # batch evaluation
 
 
@@ -403,15 +310,17 @@ def test_batch_matches_scalar(func9, func5):
 
 def lookup_edge_points(func, seed):
     """Points where the ball lookup is hardest, kept if in the box: every
-    ball center, points within PRECISION and 1e-12 rho of it, and points
-    on the boundary (along a random direction and along an axis) with
-    their neighbours one and two ulps inside and outside."""
+    ball center, points 0.5 and 1.5 PRECISION from it (either side of the
+    edge of its flat disc) and 1e-12 rho from it, and points on the
+    boundary (along a random direction and along an axis) with their
+    neighbours one and two ulps inside and outside."""
     points = []
     for row in range(1, func.num_minima):
         center = func.minima.local_min[row]
         rho = float(func.minima.rho[row])
         u, v, w = random_unit_vectors(func.dim, 3, seed=seed + row)
-        points += [center, center + 0.5 * PRECISION * u, center + 1e-12 * rho * v]
+        points += [center, center + 0.5 * PRECISION * u, center + 1.5 * PRECISION * u]
+        points.append(center + 1e-12 * rho * v)
         on_axis = center.copy()
         on_axis[row % func.dim] += rho
         for x in (center + rho * w, on_axis):
@@ -460,8 +369,14 @@ def assert_batch_exact(func, points, families=tuple(EVALUATORS)):
 
 
 def test_batch_exact_at_ball_edges(func9, func5, func_wide):
+    # func9 with ball 4 shrunk to rho = 1e-4 (evaluation takes a record
+    # unaudited): 1.5 PRECISION from its center, its nd and d basin
+    # polynomials no longer round to f_min
+    rho = np.array(func9.minima.rho)
+    rho[3] = 1e-4
+    tiny_ball = dataclasses.replace(func9, minima=dataclasses.replace(func9.minima, rho=rho))
     rng = np.random.default_rng(31)
-    for seed, func in enumerate((func9, func5, func_wide)):
+    for seed, func in enumerate((func9, func5, func_wide, tiny_ball)):
         edges = lookup_edge_points(func, seed=100 * seed)
         uniform = func.lower + (func.upper - func.lower) * rng.random((200, func.dim))
         points = np.concatenate([edges, uniform])

@@ -67,6 +67,12 @@ def test_bad_value_tol_rejected_before_generation(params2, monkeypatch, fresh_re
         run_solver(params2, "d", oracle_solver, budget=10, value_tol=value_tol)
 
 
+def test_solver_that_is_not_callable_is_a_type_error(params2, monkeypatch, fresh_records):
+    monkeypatch.setattr(generator, "_generated", None)  # a call would raise TypeError
+    with pytest.raises(TypeError, match="solver must be callable, got NoneType"):
+        run_solver(params2, "d", None, 1)
+
+
 @pytest.mark.parametrize("global_value", [None, "-1", float("nan")])
 def test_invalid_class_rejected_before_generation(
     params2, monkeypatch, fresh_records, global_value

@@ -14,10 +14,7 @@ from basingen import (
     ParameterError,
     class_digest,
     default_params,
-    eval_d,
-    eval_d2,
     eval_many,
-    eval_nd,
     export_class,
     generate,
     grid_samples,
@@ -126,14 +123,6 @@ def test_summary_path_ignores_suffix_case():
     assert summary_path_for("c.JSON") == Path("c.txt")
 
 
-def test_export_is_reproducible(tmp_path, params2):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    export_class(params2, "d", a)
-    export_class(params2, "d", b)
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_export_after_a_generate_loop_reuses_its_records(tmp_path, params2, monkeypatch):
     funcs = [generate(params2, nf) for nf in range(1, 101)]
     with monkeypatch.context() as patch:
@@ -195,19 +184,6 @@ def test_export_returns_the_class_load_reads(tmp_path, params2, default_class):
     for generated, written, restored in zip(default_class, exported.functions, loaded.functions):
         assert_same_record(generated, written)
         assert_same_record(written, restored)
-
-
-def test_round_trip_evaluations_bitwise(notebook_path, default_class):
-    rng = np.random.default_rng(31)
-    points = rng.uniform(-1.0, 1.0, size=(200, 2))
-    loaded = load_class(notebook_path)
-    for nf in (1, 9, 100):
-        original = default_class[nf - 1]
-        restored = loaded.functions[nf - 1]
-        for x in points:
-            assert eval_d(original, x) == eval_d(restored, x)
-            assert eval_nd(original, x) == eval_nd(restored, x)
-            assert eval_d2(original, x) == eval_d2(restored, x)
 
 
 def test_truncated_file_is_rejected(tmp_path, notebook_path):

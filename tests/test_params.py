@@ -197,6 +197,10 @@ def test_check_reports_dim_and_minima():
     # a box valid in its own right is not judged against an invalid dimension
     p = dataclasses.replace(default_params(2), dim=200)
     assert codes(check(p)) == {ErrorCode.DIM}
+    # the most minima that the seed map keeps apart, and one more
+    assert check(ClassParams(2, 10001, -1.0)) == []
+    for num_minima in (10002, 10**18):
+        assert codes(check(ClassParams(2, num_minima, -1.0))) == {ErrorCode.NUM_MINIMA}
 
 
 def test_check_reports_boundary():
